@@ -38,8 +38,6 @@ from .solver import (
     l2_spacetime,
     run_scalar,
     run_system,
-    step_scalar,
-    step_system,
     tridiagonal_solve,
 )
 from .reduction import ReducedFields, error_norms, reduced_to_state, to_reduced

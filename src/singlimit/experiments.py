@@ -15,9 +15,7 @@ are least-squares slopes of tracked level-crossing positions.
 from __future__ import annotations
 
 import math
-import os
 import time as _time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -46,7 +44,6 @@ __all__ = [
     "estimate_wave_speed",
     "boundary_drift",
     "extinction_check",
-    "sweep_worker_count",
 ]
 
 EXTINCT_BELOW = 0.1
@@ -70,11 +67,8 @@ class InitialDataSpec:
     amplitude: float = 0.4
     radius: float = 1.6
     smoothing: float = 0.5
-    shape: str = "plateau_bump"
 
     def __post_init__(self):
-        if self.shape != "plateau_bump":
-            raise ValueError(f"unknown initial-data shape {self.shape!r}")
         if not 0.0 < self.amplitude < 1.0:
             raise ValueError("amplitude must lie strictly inside (0, 1)")
         if self.radius <= 0.0:
@@ -218,17 +212,6 @@ def boundary_drift(series: Sequence[tuple[float, Field]],
 # convergence sweep
 
 
-def sweep_worker_count() -> int:
-    """Worker processes for per-eps runs; SINGLIMIT_THREADS caps it
-    (unset or 0 means sequential)."""
-    raw = os.environ.get("SINGLIMIT_THREADS", "0").strip()
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"SINGLIMIT_THREADS must be an integer, got {raw!r}") from exc
-    return max(0, n)
-
-
 def _scalar_series(model: ScaledModel, p_init: Field, config: SolverConfig):
     return run_scalar(lambda v: limit_reaction(model, v), p_init, config)
 
@@ -287,13 +270,8 @@ def run_convergence_sweep(params: WolbachiaParams, variant: Variant,
     if speed_window is not None:
         limit_speed = estimate_wave_speed(limit_series, speed_window, speed_level)
 
-    workers = min(sweep_worker_count(), len(models))
-    args = [(m, spec, config, limit_series, speed_window, speed_level) for m in models]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one_eps_star, args))
-    else:
-        results = [_run_one_eps(*a) for a in args]
+    results = [_run_one_eps(m, spec, config, limit_series, speed_window, speed_level)
+               for m in models]
 
     if series_sink is not None:
         series_sink["limit"] = limit_series
@@ -308,10 +286,6 @@ def run_convergence_sweep(params: WolbachiaParams, variant: Variant,
         limit_speed=limit_speed,
         runtimes=tuple(r[3] for r in results),
     )
-
-
-def _run_one_eps_star(args):
-    return _run_one_eps(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -150,10 +150,7 @@ class ScaledModel:
     @property
     def carrying_total(self) -> float:
         """Total density at which the logistic factor vanishes."""
-        p = self.params
-        if self.variant is Variant.ALTERNATIVE:
-            return 1.0 / (self.epsilon * p.sigma)
-        return 1.0 / (p.sigma * self.epsilon)
+        return 1.0 / (self.params.sigma * self.epsilon)
 
     def with_epsilon(self, epsilon: float) -> "ScaledModel":
         return ScaledModel(self.params, epsilon, self.variant, self.clip_logistic)

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .experiments import ConvergenceReport
-from .solver import Field, Grid1D
+from .solver import Field
 
 __all__ = [
     "write_snapshot",
@@ -59,11 +59,6 @@ def read_snapshot(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError(f"{path}: not a snapshot file (header {header!r})")
         data = np.loadtxt(handle, delimiter=",", ndmin=2)
     return data[:, 0], data[:, 1]
-
-
-def read_snapshot_field(path: str | Path) -> Field:
-    x, values = read_snapshot(path)
-    return Field(values, Grid1D(float(x[0]), float(x[-1]), len(x)))
 
 
 def write_manifest(entries: Sequence[tuple[float, str]], path: str | Path) -> None:

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import NEGATIVE_TOL, ScaledModel, Variant, slow_manifold
-from .solver import Field, PopulationState, l2_spacetime
+from .solver import Field, PopulationState, _check_frequency_box, l2_spacetime
 
 __all__ = ["ReducedFields", "to_reduced", "reduced_to_state", "error_norms"]
 
@@ -39,8 +39,7 @@ class ReducedFields:
     def __post_init__(self):
         if self.n.grid != self.p.grid or (self.m is not None and self.m.grid != self.n.grid):
             raise ValueError("reduced fields must share one grid")
-        if self.p.values.min() < -1e-12 or self.p.values.max() > 1.0 + 1e-12:
-            raise ValueError("frequency outside [0, 1] beyond round-off")
+        _check_frequency_box(self.p.values)
 
 
 def to_reduced(model: ScaledModel, state: PopulationState) -> ReducedFields:

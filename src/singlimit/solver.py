@@ -42,8 +42,6 @@ __all__ = [
     "SolverError",
     "assemble_diffusion",
     "tridiagonal_solve",
-    "step_system",
-    "step_scalar",
     "run_system",
     "run_scalar",
     "l2_space",
@@ -304,89 +302,65 @@ class _ImplicitDiffusion:
         return solve_banded((1, 1), self._ab, rhs, check_finite=False)
 
 
-def _advance(op: _ImplicitDiffusion, values: np.ndarray, rate: np.ndarray,
-             boundary_pin: np.ndarray | None) -> np.ndarray:
-    star = values + op.config.dt * rate
-    if boundary_pin is not None:
-        star[0], star[-1] = boundary_pin
-    return op.solve(star)
+_DENSITY_NAMES = ("infected density", "uninfected density")
 
 
-def _boundary_pin(config: SolverConfig, values: np.ndarray):
-    if config.bc is BoundaryCondition.DIRICHLET:
-        return values[0], values[-1]
-    return None
-
-
-def _settle_density(values: np.ndarray, config: SolverConfig, step: int, name: str) -> np.ndarray:
-    if not np.all(np.isfinite(values)):
-        raise SolverError(f"{name} became non-finite", step)
-    if config.clip_negatives:
-        low = values.min()
-        if low < -NEGATIVE_TOL:
-            raise SolverError(f"{name} fell to {low:.3e}, beyond round-off", step)
-        if low < 0.0:
-            values = np.where(values < 0.0, 0.0, values)
+def _settle_density(values: np.ndarray, clip_negatives: bool) -> np.ndarray:
+    """Reject non-finite densities, and with clip_negatives clamp round-off
+    negatives to zero and reject larger ones; values holds (n_i, n_u) columns."""
+    finite = np.isfinite(values).all(axis=0)
+    lows = values.min(axis=0)
+    for name, ok, low in zip(_DENSITY_NAMES, finite, lows):
+        if not ok:
+            raise ValueError(f"{name} became non-finite")
+        if clip_negatives and low < -NEGATIVE_TOL:
+            raise ValueError(f"{name} fell to {low:.3e}, beyond round-off")
+    if clip_negatives and lows.min() < 0.0:
+        values = np.where(values < 0.0, 0.0, values)
     return values
-
-
-def _step_fields(model: ScaledModel, ni: np.ndarray, nu: np.ndarray,
-                 op: _ImplicitDiffusion, step: int) -> tuple[np.ndarray, np.ndarray]:
-    config = op.config
-    rate_i, rate_u = reaction_rates(model, ni, nu)
-    new_i = _advance(op, ni, rate_i, _boundary_pin(config, ni))
-    new_u = _advance(op, nu, rate_u, _boundary_pin(config, nu))
-    new_i = _settle_density(new_i, config, step, "infected density")
-    new_u = _settle_density(new_u, config, step, "uninfected density")
-    return new_i, new_u
-
-
-def step_system(model: ScaledModel, state: PopulationState, config: SolverConfig) -> PopulationState:
-    """One semi-implicit step of the two-population system."""
-    op = _ImplicitDiffusion(config)
-    ni, nu = _step_fields(model, state.ni.values, state.nu.values, op, 0)
-    grid = config.grid
-    return PopulationState(Field(ni, grid), Field(nu, grid), state.time + config.dt)
 
 
 FREQUENCY_TOL = 1e-12
 
 
 def _check_frequency_box(values: np.ndarray) -> None:
-    if values.min() < -FREQUENCY_TOL or values.max() > 1.0 + FREQUENCY_TOL:
-        raise ValueError("frequency field must lie in [0, 1] up to round-off")
-
-
-def _step_frequency(reaction, values: np.ndarray, op: _ImplicitDiffusion, step: int) -> np.ndarray:
-    new = _advance(op, values, np.asarray(reaction(values), dtype=float),
-                   _boundary_pin(op.config, values))
-    if not np.all(np.isfinite(new)):
-        raise SolverError("frequency became non-finite", step)
-    low, high = new.min(), new.max()
-    if low < -FREQUENCY_TOL or high > 1.0 + FREQUENCY_TOL:
-        raise SolverError(
-            f"frequency left [0, 1] by more than round-off: [{low:.6e}, {high:.6e}]", step
+    """Reject a frequency outside [0, 1] by more than FREQUENCY_TOL (or NaN)."""
+    low, high = values.min(), values.max()
+    if not (low >= -FREQUENCY_TOL and high <= 1.0 + FREQUENCY_TOL):
+        raise ValueError(
+            f"frequency left [0, 1] by more than round-off: [{low:.6e}, {high:.6e}]"
         )
-    return np.clip(new, 0.0, 1.0)
 
 
-def step_scalar(reaction: Callable[[np.ndarray], np.ndarray], p: Field,
-                config: SolverConfig) -> Field:
-    """One semi-implicit step of the scalar frequency equation.
+def _settle_frequency(values: np.ndarray) -> np.ndarray:
+    _check_frequency_box(values)
+    return np.clip(values, 0.0, 1.0)
 
-    Round-off excursions of p outside [0, 1] (up to 1e-12) are clamped;
-    larger excursions abort the step.
+
+def _integrate(op: _ImplicitDiffusion, values: np.ndarray,
+               rate: Callable[[np.ndarray], np.ndarray],
+               settle: Callable[[np.ndarray], np.ndarray]):
+    """The time loop shared by every run: yields (step, values) at step 0,
+    every output_every steps and the final step.
+
+    values holds one column per field, (nx,) or (nx, k); all columns share
+    the one banded solve per step.  A ValueError from rate or settle (a
+    rejected state) becomes a SolverError carrying its step.
     """
-    _check_frequency_box(p.values)
-    op = _ImplicitDiffusion(config)
-    return Field(_step_frequency(reaction, p.values, op, 0), config.grid)
-
-
-def _output_steps(config: SolverConfig) -> set[int]:
-    steps = config.n_steps
-    wanted = set(range(0, steps + 1, config.output_every))
-    wanted.add(steps)
-    return wanted
+    config = op.config
+    dt, last = config.dt, config.n_steps
+    pin = config.bc is BoundaryCondition.DIRICHLET
+    yield 0, values
+    for step in range(1, last + 1):
+        try:
+            star = values + dt * rate(values)
+            if pin:
+                star[[0, -1]] = values[[0, -1]]
+            values = settle(op.solve(star))
+        except ValueError as exc:
+            raise SolverError(str(exc), step) from exc
+        if step % config.output_every == 0 or step == last:
+            yield step, values
 
 
 def run_system(model: ScaledModel, state: PopulationState,
@@ -398,38 +372,33 @@ def run_system(model: ScaledModel, state: PopulationState,
     """
     if state.grid != config.grid:
         raise ValueError("initial state lives on a different grid")
-    op = _ImplicitDiffusion(config)
-    grid = config.grid
-    t0 = state.time
-    wanted = _output_steps(config)
-    ni, nu = state.ni.values.copy(), state.nu.values.copy()
-    out = [PopulationState(Field(ni, grid), Field(nu, grid), t0)]
-    for step in range(1, config.n_steps + 1):
-        try:
-            ni, nu = _step_fields(model, ni, nu, op, step)
-        except ValueError as exc:  # rejected state, e.g. runaway negativity
-            raise SolverError(str(exc), step) from exc
-        if step in wanted:
-            out.append(PopulationState(Field(ni, grid), Field(nu, grid), t0 + step * config.dt))
-    return out
+    grid, t0 = config.grid, state.time
+
+    def rate(values):
+        return np.column_stack(reaction_rates(model, values[:, 0], values[:, 1]))
+
+    frames = _integrate(_ImplicitDiffusion(config),
+                        np.column_stack((state.ni.values, state.nu.values)), rate,
+                        lambda values: _settle_density(values, config.clip_negatives))
+    return [PopulationState(Field(v[:, 0], grid), Field(v[:, 1], grid), t0 + step * config.dt)
+            for step, v in frames]
 
 
 def run_scalar(reaction: Callable[[np.ndarray], np.ndarray], p0: Field,
                config: SolverConfig) -> list[tuple[float, Field]]:
     """Integrate the scalar frequency equation to t_end; snapshot cadence as
-    in run_system.  Returns (time, field) pairs."""
+    in run_system.  Returns (time, field) pairs.
+
+    Round-off excursions of p outside [0, 1] (up to FREQUENCY_TOL) are
+    clamped; larger excursions abort the run.
+    """
     if p0.grid != config.grid:
         raise ValueError("initial field lives on a different grid")
     _check_frequency_box(p0.values)
-    op = _ImplicitDiffusion(config)
-    wanted = _output_steps(config)
-    values = p0.values.copy()
-    out = [(0.0, Field(values, config.grid))]
-    for step in range(1, config.n_steps + 1):
-        values = _step_frequency(reaction, values, op, step)
-        if step in wanted:
-            out.append((step * config.dt, Field(values, config.grid)))
-    return out
+    frames = _integrate(_ImplicitDiffusion(config), p0.values,
+                        lambda values: np.asarray(reaction(values), dtype=float),
+                        _settle_frequency)
+    return [(step * config.dt, Field(v, config.grid)) for step, v in frames]
 
 
 # ---------------------------------------------------------------------------

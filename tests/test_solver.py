@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,10 @@ from singlimit.solver import _ImplicitDiffusion, _settle_density
 
 def small_grid(nx=11, span=1.0):
     return sl.Grid1D(0.0, span, nx)
+
+
+def one_step(config):
+    return dataclasses.replace(config, t_end=config.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +164,7 @@ def test_uniform_equilibrium_is_preserved(fig1_params, grid601):
     ext = sl.equilibria(model)[0]
     state = sl.PopulationState(sl.Field.constant(ext.ni, grid601),
                                sl.Field.constant(ext.nu, grid601))
-    stepped = sl.step_system(model, state, config)
+    stepped = sl.run_system(model, state, one_step(config))[-1]
     assert np.max(np.abs(stepped.ni.values - ext.ni)) < 1e-12
     assert np.max(np.abs(stepped.nu.values - ext.nu)) < 1e-12
 
@@ -169,7 +174,7 @@ def test_vacuum_stays_vacuum(fig1_params, grid601):
     config = sl.SolverConfig(grid601, dt=0.005, t_end=1.0, diffusivity=0.1)
     state = sl.PopulationState(sl.Field.constant(0.0, grid601),
                                sl.Field.constant(0.0, grid601))
-    stepped = sl.step_system(model, state, config)
+    stepped = sl.run_system(model, state, one_step(config))[-1]
     assert np.array_equal(stepped.ni.values, np.zeros(grid601.nx))
     assert np.array_equal(stepped.nu.values, np.zeros(grid601.nx))
 
@@ -182,7 +187,7 @@ def test_uniform_step_matches_forward_euler_ode(fig1_params):
     config = sl.SolverConfig(grid, dt=0.005, t_end=1.0, diffusivity=1e-12)
     ni0, nu0 = 1.3, 2.4
     state = sl.PopulationState(sl.Field.constant(ni0, grid), sl.Field.constant(nu0, grid))
-    stepped = sl.step_system(model, state, config)
+    stepped = sl.run_system(model, state, one_step(config))[-1]
     rate_i, rate_u = sl.reaction_rates(model, ni0, nu0)
     assert np.max(np.abs(stepped.ni.values - (ni0 + 0.005 * rate_i))) < 1e-10
     assert np.max(np.abs(stepped.nu.values - (nu0 + 0.005 * rate_u))) < 1e-10
@@ -190,41 +195,41 @@ def test_uniform_step_matches_forward_euler_ode(fig1_params):
 
 def test_scalar_rest_states_exact(fig1_params, grid601):
     model = sl.ScaledModel(fig1_params, 0.1)
-    config = sl.SolverConfig(grid601, dt=0.005, t_end=1.0, diffusivity=0.1)
+    config = one_step(sl.SolverConfig(grid601, dt=0.005, t_end=1.0, diffusivity=0.1))
     reaction = lambda v: sl.limit_reaction(model, v)
     # vacuum is exact (round-off negatives clamp to 0); the invaded state
     # survives to solver round-off, which the clamp only trims from above
     p0 = sl.Field.constant(0.0, grid601)
-    assert np.array_equal(sl.step_scalar(reaction, p0, config).values,
+    assert np.array_equal(sl.run_scalar(reaction, p0, config)[-1][1].values,
                           np.zeros(grid601.nx))
     p1 = sl.Field.constant(1.0, grid601)
-    assert np.max(np.abs(sl.step_scalar(reaction, p1, config).values - 1.0)) < 1e-13
+    assert np.max(np.abs(sl.run_scalar(reaction, p1, config)[-1][1].values - 1.0)) < 1e-13
     theta = sl.invasion_threshold(model)
-    stepped = sl.step_scalar(reaction, sl.Field.constant(theta, grid601), config)
+    _, stepped = sl.run_scalar(reaction, sl.Field.constant(theta, grid601), config)[-1]
     assert np.max(np.abs(stepped.values - theta)) < 1e-12
 
 
 def test_scalar_step_flags_large_excursion(grid601):
-    config = sl.SolverConfig(grid601, dt=0.005, t_end=1.0, diffusivity=0.1)
+    config = one_step(sl.SolverConfig(grid601, dt=0.005, t_end=1.0, diffusivity=0.1))
     p = sl.Field.constant(0.5, grid601)
-    with pytest.raises(sl.SolverError):
-        sl.step_scalar(lambda v: -np.full_like(v, 200.0), p, config)
+    with pytest.raises(sl.SolverError, match="step 1"):
+        sl.run_scalar(lambda v: -np.full_like(v, 200.0), p, config)
 
 
 def test_scalar_step_rejects_out_of_range_input(grid601):
-    config = sl.SolverConfig(grid601, dt=0.005, t_end=1.0, diffusivity=0.1)
+    config = one_step(sl.SolverConfig(grid601, dt=0.005, t_end=1.0, diffusivity=0.1))
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        sl.step_scalar(lambda v: np.zeros_like(v), sl.Field.constant(1.5, grid601), config)
+        sl.run_scalar(lambda v: np.zeros_like(v), sl.Field.constant(1.5, grid601), config)
 
 
-def test_settle_density_clamps_or_raises(grid601):
-    config = sl.SolverConfig(grid601, dt=0.005, t_end=1.0, diffusivity=0.1)
-    cleaned = _settle_density(np.array([-5e-13, 0.2]), config, 3, "x")
-    assert np.array_equal(cleaned, np.array([0.0, 0.2]))
-    with pytest.raises(sl.SolverError, match="step 3"):
-        _settle_density(np.array([-1e-11, 0.2]), config, 3, "x")
-    with pytest.raises(sl.SolverError):
-        _settle_density(np.array([np.nan, 0.2]), config, 3, "x")
+def test_settle_density_clamps_or_raises():
+    # columns are (n_i, n_u); a rejection names the offending density
+    cleaned = _settle_density(np.array([[-5e-13, 0.2], [0.2, 0.3]]), True)
+    assert np.array_equal(cleaned, np.array([[0.0, 0.2], [0.2, 0.3]]))
+    with pytest.raises(ValueError, match="^uninfected density fell"):
+        _settle_density(np.array([[0.2, -1e-11], [0.2, 0.3]]), True)
+    with pytest.raises(ValueError, match="^infected density became non-finite"):
+        _settle_density(np.array([[np.nan, 0.2], [0.2, 0.3]]), True)
 
 
 def test_dirichlet_pins_boundary_values(grid601):
