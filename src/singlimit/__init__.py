@@ -33,6 +33,7 @@ from .solver import (
     SolverError,
     TridiagonalSystem,
     assemble_diffusion,
+    check_reaction_step,
     gradient_l2,
     l2_space,
     l2_spacetime,

@@ -9,8 +9,10 @@ with the offending line number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from enum import Enum
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -25,108 +27,135 @@ class ConfigError(ValueError):
     """Configuration text violated the schema or an invariant."""
 
 
-# key -> (default display text, ours?) ; keys not marked ours mirror the
-# reference experiment values.
-_SCHEMA: dict[str, tuple[str, bool]] = {
-    "model.fu": ("1.12", False),
-    "model.du": ("0.27", False),
-    "model.delta": ("10/9", False),
-    "model.sf": ("0.1", False),
-    "model.sh": ("0.8", False),
-    "model.sigma": ("1", False),
-    "model.mu": ("0", False),
-    "model.variant": ("perfect", False),
-    "model.epsilon": ("0.1", True),
-    "model.clip_logistic": ("auto", True),
-    "grid.xmin": ("-15", False),
-    "grid.xmax": ("15", False),
-    "grid.dx": ("0.05", False),
-    "time.dt": ("0.005", False),
-    "time.t_end": ("25", True),
-    "time.output_every": ("200", True),
-    "time.clip_negatives": ("true", True),
-    "diffusion.a": ("0.1", False),
-    "diffusion.bc": ("neumann", True),
-    "init.amplitude": ("0.4", True),
-    "init.radius": ("1.6", True),
-    "init.smoothing": ("0.5", True),
-    "experiment.epsilons": ("0.3, 0.1, 0.05, 0.02", True),
-    "experiment.speed_level": ("0.5", True),
-    "experiment.speed_window": ("75, 125", True),
-}
-
-
-def _parse_float(text: str, key: str, line: int) -> float:
+def _float(text: str) -> float:
     text = text.strip()
     try:
         if "/" in text:
             return float(Fraction(text))
         return float(text)
     except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"line {line}: {key}: not a number: {text!r}") from None
+        raise ValueError(f"not a number: {text!r}") from None
 
 
-def _parse_int(text: str, key: str, line: int) -> int:
+def _int(text: str) -> int:
     try:
         return int(text.strip())
     except ValueError:
-        raise ConfigError(f"line {line}: {key}: not an integer: {text!r}") from None
+        raise ValueError(f"not an integer: {text!r}") from None
 
 
-def _parse_bool(text: str, key: str, line: int) -> bool:
+def _bool(text: str) -> bool:
     word = text.strip().lower()
     if word in ("true", "yes", "on", "1"):
         return True
     if word in ("false", "no", "off", "0"):
         return False
-    raise ConfigError(f"line {line}: {key}: not a boolean: {text!r}")
+    raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_floats(text: str, key: str, line: int) -> tuple[float, ...]:
+def _auto_bool(text: str) -> bool | None:
+    return None if text.strip().lower() == "auto" else _bool(text)
+
+
+def _floats(text: str) -> tuple[float, ...]:
     parts = [p for p in (s.strip() for s in text.split(",")) if p]
     if not parts:
-        raise ConfigError(f"line {line}: {key}: empty list")
-    return tuple(_parse_float(p, key, line) for p in parts)
+        raise ValueError("empty list")
+    return tuple(_float(p) for p in parts)
 
 
-def _parse_word(text: str, key: str, line: int, allowed: tuple[str, ...]) -> str:
-    word = text.strip().lower()
-    if word not in allowed:
-        raise ConfigError(
-            f"line {line}: {key}: expected one of {', '.join(allowed)}; got {text!r}"
-        )
-    return word
+def _window(text: str) -> tuple[float, float]:
+    window = _floats(text)
+    if len(window) != 2:
+        raise ValueError("need exactly two times")
+    return window
+
+
+def _choice(kind: type[Enum]) -> Callable[[str], Enum]:
+    words = tuple(member.value for member in kind)
+
+    def parse(text: str) -> Enum:
+        word = text.strip().lower()
+        if word not in words:
+            raise ValueError(f"expected one of {', '.join(words)}; got {text!r}")
+        return kind(word)
+    return parse
+
+
+def _diffusivity(text: str) -> float | tuple[tuple[float, float], ...]:
+    if "," not in text and ":" not in text:
+        return _float(text)
+    pairs = []
+    for part in text.split(","):
+        if ":" not in part:
+            raise ValueError("profile entries are x:value pairs")
+        xs, vs = part.split(":", 1)
+        pairs.append((_float(xs), _float(vs)))
+    if any(b[0] <= a[0] for a, b in zip(pairs, pairs[1:])):
+        raise ValueError("profile x must increase")
+    return tuple(pairs)
+
+
+# key -> (default text, choice?, parser raising ValueError); the field is the
+# part after the dot.  Defaults not marked as choices mirror the reference setup.
+_KEYS: dict[str, tuple[str, bool, Callable[[str], object]]] = {
+    "model.fu": ("1.12", False, _float),
+    "model.du": ("0.27", False, _float),
+    "model.delta": ("10/9", False, _float),
+    "model.sf": ("0.1", False, _float),
+    "model.sh": ("0.8", False, _float),
+    "model.sigma": ("1", False, _float),
+    "model.mu": ("0", False, _float),
+    "model.variant": ("perfect", False, _choice(Variant)),
+    "model.epsilon": ("0.1", True, _float),
+    "model.clip_logistic": ("auto", True, _auto_bool),
+    "grid.xmin": ("-15", False, _float),
+    "grid.xmax": ("15", False, _float),
+    "grid.dx": ("0.05", False, _float),
+    "time.dt": ("0.005", False, _float),
+    "time.t_end": ("25", True, _float),
+    "time.output_every": ("200", True, _int),
+    "time.clip_negatives": ("true", True, _bool),
+    "diffusion.a": ("0.1", False, _diffusivity),
+    "diffusion.bc": ("neumann", True, _choice(BoundaryCondition)),
+    "init.amplitude": ("0.4", True, _float),
+    "init.radius": ("1.6", True, _float),
+    "init.smoothing": ("0.5", True, _float),
+    "experiment.epsilons": ("0.3, 0.1, 0.05, 0.02", True, _floats),
+    "experiment.speed_level": ("0.5", True, _float),
+    "experiment.speed_window": ("75, 125", True, _window),
+}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration; one field per config key."""
+    """Validated run configuration from parse_config; one field per key."""
 
-    fu: float = 1.12
-    du: float = 0.27
-    delta: float = 10.0 / 9.0
-    sf: float = 0.1
-    sh: float = 0.8
-    sigma: float = 1.0
-    mu: float = 0.0
-    variant: Variant = Variant.PERFECT
-    epsilon: float = 0.1
-    clip_logistic: bool | None = None
-    xmin: float = -15.0
-    xmax: float = 15.0
-    dx: float = 0.05
-    dt: float = 0.005
-    t_end: float = 25.0
-    output_every: int = 200
-    clip_negatives: bool = True
-    a: float | tuple[float, ...] = 0.1
-    bc: BoundaryCondition = BoundaryCondition.NEUMANN
-    amplitude: float = 0.4
-    radius: float = 1.6
-    smoothing: float = 0.5
-    epsilons: tuple[float, ...] = (0.3, 0.1, 0.05, 0.02)
-    speed_level: float = 0.5
-    speed_window: tuple[float, float] = (75.0, 125.0)
+    fu: float
+    du: float
+    delta: float
+    sf: float
+    sh: float
+    sigma: float
+    mu: float
+    variant: Variant
+    epsilon: float
+    clip_logistic: bool | None
+    xmin: float
+    xmax: float
+    dx: float
+    dt: float
+    t_end: float
+    output_every: int
+    clip_negatives: bool
+    a: float | tuple[tuple[float, float], ...]
+    bc: BoundaryCondition
+    amplitude: float
+    radius: float
+    smoothing: float
+    epsilons: tuple[float, ...]
+    speed_level: float
+    speed_window: tuple[float, float]
     raw: dict = field(default_factory=dict, compare=False)
 
     def params(self) -> WolbachiaParams:
@@ -145,10 +174,8 @@ class RunConfig:
 
     def diffusivity(self):
         if isinstance(self.a, tuple):
-            grid = self.grid()
-            knots_x = np.array([x for x, _ in _pairs(self.a)])
-            knots_v = np.array([v for _, v in _pairs(self.a)])
-            return np.interp(grid.x, knots_x, knots_v)
+            knots_x, knots_v = zip(*self.a)
+            return np.interp(self.grid().x, knots_x, knots_v)
         return self.a
 
     def solver_config(self, t_end: float | None = None) -> SolverConfig:
@@ -161,18 +188,14 @@ class RunConfig:
         return InitialDataSpec(self.amplitude, self.radius, self.smoothing)
 
 
-def _pairs(flat: tuple[float, ...]):
-    return list(zip(flat[::2], flat[1::2]))
-
-
 def default_config() -> RunConfig:
-    return RunConfig()
+    return parse_config("")
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate config text; omitted keys take defaults."""
-    values: dict[str, object] = {}
-    raw: dict[str, tuple[str, int]] = {}
+    raw: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -182,66 +205,25 @@ def parse_config(text: str) -> RunConfig:
         key, _, value = body.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _SCHEMA:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(
-                f"line {lineno}: duplicate key {key!r} (first set on line {raw[key][1]})"
+                f"line {lineno}: duplicate key {key!r} (first set on line {lines[key]})"
             )
         if not value:
             raise ConfigError(f"line {lineno}: {key}: empty value")
-        raw[key] = (value, lineno)
+        raw[key], lines[key] = value, lineno
 
-    def line_of(key: str) -> int:
-        return raw[key][1] if key in raw else 0
+    values: dict[str, object] = {}
+    for key, (default_text, _, parse) in _KEYS.items():
+        try:
+            values[key.split(".", 1)[1]] = parse(raw.get(key, default_text))
+        except ValueError as exc:
+            raise ConfigError(f"line {lines.get(key, 0)}: {key}: {exc}") from None
 
-    cfg = default_config()
-    for key, (value, lineno) in raw.items():
-        name = key.split(".", 1)[1]
-        if key == "model.variant":
-            word = _parse_word(value, key, lineno,
-                               ("perfect", "imperfect", "alternative"))
-            values["variant"] = Variant(word)
-        elif key == "model.clip_logistic":
-            if value.strip().lower() == "auto":
-                values["clip_logistic"] = None
-            else:
-                values["clip_logistic"] = _parse_bool(value, key, lineno)
-        elif key == "diffusion.bc":
-            values["bc"] = BoundaryCondition(
-                _parse_word(value, key, lineno, ("neumann", "dirichlet")))
-        elif key == "diffusion.a":
-            if "," in value or ":" in value:
-                pairs = []
-                for part in value.split(","):
-                    if ":" not in part:
-                        raise ConfigError(
-                            f"line {lineno}: {key}: profile entries are x:value pairs"
-                        )
-                    xs, vs = part.split(":", 1)
-                    pairs.append((_parse_float(xs, key, lineno),
-                                  _parse_float(vs, key, lineno)))
-                if any(b[0] <= a[0] for a, b in zip(pairs, pairs[1:])):
-                    raise ConfigError(f"line {lineno}: {key}: profile x must increase")
-                values["a"] = tuple(v for pair in pairs for v in pair)
-            else:
-                values["a"] = _parse_float(value, key, lineno)
-        elif key == "time.output_every":
-            values["output_every"] = _parse_int(value, key, lineno)
-        elif key == "time.clip_negatives":
-            values["clip_negatives"] = _parse_bool(value, key, lineno)
-        elif key == "experiment.epsilons":
-            values["epsilons"] = _parse_floats(value, key, lineno)
-        elif key == "experiment.speed_window":
-            window = _parse_floats(value, key, lineno)
-            if len(window) != 2:
-                raise ConfigError(f"line {lineno}: {key}: need exactly two times")
-            values["speed_window"] = (window[0], window[1])
-        else:
-            values[name] = _parse_float(value, key, lineno)
-
-    cfg = replace(cfg, **values, raw={k: v[0] for k, v in raw.items()})
-    _validate(cfg, line_of)
+    cfg = RunConfig(**values, raw=raw)
+    _validate(cfg, lambda key: lines.get(key, 0))
     return cfg
 
 
@@ -272,7 +254,7 @@ def _validate(cfg: RunConfig, line_of) -> None:
     expect("time.t_end", cfg.t_end >= cfg.dt, "t_end must cover at least one step")
     expect("time.output_every", cfg.output_every >= 1, "output_every must be >= 1")
     if isinstance(cfg.a, tuple):
-        expect("diffusion.a", all(v > 0 for _, v in _pairs(cfg.a)),
+        expect("diffusion.a", all(v > 0 for _, v in cfg.a),
                "diffusivity must be strictly positive")
     else:
         expect("diffusion.a", cfg.a > 0, "diffusivity must be strictly positive")
@@ -309,8 +291,8 @@ def format_config(cfg: RunConfig) -> str:
     """Effective configuration as config text; '# choice' marks values that
     are defaults of this tool rather than reference-setup constants."""
     lines = []
-    for key, (default_text, ours) in _SCHEMA.items():
+    for key, (default_text, choice, _) in _KEYS.items():
         text = cfg.raw.get(key, default_text)
-        mark = "  # choice" if ours else ""
+        mark = "  # choice" if choice else ""
         lines.append(f"{key} = {text}{mark}")
     return "\n".join(lines) + "\n"

@@ -32,7 +32,8 @@ from .model import (
     slow_manifold_max,
 )
 from .reduction import error_norms, to_reduced
-from .solver import Field, Grid1D, PopulationState, SolverConfig, SolverError, run_scalar, run_system
+from .solver import (Field, Grid1D, PopulationState, SolverConfig, SolverError,
+                     check_reaction_step, run_scalar, run_system)
 
 __all__ = [
     "InitialDataSpec",
@@ -212,10 +213,6 @@ def boundary_drift(series: Sequence[tuple[float, Field]],
 # convergence sweep
 
 
-def _scalar_series(model: ScaledModel, p_init: Field, config: SolverConfig):
-    return run_scalar(lambda v: limit_reaction(model, v), p_init, config)
-
-
 def _run_one_eps(model: ScaledModel, spec: InitialDataSpec, config: SolverConfig,
                  limit_series, speed_window, level):
     started = _time.perf_counter()
@@ -259,13 +256,14 @@ def run_convergence_sweep(params: WolbachiaParams, variant: Variant,
             raise ValueError(
                 f"eps={model.epsilon:g} is outside the admissible range (< {eps_cap:.4g})"
             )
+        check_reaction_step(model, config.dt)
         report = check_assumptions(model, samples=60)
         if not report.passed:
             failed = ", ".join(c.name for c in report.checks if not c.passed)
             raise ValueError(f"eps={model.epsilon:g}: assumption audit failed ({failed})")
 
     _, p_init = make_initial_data(models[0], spec, config.grid)
-    limit_series = _scalar_series(models[0], p_init, config)
+    limit_series = run_scalar(lambda v: limit_reaction(models[0], v), p_init, config)
     limit_speed = math.nan
     if speed_window is not None:
         limit_speed = estimate_wave_speed(limit_series, speed_window, speed_level)

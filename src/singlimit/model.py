@@ -152,9 +152,6 @@ class ScaledModel:
         """Total density at which the logistic factor vanishes."""
         return 1.0 / (self.params.sigma * self.epsilon)
 
-    def with_epsilon(self, epsilon: float) -> "ScaledModel":
-        return ScaledModel(self.params, epsilon, self.variant, self.clip_logistic)
-
 
 class EquilibriumKind(Enum):
     INVASION = "invasion"

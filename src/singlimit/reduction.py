@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import NEGATIVE_TOL, ScaledModel, Variant, slow_manifold
+from .model import NEGATIVE_TOL, ScaledModel, Variant, _frequency, slow_manifold
 from .solver import Field, PopulationState, _check_frequency_box, l2_spacetime
 
 __all__ = ["ReducedFields", "to_reduced", "reduced_to_state", "error_norms"]
@@ -51,9 +51,7 @@ def to_reduced(model: ScaledModel, state: PopulationState) -> ReducedFields:
     prm = model.params
     grid = state.grid
 
-    safe = np.where(total != 0.0, total, 1.0)
-    p = np.where(total != 0.0, ni / safe, 0.0)
-    p_field = Field(np.clip(p, 0.0, 1.0), grid)
+    p_field = Field(np.clip(_frequency(ni, nu), 0.0, 1.0), grid)
 
     if model.variant is Variant.ALTERNATIVE:
         n = model.epsilon * prm.sigma * total

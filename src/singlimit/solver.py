@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .model import NEGATIVE_TOL, ScaledModel, reaction_rates
+from .model import NEGATIVE_TOL, ScaledModel, Variant, reaction_rates
 
 __all__ = [
     "Grid1D",
@@ -40,6 +40,7 @@ __all__ = [
     "SolverConfig",
     "TridiagonalSystem",
     "SolverError",
+    "check_reaction_step",
     "assemble_diffusion",
     "tridiagonal_solve",
     "run_system",
@@ -116,10 +117,6 @@ class Field:
     @classmethod
     def constant(cls, value: float, grid: Grid1D) -> "Field":
         return cls(np.full(grid.nx, float(value)), grid)
-
-    @classmethod
-    def from_function(cls, fn: Callable[[np.ndarray], np.ndarray], grid: Grid1D) -> "Field":
-        return cls(np.asarray(fn(grid.x), dtype=float), grid)
 
 
 @dataclass(frozen=True)
@@ -363,6 +360,24 @@ def _integrate(op: _ImplicitDiffusion, values: np.ndarray,
             yield step, values
 
 
+def check_reaction_step(model: ScaledModel, dt: float) -> None:
+    """Reject a time step at which the explicit reaction step is unstable.
+
+    Near the slow manifold the reduced population relaxes at the rate
+    fu*Q(p)/eps with max Q = Q(0) = 1, so explicit Euler stays stable only
+    while dt < 2*eps/fu.  The alternative scaling's logistic factor is O(1)
+    and sets no eps-dependent limit.
+    """
+    if model.variant is Variant.ALTERNATIVE:
+        return
+    dt_max = 2.0 * model.epsilon / model.params.fu
+    if dt >= dt_max:
+        raise ValueError(
+            f"eps={model.epsilon:g}: dt={dt:g} makes the explicit reaction step unstable; "
+            f"dt must stay below 2*eps/fu = {dt_max:.6g}"
+        )
+
+
 def run_system(model: ScaledModel, state: PopulationState,
                config: SolverConfig) -> list[PopulationState]:
     """Integrate the two-population system to t_end.
@@ -372,6 +387,7 @@ def run_system(model: ScaledModel, state: PopulationState,
     """
     if state.grid != config.grid:
         raise ValueError("initial state lives on a different grid")
+    check_reaction_step(model, config.dt)
     grid, t0 = config.grid, state.time
 
     def rate(values):

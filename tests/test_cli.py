@@ -49,6 +49,15 @@ def test_validation_error_exit_code(tmp_path, capsys):
     assert "model.sh" in capsys.readouterr().err
 
 
+def test_converge_rejects_unstable_eps(tmp_path, capsys):
+    cfg = tmp_path / "small_eps.cfg"
+    cfg.write_text("experiment.epsilons = 0.002\n")
+    out_dir = tmp_path / "conv"
+    assert cli_dispatch(["converge", "--config", str(cfg), "--out", str(out_dir)]) == 1
+    assert "eps=0.002" in capsys.readouterr().err
+    assert not (out_dir / "report.csv").exists()
+
+
 def test_missing_config_file_is_runtime_error(capsys):
     assert cli_dispatch(["check", "--config", "/nonexistent/x.cfg"]) == 2
 

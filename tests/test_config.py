@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import singlimit as sl
-from singlimit.config import ConfigError, format_config, parse_config
+from singlimit.config import _KEYS, ConfigError, RunConfig, format_config, parse_config
 
 
 def test_empty_text_gives_reference_defaults():
@@ -112,9 +114,31 @@ def test_boolean_and_variant_words():
 
 
 def test_show_config_round_trips():
-    cfg = parse_config("model.epsilon = 0.05\ninit.amplitude = 0.3\n")
-    text = format_config(cfg)
-    assert parse_config(text) == cfg
+    for text in ("", "model.epsilon = 0.05\ninit.amplitude = 0.3\n",
+                 "diffusion.a = -15:0.1, 0:0.2, 15:0.1\n"):
+        cfg = parse_config(text)
+        assert parse_config(format_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("text, message", [
+    ("time.output_every = 2.5", "time.output_every: not an integer: '2.5'"),
+    ("time.clip_negatives = maybe", "time.clip_negatives: not a boolean: 'maybe'"),
+    ("diffusion.bc = periodic",
+     "diffusion.bc: expected one of neumann, dirichlet; got 'periodic'"),
+    ("experiment.epsilons = ,", "experiment.epsilons: empty list"),
+    ("experiment.speed_window = 75", "experiment.speed_window: need exactly two times"),
+    ("diffusion.a = -15:0.1, 0.2", "diffusion.a: profile entries are x:value pairs"),
+    ("model.delta = 1/0", "model.delta: not a number: '1/0'"),
+])
+def test_malformed_value_names_line_and_key(text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config("# header\n" + text + "\n")
+    assert str(info.value) == "line 2: " + message
+
+
+def test_key_table_covers_every_field():
+    fields = [f.name for f in dataclasses.fields(RunConfig) if f.name != "raw"]
+    assert [key.split(".", 1)[1] for key in _KEYS] == fields
 
 
 def test_choice_markers():

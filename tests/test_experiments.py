@@ -208,12 +208,28 @@ def test_sweep_rejects_bad_ladders(fig1_params, coarse_grid):
         sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, [3.5], spec, config)
 
 
-def test_sweep_tags_solver_failures_with_eps(fig1_params, coarse_grid):
-    # a huge step makes the explicit reaction overshoot into rejection
-    config = sl.SolverConfig(coarse_grid, dt=5.0, t_end=20.0, diffusivity=0.1)
+def test_sweep_rejects_unstable_ladder_before_integrating(fig1_params, coarse_grid,
+                                                          monkeypatch):
+    # at dt = 0.005 the explicit reaction step needs eps > 0.005*fu/2 = 0.0028
+    def no_integration(*args):
+        raise AssertionError("the sweep integrated before validating its ladder")
+
+    monkeypatch.setattr("singlimit.experiments.run_scalar", no_integration)
+    monkeypatch.setattr("singlimit.experiments.run_system", no_integration)
+    config = sl.SolverConfig(coarse_grid, dt=0.005, t_end=0.05, diffusivity=0.1)
+    with pytest.raises(ValueError, match=r"eps=0\.0027: dt=0\.005"):
+        sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, [0.3, 0.0027],
+                                 sl.InitialDataSpec(), config)
+
+
+def test_sweep_tags_solver_failures_with_eps(fig1_params, coarse_grid, monkeypatch):
+    def failing_run(model, state, config):
+        raise sl.SolverError("density became non-finite", 7)
+
+    monkeypatch.setattr("singlimit.experiments.run_system", failing_run)
     with pytest.raises(sl.SolverError, match="eps=0.3"):
         sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, [0.3],
-                                 sl.InitialDataSpec(), config)
+                                 sl.InitialDataSpec(), quick_config(coarse_grid))
 
 
 def test_sweep_series_sink(fig1_params, coarse_grid):

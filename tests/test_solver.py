@@ -193,6 +193,18 @@ def test_uniform_step_matches_forward_euler_ode(fig1_params):
     assert np.max(np.abs(stepped.nu.values - (nu0 + 0.005 * rate_u))) < 1e-10
 
 
+def test_run_system_rejects_unstable_reaction_step(fig1_params, grid601):
+    # explicit Euler on the fast relaxation needs dt < 2*eps/fu
+    config = sl.SolverConfig(grid601, dt=0.005, t_end=1.0, diffusivity=0.1)
+    state = sl.PopulationState(sl.Field.constant(1.0, grid601),
+                               sl.Field.constant(1.0, grid601))
+    with pytest.raises(ValueError, match=r"eps=0\.0027: dt=0\.005 .* 0\.00482143"):
+        sl.run_system(sl.ScaledModel(fig1_params, 0.0027), state, config)
+    sl.check_reaction_step(sl.ScaledModel(fig1_params, 0.0029), 0.005)
+    sl.check_reaction_step(
+        sl.ScaledModel(fig1_params, 0.0027, sl.Variant.ALTERNATIVE), 0.005)
+
+
 def test_scalar_rest_states_exact(fig1_params, grid601):
     model = sl.ScaledModel(fig1_params, 0.1)
     config = one_step(sl.SolverConfig(grid601, dt=0.005, t_end=1.0, diffusivity=0.1))
