@@ -91,7 +91,7 @@ def _run_model(cfg: RunConfig, which: str):
     variant = Variant.ALTERNATIVE if which == "alt" else None
     model = cfg.scaled_model(variant=variant)
     state0, _ = make_initial_data(model, cfg.init_spec(), cfg.grid())
-    series = run_system(model, state0, solver_cfg)
+    series = run_system([model], [state0], solver_cfg)[0]
     p_series = [(s.time, to_reduced(model, s).p) for s in series]
     return p_series, series
 

@@ -7,15 +7,15 @@ so that the reduced population starts exactly on h(0) at every node, with
 bounds that do not depend on eps.
 
 The convergence sweep integrates the scalar limit equation once and the
-two-population system for each eps on the shared grid and cadence, then
-tabulates the space-time errors |p_eps - p0| and |m| per eps.  Wave speeds
-are least-squares slopes of tracked level-crossing positions.
+two-population system for the whole eps ladder as one stacked run on the
+shared grid and cadence, then tabulates the space-time errors |p_eps - p0|
+and |m| per eps.  Wave speeds are least-squares slopes of tracked
+level-crossing positions.
 """
 
 from __future__ import annotations
 
 import math
-import time as _time
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -32,8 +32,8 @@ from .model import (
     slow_manifold_max,
 )
 from .reduction import error_norms, to_reduced
-from .solver import (Field, Grid1D, PopulationState, SolverConfig, SolverError,
-                     check_reaction_step, run_scalar, run_system)
+from .solver import (Field, Grid1D, PopulationState, SolverConfig, check_reaction_step,
+                     run_scalar, run_system)
 
 __all__ = [
     "InitialDataSpec",
@@ -94,11 +94,10 @@ class ConvergenceReport:
     err_m: tuple[float, ...]
     speeds: tuple[float, ...]
     limit_speed: float
-    runtimes: tuple[float, ...]
 
     def __post_init__(self):
         k = len(self.epsilons)
-        if not (len(self.err_p) == len(self.err_m) == len(self.speeds) == len(self.runtimes) == k):
+        if not (len(self.err_p) == len(self.err_m) == len(self.speeds) == k):
             raise ValueError("report columns must align with the eps ladder")
         if np.any(np.diff(self.epsilons) >= 0):
             raise ValueError("eps ladder must be strictly decreasing")
@@ -213,30 +212,14 @@ def boundary_drift(series: Sequence[tuple[float, Field]],
 # convergence sweep
 
 
-def _run_one_eps(model: ScaledModel, spec: InitialDataSpec, config: SolverConfig,
-                 limit_series, speed_window, level):
-    started = _time.perf_counter()
-    state0, _ = make_initial_data(model, spec, config.grid)
-    try:
-        series = run_system(model, state0, config)
-    except SolverError as exc:
-        raise SolverError(f"eps={model.epsilon:g}: {exc}") from exc
-    reduced = [to_reduced(model, s) for s in series]
-    err_p, err_m = error_norms(reduced, limit_series)
-    speed = math.nan
-    if speed_window is not None:
-        p_series = [(r.time, r.p) for r in reduced]
-        speed = estimate_wave_speed(p_series, speed_window, level)
-    return err_p, err_m, speed, _time.perf_counter() - started, reduced
-
-
 def run_convergence_sweep(params: WolbachiaParams, variant: Variant,
                           epsilons: Sequence[float], spec: InitialDataSpec,
                           config: SolverConfig, *,
                           speed_window: tuple[float, float] | None = None,
                           speed_level: float = 0.5,
                           series_sink: dict | None = None) -> ConvergenceReport:
-    """Solve the limit equation once and the system per eps; tabulate errors.
+    """Solve the limit equation once and the system for the whole ladder in
+    one stacked run; tabulate errors per eps.
 
     The eps ladder must be strictly decreasing and admissible: below the
     range where the resident state exists and the structural assumptions all
@@ -262,27 +245,34 @@ def run_convergence_sweep(params: WolbachiaParams, variant: Variant,
             failed = ", ".join(c.name for c in report.checks if not c.passed)
             raise ValueError(f"eps={model.epsilon:g}: assumption audit failed ({failed})")
 
-    _, p_init = make_initial_data(models[0], spec, config.grid)
+    initial = [make_initial_data(model, spec, config.grid) for model in models]
+    p_init = initial[0][1]
     limit_series = run_scalar(lambda v: limit_reaction(models[0], v), p_init, config)
     limit_speed = math.nan
     if speed_window is not None:
         limit_speed = estimate_wave_speed(limit_series, speed_window, speed_level)
 
-    results = [_run_one_eps(m, spec, config, limit_series, speed_window, speed_level)
-               for m in models]
-
     if series_sink is not None:
         series_sink["limit"] = limit_series
-        for eps, res in zip(epsilons, results):
-            series_sink[eps] = res[4]
+    rows = []
+    for eps, model, series in zip(epsilons, models,
+                                  run_system(models, [s for s, _ in initial], config)):
+        reduced = [to_reduced(model, s) for s in series]
+        if series_sink is not None:
+            series_sink[eps] = reduced
+        speed = math.nan
+        if speed_window is not None:
+            speed = estimate_wave_speed([(r.time, r.p) for r in reduced],
+                                        speed_window, speed_level)
+        rows.append((*error_norms(reduced, limit_series), speed))
+    err_p, err_m, speeds = zip(*rows)
 
     return ConvergenceReport(
         epsilons=tuple(epsilons),
-        err_p=tuple(r[0] for r in results),
-        err_m=tuple(r[1] for r in results),
-        speeds=tuple(r[2] for r in results),
+        err_p=err_p,
+        err_m=err_m,
+        speeds=speeds,
         limit_speed=limit_speed,
-        runtimes=tuple(r[3] for r in results),
     )
 
 
@@ -299,7 +289,7 @@ def extinction_check(model: ScaledModel, spec: InitialDataSpec, config: SolverCo
     """
     state0, p_init = make_initial_data(model, spec, config.grid)
     if equation == "system":
-        final = to_reduced(model, run_system(model, state0, config)[-1]).p.values
+        final = to_reduced(model, run_system([model], [state0], config)[0][-1]).p.values
     elif equation == "limit":
         final = run_scalar(lambda v: limit_reaction(model, v), p_init, config)[-1][1].values
     else:

@@ -52,13 +52,24 @@ __all__ = [
 
 
 class SolverError(RuntimeError):
-    """Time integration failed; carries the offending step index."""
+    """Time integration failed; carries the offending step index, and the
+    message names the offending rung of a run_system call."""
 
-    def __init__(self, message: str, step: int | None = None):
+    def __init__(self, message: str, step: int | None = None, rung: str | None = None):
         if step is not None:
             message = f"step {step}: {message}"
+        if rung is not None:
+            message = f"{rung}: {message}"
         super().__init__(message)
         self.step = step
+
+
+class _RungError(ValueError):
+    """A rejected state of one rung of a stacked run; rung is its label."""
+
+    def __init__(self, rung: str | None, message: str):
+        super().__init__(message)
+        self.rung = rung
 
 
 @dataclass(frozen=True)
@@ -302,16 +313,23 @@ class _ImplicitDiffusion:
 _DENSITY_NAMES = ("infected density", "uninfected density")
 
 
-def _settle_density(values: np.ndarray, clip_negatives: bool) -> np.ndarray:
+def _settle_density(values: np.ndarray, clip_negatives: bool,
+                    rungs: Sequence[str | None] = (None,)) -> np.ndarray:
     """Reject non-finite densities, and with clip_negatives clamp round-off
-    negatives to zero and reject larger ones; values holds (n_i, n_u) columns."""
+    negatives to zero and reject larger ones.
+
+    values stacks one (n_i, n_u) column pair per rung; a rejection names the
+    density and carries the label of its rung from rungs.
+    """
     finite = np.isfinite(values).all(axis=0)
     lows = values.min(axis=0)
-    for name, ok, low in zip(_DENSITY_NAMES, finite, lows):
-        if not ok:
-            raise ValueError(f"{name} became non-finite")
-        if clip_negatives and low < -NEGATIVE_TOL:
-            raise ValueError(f"{name} fell to {low:.3e}, beyond round-off")
+    if not finite.all() or (clip_negatives and lows.min() < -NEGATIVE_TOL):
+        for column, (ok, low) in enumerate(zip(finite, lows)):
+            rung, name = rungs[column // 2], _DENSITY_NAMES[column % 2]
+            if not ok:
+                raise _RungError(rung, f"{name} became non-finite")
+            if clip_negatives and low < -NEGATIVE_TOL:
+                raise _RungError(rung, f"{name} fell to {low:.3e}, beyond round-off")
     if clip_negatives and lows.min() < 0.0:
         values = np.where(values < 0.0, 0.0, values)
     return values
@@ -342,7 +360,8 @@ def _integrate(op: _ImplicitDiffusion, values: np.ndarray,
 
     values holds one column per field, (nx,) or (nx, k); all columns share
     the one banded solve per step.  A ValueError from rate or settle (a
-    rejected state) becomes a SolverError carrying its step.
+    rejected state) becomes a SolverError carrying its step, and the rung
+    label of a _RungError.
     """
     config = op.config
     dt, last = config.dt, config.n_steps
@@ -355,7 +374,7 @@ def _integrate(op: _ImplicitDiffusion, values: np.ndarray,
                 star[[0, -1]] = values[[0, -1]]
             values = settle(op.solve(star))
         except ValueError as exc:
-            raise SolverError(str(exc), step) from exc
+            raise SolverError(str(exc), step, getattr(exc, "rung", None)) from exc
         if step % config.output_every == 0 or step == last:
             yield step, values
 
@@ -378,26 +397,52 @@ def check_reaction_step(model: ScaledModel, dt: float) -> None:
         )
 
 
-def run_system(model: ScaledModel, state: PopulationState,
-               config: SolverConfig) -> list[PopulationState]:
-    """Integrate the two-population system to t_end.
+def run_system(models: Sequence[ScaledModel], states: Sequence[PopulationState],
+               config: SolverConfig) -> list[list[PopulationState]]:
+    """Integrate the two-population system of every rung to t_end.
 
-    Returns snapshots at step 0, every output_every steps, and the final
-    step, with times measured from the initial state's time.
+    Rung k is models[k] started from states[k]; all rungs share the grid, the
+    clock and the implicit matrix of config, so their (n_i, n_u) column pairs
+    advance as one (nx, 2K) stack with one banded solve per step.  Returns
+    one series per rung: snapshots at step 0, every output_every steps, and
+    the final step, with times measured from the common initial time.  A
+    failure names the rung by its eps and the step.
     """
-    if state.grid != config.grid:
+    models, states = list(models), list(states)
+    if not models:
+        raise ValueError("need at least one rung")
+    if len(models) != len(states):
+        raise ValueError(f"{len(models)} models for {len(states)} initial states")
+    if any(state.grid != config.grid for state in states):
         raise ValueError("initial state lives on a different grid")
-    check_reaction_step(model, config.dt)
-    grid, t0 = config.grid, state.time
+    t0 = states[0].time
+    if any(state.time != t0 for state in states):
+        raise ValueError("rungs must start at one time")
+    for model in models:
+        check_reaction_step(model, config.dt)
+    grid = config.grid
+    rungs = [f"eps={model.epsilon:g}" for model in models]
 
     def rate(values):
-        return np.column_stack(reaction_rates(model, values[:, 0], values[:, 1]))
+        rates = np.empty_like(values)
+        for k, model in enumerate(models):
+            try:
+                rates[:, 2 * k], rates[:, 2 * k + 1] = reaction_rates(
+                    model, values[:, 2 * k], values[:, 2 * k + 1])
+            except ValueError as exc:
+                raise _RungError(rungs[k], str(exc)) from exc
+        return rates
 
-    frames = _integrate(_ImplicitDiffusion(config),
-                        np.column_stack((state.ni.values, state.nu.values)), rate,
-                        lambda values: _settle_density(values, config.clip_negatives))
-    return [PopulationState(Field(v[:, 0], grid), Field(v[:, 1], grid), t0 + step * config.dt)
-            for step, v in frames]
+    stack = np.column_stack([v for s in states for v in (s.ni.values, s.nu.values)])
+    frames = _integrate(_ImplicitDiffusion(config), stack, rate,
+                        lambda values: _settle_density(values, config.clip_negatives, rungs))
+    series: list[list[PopulationState]] = [[] for _ in models]
+    for step, v in frames:
+        t = t0 + step * config.dt
+        for k, rung_series in enumerate(series):
+            rung_series.append(PopulationState(Field(v[:, 2 * k], grid),
+                                               Field(v[:, 2 * k + 1], grid), t))
+    return series
 
 
 def run_scalar(reaction: Callable[[np.ndarray], np.ndarray], p0: Field,

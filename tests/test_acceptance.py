@@ -57,28 +57,35 @@ def limit125(fig1_params, spec_default, cfg125, grid601):
     return sl.run_scalar(lambda v: sl.limit_reaction(model, v), p_init, cfg125)
 
 
-@pytest.fixture(scope="session")
-def sys06_125(fig1_params, spec_default, cfg125, grid601):
-    model = sl.ScaledModel(fig1_params, 0.6)
-    state0, _ = sl.make_initial_data(model, spec_default, grid601)
-    return model, sl.run_system(model, state0, cfg125)
+def ladder_runs(params, variant, epsilons, spec, config, grid):
+    """(model, series) per eps, from one stacked run_system call."""
+    models = [sl.ScaledModel(params, eps, variant) for eps in epsilons]
+    states = [sl.make_initial_data(m, spec, grid)[0] for m in models]
+    return list(zip(models, sl.run_system(models, states, config)))
 
 
 @pytest.fixture(scope="session")
-def sys01_125(fig1_params, spec_default, cfg125, grid601):
-    model = sl.ScaledModel(fig1_params, 0.1)
-    state0, _ = sl.make_initial_data(model, spec_default, grid601)
-    return model, sl.run_system(model, state0, cfg125)
+def sys125(fig1_params, spec_default, cfg125, grid601):
+    return ladder_runs(fig1_params, sl.Variant.PERFECT, (0.6, 0.1), spec_default,
+                       cfg125, grid601)
+
+
+@pytest.fixture(scope="session")
+def sys06_125(sys125):
+    return sys125[0]
+
+
+@pytest.fixture(scope="session")
+def sys01_125(sys125):
+    return sys125[1]
 
 
 @pytest.fixture(scope="session")
 def alt_runs(fig1_params, spec_default, cfg25, grid601):
-    out = {}
-    for eps in (0.1, 0.05):
-        model = sl.ScaledModel(fig1_params, eps, sl.Variant.ALTERNATIVE)
-        state0, _ = sl.make_initial_data(model, spec_default, grid601)
-        out[eps] = [sl.to_reduced(model, s) for s in sl.run_system(model, state0, cfg25)]
-    return out
+    runs = ladder_runs(fig1_params, sl.Variant.ALTERNATIVE, (0.1, 0.05), spec_default,
+                       cfg25, grid601)
+    return {model.epsilon: [sl.to_reduced(model, s) for s in series]
+            for model, series in runs}
 
 
 @pytest.fixture(scope="session")

@@ -179,7 +179,8 @@ def test_single_eps_sweep_equals_direct_composition(fig1_params, coarse_grid):
     for k, eps in enumerate(ladder):
         model = sl.ScaledModel(fig1_params, eps)
         state0, _ = sl.make_initial_data(model, spec, coarse_grid)
-        reduced = [sl.to_reduced(model, s) for s in sl.run_system(model, state0, config)]
+        reduced = [sl.to_reduced(model, s)
+                   for s in sl.run_system([model], [state0], config)[0]]
         err_p, err_m = sl.error_norms(reduced, limit)
         assert report.err_p[k] == err_p
         assert report.err_m[k] == err_m
@@ -223,13 +224,30 @@ def test_sweep_rejects_unstable_ladder_before_integrating(fig1_params, coarse_gr
 
 
 def test_sweep_tags_solver_failures_with_eps(fig1_params, coarse_grid, monkeypatch):
-    def failing_run(model, state, config):
-        raise sl.SolverError("density became non-finite", 7)
+    # the eps = 0.1 rung fails at its 7th rate evaluation, i.e. at step 7,
+    # by a NaN that the density settle rejects or by a ValueError from the
+    # rates themselves; the eps = 0.3 rung of the same stack stays healthy
+    real = sl.solver.reaction_rates
+    for failure, reason in (("nan", "infected density became non-finite"),
+                            ("raise", "rate rejected")):
+        calls = []
 
-    monkeypatch.setattr("singlimit.experiments.run_system", failing_run)
-    with pytest.raises(sl.SolverError, match="eps=0.3"):
-        sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, [0.3],
-                                 sl.InitialDataSpec(), quick_config(coarse_grid))
+        def failing_rates(model, ni, nu):
+            rate_i, rate_u = real(model, ni, nu)
+            if model.epsilon == 0.1:
+                calls.append(1)
+                if len(calls) == 7:
+                    if failure == "raise":
+                        raise ValueError("rate rejected")
+                    rate_i = np.full_like(rate_i, np.nan)
+            return rate_i, rate_u
+
+        monkeypatch.setattr("singlimit.solver.reaction_rates", failing_rates)
+        with pytest.raises(sl.SolverError, match=rf"^eps=0\.1: step 7: {reason}$") as info:
+            sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, [0.3, 0.1],
+                                     sl.InitialDataSpec(), quick_config(coarse_grid))
+        assert "eps=0.3" not in str(info.value)
+        assert info.value.step == 7
 
 
 def test_sweep_series_sink(fig1_params, coarse_grid):

@@ -69,7 +69,6 @@ def test_report_format(tmp_path):
         err_m=(0.04, 0.03, 0.02, 0.01),
         speeds=(math.nan,) * 4,
         limit_speed=math.nan,
-        runtimes=(1.0, 1.0, 1.0, 1.0),
     )
     path = tmp_path / "report.csv"
     write_report(report, path)
@@ -83,11 +82,9 @@ def test_report_format(tmp_path):
 
 def test_report_rejects_misaligned_columns():
     with pytest.raises(ValueError):
-        sl.ConvergenceReport((0.3, 0.1), (0.1,), (0.1, 0.2), (1.0, 1.0),
-                             1.0, (0.1, 0.1))
+        sl.ConvergenceReport((0.3, 0.1), (0.1,), (0.1, 0.2), (1.0, 1.0), 1.0)
     with pytest.raises(ValueError):
-        sl.ConvergenceReport((0.1, 0.3), (0.1, 0.2), (0.1, 0.2), (1.0, 1.0),
-                             1.0, (0.1, 0.1))
+        sl.ConvergenceReport((0.1, 0.3), (0.1, 0.2), (0.1, 0.2), (1.0, 1.0), 1.0)
 
 
 def test_svg_plot(grid, tmp_path):

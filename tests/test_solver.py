@@ -164,7 +164,7 @@ def test_uniform_equilibrium_is_preserved(fig1_params, grid601):
     ext = sl.equilibria(model)[0]
     state = sl.PopulationState(sl.Field.constant(ext.ni, grid601),
                                sl.Field.constant(ext.nu, grid601))
-    stepped = sl.run_system(model, state, one_step(config))[-1]
+    stepped = sl.run_system([model], [state], one_step(config))[0][-1]
     assert np.max(np.abs(stepped.ni.values - ext.ni)) < 1e-12
     assert np.max(np.abs(stepped.nu.values - ext.nu)) < 1e-12
 
@@ -174,7 +174,7 @@ def test_vacuum_stays_vacuum(fig1_params, grid601):
     config = sl.SolverConfig(grid601, dt=0.005, t_end=1.0, diffusivity=0.1)
     state = sl.PopulationState(sl.Field.constant(0.0, grid601),
                                sl.Field.constant(0.0, grid601))
-    stepped = sl.run_system(model, state, one_step(config))[-1]
+    stepped = sl.run_system([model], [state], one_step(config))[0][-1]
     assert np.array_equal(stepped.ni.values, np.zeros(grid601.nx))
     assert np.array_equal(stepped.nu.values, np.zeros(grid601.nx))
 
@@ -187,7 +187,7 @@ def test_uniform_step_matches_forward_euler_ode(fig1_params):
     config = sl.SolverConfig(grid, dt=0.005, t_end=1.0, diffusivity=1e-12)
     ni0, nu0 = 1.3, 2.4
     state = sl.PopulationState(sl.Field.constant(ni0, grid), sl.Field.constant(nu0, grid))
-    stepped = sl.run_system(model, state, one_step(config))[-1]
+    stepped = sl.run_system([model], [state], one_step(config))[0][-1]
     rate_i, rate_u = sl.reaction_rates(model, ni0, nu0)
     assert np.max(np.abs(stepped.ni.values - (ni0 + 0.005 * rate_i))) < 1e-10
     assert np.max(np.abs(stepped.nu.values - (nu0 + 0.005 * rate_u))) < 1e-10
@@ -199,10 +199,52 @@ def test_run_system_rejects_unstable_reaction_step(fig1_params, grid601):
     state = sl.PopulationState(sl.Field.constant(1.0, grid601),
                                sl.Field.constant(1.0, grid601))
     with pytest.raises(ValueError, match=r"eps=0\.0027: dt=0\.005 .* 0\.00482143"):
-        sl.run_system(sl.ScaledModel(fig1_params, 0.0027), state, config)
+        sl.run_system([sl.ScaledModel(fig1_params, 0.0027)], [state], config)
     sl.check_reaction_step(sl.ScaledModel(fig1_params, 0.0029), 0.005)
     sl.check_reaction_step(
         sl.ScaledModel(fig1_params, 0.0027, sl.Variant.ALTERNATIVE), 0.005)
+
+
+@pytest.mark.parametrize("bc", list(sl.BoundaryCondition))
+def test_stacked_rungs_equal_one_rung_runs(fig1_params, grid601, bc):
+    # the rungs share only the banded solve and the settle pass, both
+    # column-wise, so a ladder is bit-identical to its rungs run one by one
+    config = sl.SolverConfig(grid601, dt=0.005, t_end=0.5, diffusivity=0.1,
+                             output_every=30, bc=bc)
+    models = [sl.ScaledModel(fig1_params, eps) for eps in (0.3, 0.1, 0.05)]
+    states = [sl.make_initial_data(m, sl.InitialDataSpec(), grid601)[0] for m in models]
+    ladder = sl.run_system(models, states, config)
+    assert len(ladder) == 3
+    for model, state, stacked in zip(models, states, ladder):
+        alone = sl.run_system([model], [state], config)[0]
+        assert [s.time for s in stacked] == [s.time for s in alone]
+        for a, b in zip(stacked, alone):
+            assert np.array_equal(a.ni.values, b.ni.values)
+            assert np.array_equal(a.nu.values, b.nu.values)
+
+
+@pytest.mark.parametrize("case", ["empty", "lengths", "grid", "times"])
+def test_run_system_rejects_malformed_rungs(fig1_params, grid601, monkeypatch, case):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("run_system integrated a malformed rung list")
+
+    monkeypatch.setattr("singlimit.solver.solve_banded", no_solve)
+    config = sl.SolverConfig(grid601, dt=0.005, t_end=0.05, diffusivity=0.1)
+    model = sl.ScaledModel(fig1_params, 0.1)
+    state = sl.PopulationState(sl.Field.constant(1.0, grid601),
+                               sl.Field.constant(1.0, grid601))
+    other_grid = sl.Grid1D(grid601.xmin, grid601.xmax, grid601.nx - 2)
+    elsewhere = sl.PopulationState(sl.Field.constant(1.0, other_grid),
+                                   sl.Field.constant(1.0, other_grid))
+    later = dataclasses.replace(state, time=1.0)
+    models, states, reason = {
+        "empty": ([], [], "at least one rung"),
+        "lengths": ([model, model], [state], "2 models for 1 initial states"),
+        "grid": ([model, model], [state, elsewhere], "different grid"),
+        "times": ([model, model], [state, later], "one time"),
+    }[case]
+    with pytest.raises(ValueError, match=reason):
+        sl.run_system(models, states, config)
 
 
 def test_scalar_rest_states_exact(fig1_params, grid601):
@@ -258,7 +300,7 @@ def test_run_snapshot_cadence(fig1_params, grid601):
     model = sl.ScaledModel(fig1_params, 0.1)
     config = sl.SolverConfig(grid601, dt=0.005, t_end=0.1, diffusivity=0.1, output_every=7)
     state0, _ = sl.make_initial_data(model, sl.InitialDataSpec(), grid601)
-    series = sl.run_system(model, state0, config)
+    series = sl.run_system([model], [state0], config)[0]
     times = [s.time for s in series]
     assert times == pytest.approx([0.0, 7 * 0.005, 14 * 0.005, 0.1])
 
@@ -296,7 +338,7 @@ def test_system_positivity_on_short_run(fig1_params, grid601):
     config = sl.SolverConfig(grid601, dt=0.005, t_end=2.0, diffusivity=0.1,
                              output_every=40)
     state0, _ = sl.make_initial_data(model, sl.InitialDataSpec(), grid601)
-    for s in sl.run_system(model, state0, config):
+    for s in sl.run_system([model], [state0], config)[0]:
         assert s.ni.values.min() >= -1e-12
         assert s.nu.values.min() >= -1e-12
 
