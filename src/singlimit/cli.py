@@ -105,13 +105,13 @@ def _cmd_simulate(args) -> int:
     entries = []
     for k, (t, p_field) in enumerate(p_series):
         name = f"p_{k:04d}.csv"
-        write_snapshot(p_field, t, out / name)
+        write_snapshot(p_field, out / name)
         entries.append((t, name))
     if raw_series is not None:
         for k, state in enumerate(raw_series):
             for tag, fld in (("ni", state.ni), ("nu", state.nu)):
                 name = f"{tag}_{k:04d}.csv"
-                write_snapshot(fld, state.time, out / name)
+                write_snapshot(fld, out / name)
                 entries.append((state.time, name))
     write_manifest(entries, out / "manifest.csv")
     if args.svg:

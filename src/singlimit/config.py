@@ -2,7 +2,7 @@
 
 Every key has a default; an empty file reproduces the reference traveling-
 wave setup.  Values are floats (a ratio like 10/9 is accepted and stored as
-the parsed double), integers, booleans, enum words, or comma-separated
+the parsed double), integers, enum words, or comma-separated
 lists.  Unknown keys, duplicate keys and invariant violations are rejected
 with the offending line number.
 """
@@ -42,19 +42,6 @@ def _int(text: str) -> int:
         return int(text.strip())
     except ValueError:
         raise ValueError(f"not an integer: {text!r}") from None
-
-
-def _bool(text: str) -> bool:
-    word = text.strip().lower()
-    if word in ("true", "yes", "on", "1"):
-        return True
-    if word in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
-def _auto_bool(text: str) -> bool | None:
-    return None if text.strip().lower() == "auto" else _bool(text)
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -108,14 +95,12 @@ _KEYS: dict[str, tuple[str, bool, Callable[[str], object]]] = {
     "model.mu": ("0", False, _float),
     "model.variant": ("perfect", False, _choice(Variant)),
     "model.epsilon": ("0.1", True, _float),
-    "model.clip_logistic": ("auto", True, _auto_bool),
     "grid.xmin": ("-15", False, _float),
     "grid.xmax": ("15", False, _float),
     "grid.dx": ("0.05", False, _float),
     "time.dt": ("0.005", False, _float),
     "time.t_end": ("25", True, _float),
     "time.output_every": ("200", True, _int),
-    "time.clip_negatives": ("true", True, _bool),
     "diffusion.a": ("0.1", False, _diffusivity),
     "diffusion.bc": ("neumann", True, _choice(BoundaryCondition)),
     "init.amplitude": ("0.4", True, _float),
@@ -140,14 +125,12 @@ class RunConfig:
     mu: float
     variant: Variant
     epsilon: float
-    clip_logistic: bool | None
     xmin: float
     xmax: float
     dx: float
     dt: float
     t_end: float
     output_every: int
-    clip_negatives: bool
     a: float | tuple[tuple[float, float], ...]
     bc: BoundaryCondition
     amplitude: float
@@ -166,8 +149,7 @@ class RunConfig:
                      variant: Variant | None = None) -> ScaledModel:
         return ScaledModel(self.params(),
                            self.epsilon if epsilon is None else epsilon,
-                           self.variant if variant is None else variant,
-                           self.clip_logistic)
+                           self.variant if variant is None else variant)
 
     def grid(self) -> Grid1D:
         return Grid1D.from_spacing(self.xmin, self.xmax, self.dx)
@@ -181,8 +163,7 @@ class RunConfig:
     def solver_config(self, t_end: float | None = None) -> SolverConfig:
         return SolverConfig(self.grid(), self.dt,
                             self.t_end if t_end is None else t_end,
-                            self.diffusivity(), self.output_every,
-                            self.clip_negatives, self.bc)
+                            self.diffusivity(), self.output_every, self.bc)
 
     def init_spec(self) -> InitialDataSpec:
         return InitialDataSpec(self.amplitude, self.radius, self.smoothing)

@@ -57,9 +57,10 @@ __all__ = [
     "check_assumptions",
 ]
 
-# Densities this far below zero are treated as round-off, anything worse is
-# rejected as data corruption.
+# Densities this far below zero, and frequencies this far outside [0, 1], are
+# treated as round-off; anything worse is rejected as data corruption.
 NEGATIVE_TOL = 1e-12
+FREQUENCY_TOL = 1e-12
 
 
 class Variant(Enum):
@@ -119,17 +120,11 @@ class WolbachiaParams:
 
 @dataclass(frozen=True)
 class ScaledModel:
-    """A parameter record together with the population scaling eps.
-
-    clip_logistic overrides the per-variant default for clipping the
-    logistic factor at zero (perfect/alternative: as printed, unclipped;
-    imperfect: clipped).
-    """
+    """A parameter record together with the population scaling eps."""
 
     params: WolbachiaParams
     epsilon: float
     variant: Variant = Variant.PERFECT
-    clip_logistic: bool | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
@@ -143,8 +138,8 @@ class ScaledModel:
 
     @property
     def clipped(self) -> bool:
-        if self.clip_logistic is not None:
-            return self.clip_logistic
+        """Whether the logistic factor is clipped at zero: only the imperfect
+        variant's printed form clips it."""
         return self.variant is Variant.IMPERFECT
 
     @property
@@ -289,12 +284,15 @@ def _denominator(model: ScaledModel, p):
     return a * p * p - b * p + 1.0
 
 
-def _check_p(p):
+def _check_frequency(p):
+    """p as a float array; rejects NaN and excursions outside [0, 1] beyond
+    FREQUENCY_TOL."""
     p = np.asarray(p, dtype=float)
-    if not np.all(np.isfinite(p)):
-        raise ValueError("non-finite frequency")
-    if p.min() < 0.0 or p.max() > 1.0:
-        raise ValueError("frequency outside [0, 1]")
+    low, high = p.min(), p.max()
+    if not (low >= -FREQUENCY_TOL and high <= 1.0 + FREQUENCY_TOL):
+        raise ValueError(
+            f"frequency left [0, 1] by more than round-off: [{low:.6e}, {high:.6e}]"
+        )
     return p
 
 
@@ -306,7 +304,7 @@ def reduced_drift(model: ScaledModel, n, p):
     but p must lie in [0, 1].
     """
     _require_reducible(model, "reduced_drift")
-    p = _check_p(p)
+    p = _check_frequency(p)
     prm = model.params
     value = -prm.sigma * prm.fu * np.asarray(n, dtype=float) * _denominator(model, p) \
         + prm.du * ((prm.delta - 1.0) * p + 1.0)
@@ -316,7 +314,7 @@ def reduced_drift(model: ScaledModel, n, p):
 def slow_manifold(model: ScaledModel, p):
     """Unique positive root n = h(p) of the reduced drift."""
     _require_reducible(model, "slow_manifold")
-    p = _check_p(p)
+    p = _check_frequency(p)
     prm = model.params
     value = prm.du * ((prm.delta - 1.0) * p + 1.0) / (prm.sigma * prm.fu * _denominator(model, p))
     return float(value) if value.ndim == 0 else value
@@ -363,7 +361,7 @@ def limit_reaction(model: ScaledModel, p):
     pool evaluated on the slow manifold.
     """
     _require_reducible(model, "limit_reaction")
-    p = _check_p(p)
+    p = _check_frequency(p)
     prm = model.params
     den = _denominator(model, p)
     if model.mu == 0.0:

@@ -43,10 +43,9 @@ def _atomic_write(path: str | Path, text: str) -> None:
         raise
 
 
-def write_snapshot(field: Field, time: float, path: str | Path) -> None:
-    """One row per grid node, header `x,value`; `time` is recorded by the
-    caller's manifest, not in the file."""
-    del time  # kept in the manifest only
+def write_snapshot(field: Field, path: str | Path) -> None:
+    """One row per grid node, header `x,value`; the snapshot's time is
+    recorded by the caller's manifest, not in the file."""
     rows = ["x,value"]
     rows.extend(f"{_fmt(x)},{_fmt(v)}" for x, v in zip(field.grid.x, field.values))
     _atomic_write(path, "\n".join(rows) + "\n")

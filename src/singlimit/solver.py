@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .model import NEGATIVE_TOL, ScaledModel, Variant, reaction_rates
+from .model import NEGATIVE_TOL, ScaledModel, Variant, _check_frequency, reaction_rates
 
 __all__ = [
     "Grid1D",
@@ -157,7 +157,7 @@ class BoundaryCondition(Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Grid, time step, diffusivity profile and stepping options.
+    """Grid, time step, diffusivity profile, output cadence and boundary.
 
     diffusivity may be a constant, a callable sampled on the grid nodes, or
     an array of per-node values; it must stay strictly positive.
@@ -168,7 +168,6 @@ class SolverConfig:
     t_end: float
     diffusivity: float | Callable[[np.ndarray], np.ndarray] | Sequence[float] = 0.1
     output_every: int = 200
-    clip_negatives: bool = True
     bc: BoundaryCondition = BoundaryCondition.NEUMANN
 
     def __post_init__(self):
@@ -293,66 +292,45 @@ def tridiagonal_solve(system: TridiagonalSystem) -> np.ndarray:
     return out
 
 
-class _ImplicitDiffusion:
-    """Prefactored banded form of the assembled system, solved per step."""
-
-    def __init__(self, config: SolverConfig):
-        self.config = config
-        self.system = assemble_diffusion(config)
-        nx = config.grid.nx
-        ab = np.zeros((3, nx))
-        ab[0, 1:] = self.system.upper
-        ab[1, :] = self.system.diag
-        ab[2, :-1] = self.system.lower
-        self._ab = ab
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return solve_banded((1, 1), self._ab, rhs, check_finite=False)
+def _banded(config: SolverConfig) -> np.ndarray:
+    """The assembled system as the (3, nx) band array of LAPACK's solver."""
+    system = assemble_diffusion(config)
+    ab = np.zeros((3, config.grid.nx))
+    ab[0, 1:] = system.upper
+    ab[1, :] = system.diag
+    ab[2, :-1] = system.lower
+    return ab
 
 
 _DENSITY_NAMES = ("infected density", "uninfected density")
 
 
-def _settle_density(values: np.ndarray, clip_negatives: bool,
-                    rungs: Sequence[str | None] = (None,)) -> np.ndarray:
-    """Reject non-finite densities, and with clip_negatives clamp round-off
-    negatives to zero and reject larger ones.
+def _settle_density(values: np.ndarray, rungs: Sequence[str | None] = (None,)) -> np.ndarray:
+    """Reject non-finite densities and negatives beyond NEGATIVE_TOL; clamp
+    round-off negatives to zero.
 
     values stacks one (n_i, n_u) column pair per rung; a rejection names the
     density and carries the label of its rung from rungs.
     """
     finite = np.isfinite(values).all(axis=0)
     lows = values.min(axis=0)
-    if not finite.all() or (clip_negatives and lows.min() < -NEGATIVE_TOL):
+    if not finite.all() or lows.min() < -NEGATIVE_TOL:
         for column, (ok, low) in enumerate(zip(finite, lows)):
             rung, name = rungs[column // 2], _DENSITY_NAMES[column % 2]
             if not ok:
                 raise _RungError(rung, f"{name} became non-finite")
-            if clip_negatives and low < -NEGATIVE_TOL:
+            if low < -NEGATIVE_TOL:
                 raise _RungError(rung, f"{name} fell to {low:.3e}, beyond round-off")
-    if clip_negatives and lows.min() < 0.0:
+    if lows.min() < 0.0:
         values = np.where(values < 0.0, 0.0, values)
     return values
 
 
-FREQUENCY_TOL = 1e-12
-
-
-def _check_frequency_box(values: np.ndarray) -> None:
-    """Reject a frequency outside [0, 1] by more than FREQUENCY_TOL (or NaN)."""
-    low, high = values.min(), values.max()
-    if not (low >= -FREQUENCY_TOL and high <= 1.0 + FREQUENCY_TOL):
-        raise ValueError(
-            f"frequency left [0, 1] by more than round-off: [{low:.6e}, {high:.6e}]"
-        )
-
-
 def _settle_frequency(values: np.ndarray) -> np.ndarray:
-    _check_frequency_box(values)
-    return np.clip(values, 0.0, 1.0)
+    return np.clip(_check_frequency(values), 0.0, 1.0)
 
 
-def _integrate(op: _ImplicitDiffusion, values: np.ndarray,
+def _integrate(config: SolverConfig, values: np.ndarray,
                rate: Callable[[np.ndarray], np.ndarray],
                settle: Callable[[np.ndarray], np.ndarray]):
     """The time loop shared by every run: yields (step, values) at step 0,
@@ -363,7 +341,7 @@ def _integrate(op: _ImplicitDiffusion, values: np.ndarray,
     rejected state) becomes a SolverError carrying its step, and the rung
     label of a _RungError.
     """
-    config = op.config
+    ab = _banded(config)
     dt, last = config.dt, config.n_steps
     pin = config.bc is BoundaryCondition.DIRICHLET
     yield 0, values
@@ -372,7 +350,7 @@ def _integrate(op: _ImplicitDiffusion, values: np.ndarray,
             star = values + dt * rate(values)
             if pin:
                 star[[0, -1]] = values[[0, -1]]
-            values = settle(op.solve(star))
+            values = settle(solve_banded((1, 1), ab, star, check_finite=False))
         except ValueError as exc:
             raise SolverError(str(exc), step, getattr(exc, "rung", None)) from exc
         if step % config.output_every == 0 or step == last:
@@ -434,8 +412,7 @@ def run_system(models: Sequence[ScaledModel], states: Sequence[PopulationState],
         return rates
 
     stack = np.column_stack([v for s in states for v in (s.ni.values, s.nu.values)])
-    frames = _integrate(_ImplicitDiffusion(config), stack, rate,
-                        lambda values: _settle_density(values, config.clip_negatives, rungs))
+    frames = _integrate(config, stack, rate, lambda values: _settle_density(values, rungs))
     series: list[list[PopulationState]] = [[] for _ in models]
     for step, v in frames:
         t = t0 + step * config.dt
@@ -450,13 +427,12 @@ def run_scalar(reaction: Callable[[np.ndarray], np.ndarray], p0: Field,
     """Integrate the scalar frequency equation to t_end; snapshot cadence as
     in run_system.  Returns (time, field) pairs.
 
-    Round-off excursions of p outside [0, 1] (up to FREQUENCY_TOL) are
-    clamped; larger excursions abort the run.
+    Round-off excursions of p outside [0, 1] (up to FREQUENCY_TOL), p0's
+    included, are clamped; larger excursions abort the run.
     """
     if p0.grid != config.grid:
         raise ValueError("initial field lives on a different grid")
-    _check_frequency_box(p0.values)
-    frames = _integrate(_ImplicitDiffusion(config), p0.values,
+    frames = _integrate(config, _settle_frequency(p0.values),
                         lambda values: np.asarray(reaction(values), dtype=float),
                         _settle_frequency)
     return [(step * config.dt, Field(v, config.grid)) for step, v in frames]

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,15 +103,10 @@ def test_tabulated_diffusivity():
         parse_config("diffusion.a = -15:0.1, 15:0\n")
 
 
-def test_boolean_and_variant_words():
-    cfg = parse_config("time.clip_negatives = off\nmodel.variant = alternative\n"
-                       "diffusion.bc = dirichlet\nmodel.clip_logistic = true\n")
-    assert cfg.clip_negatives is False
+def test_variant_and_bc_words():
+    cfg = parse_config("model.variant = alternative\ndiffusion.bc = dirichlet\n")
     assert cfg.variant is sl.Variant.ALTERNATIVE
     assert cfg.bc is sl.BoundaryCondition.DIRICHLET
-    assert cfg.clip_logistic is True
-    with pytest.raises(ConfigError):
-        parse_config("time.clip_negatives = maybe\n")
 
 
 def test_show_config_round_trips():
@@ -122,7 +118,6 @@ def test_show_config_round_trips():
 
 @pytest.mark.parametrize("text, message", [
     ("time.output_every = 2.5", "time.output_every: not an integer: '2.5'"),
-    ("time.clip_negatives = maybe", "time.clip_negatives: not a boolean: 'maybe'"),
     ("diffusion.bc = periodic",
      "diffusion.bc: expected one of neumann, dirichlet; got 'periodic'"),
     ("experiment.epsilons = ,", "experiment.epsilons: empty list"),
@@ -139,6 +134,13 @@ def test_malformed_value_names_line_and_key(text, message):
 def test_key_table_covers_every_field():
     fields = [f.name for f in dataclasses.fields(RunConfig) if f.name != "raw"]
     assert [key.split(".", 1)[1] for key in _KEYS] == fields
+
+
+def test_readme_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    keys = {line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line}
+    assert keys == set(_KEYS)
 
 
 def test_choice_markers():

@@ -22,7 +22,7 @@ def test_snapshot_round_trip_is_bit_exact(grid, tmp_path):
     rng = np.random.default_rng(9)
     field = sl.Field(rng.uniform(-1, 1, grid.nx), grid)
     path = tmp_path / "snap.csv"
-    write_snapshot(field, 1.25, path)
+    write_snapshot(field, path)
     x, values = read_snapshot(path)
     assert np.array_equal(x, grid.x)
     assert np.array_equal(values, field.values)
@@ -31,7 +31,7 @@ def test_snapshot_round_trip_is_bit_exact(grid, tmp_path):
 def test_snapshot_constant_serializes_uniformly(grid, tmp_path):
     field = sl.Field.constant(1.0, grid)
     path = tmp_path / "snap.csv"
-    write_snapshot(field, 0.0, path)
+    write_snapshot(field, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "x,value"
     assert len(lines) == grid.nx + 1
@@ -40,8 +40,8 @@ def test_snapshot_constant_serializes_uniformly(grid, tmp_path):
 
 def test_snapshot_write_is_deterministic(grid, tmp_path):
     field = sl.Field(np.sin(grid.x), grid)
-    write_snapshot(field, 0.0, tmp_path / "a.csv")
-    write_snapshot(field, 0.0, tmp_path / "b.csv")
+    write_snapshot(field, tmp_path / "a.csv")
+    write_snapshot(field, tmp_path / "b.csv")
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert b"\r" not in (tmp_path / "a.csv").read_bytes()
 

@@ -50,7 +50,6 @@ def test_scaled_model_validation(fig1_params):
     model = sl.ScaledModel(leaky, 0.1, sl.Variant.IMPERFECT)
     assert model.clipped  # printed form clips the logistic factor
     assert not perfect(fig1_params).clipped
-    assert sl.ScaledModel(fig1_params, 0.1, clip_logistic=True).clipped
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
+from scipy.linalg import solve_banded
+
 import singlimit as sl
-from singlimit.solver import _ImplicitDiffusion, _settle_density
+from singlimit.solver import _banded, _settle_density
 
 
 def small_grid(nx=11, span=1.0):
@@ -139,11 +142,10 @@ def test_thomas_matches_banded_hot_path():
     grid = small_grid(nx=101, span=5.0)
     config = sl.SolverConfig(grid, dt=0.01, t_end=1.0,
                              diffusivity=lambda x: 0.1 + 0.02 * np.sin(3 * x))
-    op = _ImplicitDiffusion(config)
     rng = np.random.default_rng(5)
     rhs = rng.uniform(-1, 1, grid.nx)
-    a = sl.tridiagonal_solve(op.system.with_rhs(rhs))
-    b = op.solve(rhs)
+    a = sl.tridiagonal_solve(sl.assemble_diffusion(config).with_rhs(rhs))
+    b = solve_banded((1, 1), _banded(config), rhs)
     assert np.max(np.abs(a - b)) < 1e-13
 
 
@@ -270,6 +272,18 @@ def test_scalar_step_flags_large_excursion(grid601):
         sl.run_scalar(lambda v: -np.full_like(v, 200.0), p, config)
 
 
+def test_scalar_run_clamps_round_off_initial_field(fig1_params, grid601):
+    # p0 within FREQUENCY_TOL of [0, 1] is clamped like every later step
+    model = sl.ScaledModel(fig1_params, 0.1)
+    config = sl.SolverConfig(grid601, dt=0.005, t_end=0.05, diffusivity=0.1, output_every=2)
+    p0 = sl.Field.constant(1.0 + 5e-13, grid601)
+    series = sl.run_scalar(lambda v: sl.limit_reaction(model, v), p0, config)
+    assert len(series) == 6
+    assert np.all(series[0][1].values == 1.0)
+    for _, f in series:
+        assert f.values.min() >= 0.0 and f.values.max() <= 1.0
+
+
 def test_scalar_step_rejects_out_of_range_input(grid601):
     config = one_step(sl.SolverConfig(grid601, dt=0.005, t_end=1.0, diffusivity=0.1))
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
@@ -278,12 +292,26 @@ def test_scalar_step_rejects_out_of_range_input(grid601):
 
 def test_settle_density_clamps_or_raises():
     # columns are (n_i, n_u); a rejection names the offending density
-    cleaned = _settle_density(np.array([[-5e-13, 0.2], [0.2, 0.3]]), True)
+    cleaned = _settle_density(np.array([[-5e-13, 0.2], [0.2, 0.3]]))
     assert np.array_equal(cleaned, np.array([[0.0, 0.2], [0.2, 0.3]]))
     with pytest.raises(ValueError, match="^uninfected density fell"):
-        _settle_density(np.array([[0.2, -1e-11], [0.2, 0.3]]), True)
+        _settle_density(np.array([[0.2, -1e-11], [0.2, 0.3]]))
     with pytest.raises(ValueError, match="^infected density became non-finite"):
-        _settle_density(np.array([[np.nan, 0.2], [0.2, 0.3]]), True)
+        _settle_density(np.array([[np.nan, 0.2], [0.2, 0.3]]))
+
+
+def test_system_run_rejects_negative_overshoot(fig1_params, grid601):
+    # an over-crowded start drives n_u far below zero in the first step
+    eps = 0.1
+    model = sl.ScaledModel(fig1_params, eps)
+    state = sl.PopulationState(sl.Field.constant(0.0, grid601),
+                               sl.Field.constant(100.0 / eps, grid601))
+    config = sl.SolverConfig(grid601, dt=0.005, t_end=0.01, diffusivity=0.1, output_every=1)
+    with pytest.raises(sl.SolverError) as info:
+        sl.run_system([model], [state], config)
+    assert info.value.step == 1
+    assert re.fullmatch(r"eps=0\.1: step 1: uninfected density fell to -\S+, beyond round-off",
+                        str(info.value))
 
 
 def test_dirichlet_pins_boundary_values(grid601):
