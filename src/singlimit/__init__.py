@@ -46,7 +46,6 @@ from .experiments import (
     ConvergenceReport,
     InitialDataSpec,
     Verdict,
-    boundary_drift,
     estimate_wave_speed,
     extinction_check,
     make_initial_data,

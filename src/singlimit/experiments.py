@@ -43,7 +43,6 @@ __all__ = [
     "run_convergence_sweep",
     "track_front",
     "estimate_wave_speed",
-    "boundary_drift",
     "extinction_check",
 ]
 
@@ -191,21 +190,6 @@ def estimate_wave_speed(series: Sequence[tuple[float, Field]],
     if len(times) < 2:
         raise ValueError("window contains fewer than two usable snapshots")
     return float(np.polyfit(times, positions, 1)[0])
-
-
-def boundary_drift(series: Sequence[tuple[float, Field]],
-                   window: tuple[float, float] | None = None) -> float:
-    """Largest deviation of either endpoint value from its initial value,
-    over the (windowed) series.  Diagnostic for domain-truncation effects."""
-    first = series[0][1].values
-    left0, right0 = first[0], first[-1]
-    drift = 0.0
-    for t, field in series:
-        if window is not None and not (window[0] - 1e-9 <= t <= window[1] + 1e-9):
-            continue
-        v = field.values
-        drift = max(drift, abs(v[0] - left0), abs(v[-1] - right0))
-    return drift
 
 
 # ---------------------------------------------------------------------------

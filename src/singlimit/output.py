@@ -7,6 +7,7 @@ endings.
 
 from __future__ import annotations
 
+import functools
 import os
 import tempfile
 from pathlib import Path
@@ -26,8 +27,11 @@ __all__ = [
 ]
 
 
+_FLOAT = "%.17g"
+
+
 def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+    return _FLOAT % value
 
 
 def _atomic_write(path: str | Path, text: str) -> None:
@@ -43,12 +47,21 @@ def _atomic_write(path: str | Path, text: str) -> None:
         raise
 
 
+@functools.lru_cache(maxsize=8)
+def _snapshot_template(x_bytes: bytes) -> str:
+    """The snapshot file for node coordinates `x_bytes` (float64), with its
+    x column already formatted and one `%` slot per value.  Keyed by the
+    coordinates' bytes rather than by the grid: equal grids can differ in
+    the sign of a zero endpoint, which the x column shows."""
+    x = np.frombuffer(x_bytes)
+    return "x,value\n" + "".join(f"{_fmt(xi)},{_FLOAT}\n" for xi in x.tolist())
+
+
 def write_snapshot(field: Field, path: str | Path) -> None:
     """One row per grid node, header `x,value`; the snapshot's time is
     recorded by the caller's manifest, not in the file."""
-    rows = ["x,value"]
-    rows.extend(f"{_fmt(x)},{_fmt(v)}" for x, v in zip(field.grid.x, field.values))
-    _atomic_write(path, "\n".join(rows) + "\n")
+    template = _snapshot_template(field.grid.x.tobytes())
+    _atomic_write(path, template % tuple(field.values.tolist()))
 
 
 def read_snapshot(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
@@ -56,7 +69,16 @@ def read_snapshot(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
         header = handle.readline().strip()
         if header != "x,value":
             raise ValueError(f"{path}: not a snapshot file (header {header!r})")
-        data = np.loadtxt(handle, delimiter=",", ndmin=2)
+        start = handle.tell()
+        if not handle.readline():
+            raise ValueError(f"{path}: snapshot file has no rows")
+        handle.seek(start)
+        try:
+            data = np.loadtxt(handle, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    if data.shape[1] != 2:
+        raise ValueError(f"{path}: snapshot rows have {data.shape[1]} columns, expected 2")
     return data[:, 0], data[:, 1]
 
 

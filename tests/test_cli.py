@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from singlimit.cli import cli_dispatch
@@ -27,6 +32,16 @@ def test_equilibria_prints_reference_table(capsys):
         assert token in out
     rows = [line for line in out.splitlines() if line and not line.startswith("state")]
     assert len(rows) == 4
+
+
+def test_python_m_runs_the_cli_from_the_source_tree():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "singlimit", "equilibria"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0].split() == [
+        "state", "n_i", "n_u", "frequency", "stability"]
 
 
 def test_check_passes_on_defaults(capsys):

@@ -115,11 +115,6 @@ def test_speed_estimator_boundary_contamination(grid601):
         sl.estimate_wave_speed(series, window=(0.0, 2.0))
 
 
-def test_boundary_drift_on_synthetic(grid601):
-    series = synthetic_front(0.1, grid601, np.arange(0.0, 5.0, 1.0))
-    assert sl.boundary_drift(series) < 1e-6
-
-
 def test_track_front_positions(grid601):
     series = synthetic_front(0.5, grid601, np.arange(0.0, 11.0, 1.0))
     times, positions = sl.track_front(series, 0.5, (0.0, 10.0))

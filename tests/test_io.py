@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,11 +47,56 @@ def test_snapshot_write_is_deterministic(grid, tmp_path):
     assert b"\r" not in (tmp_path / "a.csv").read_bytes()
 
 
-def test_read_snapshot_rejects_other_files(tmp_path):
+def _reference_snapshot(x, values):
+    return "x,value\n" + "".join(f"{a:.17g},{v:.17g}\n" for a, v in zip(x, values))
+
+
+def test_snapshot_bytes_match_reference_formatter(tmp_path):
+    grid = sl.Grid1D(-1.0, 2.0, 14)
+    values = np.array([-0.0, 5e-324, 1 / 3, 0.1, 1e16, 1 - 2**-53, -5e-324,
+                       -1 / 3, -0.1, -1e16, -(1 - 2**-53), 0.0, 2.5, -1e-300])
+    path = tmp_path / "snap.csv"
+    write_snapshot(sl.Field(values, grid), path)
+    assert path.read_bytes() == _reference_snapshot(grid.x, values).encode()
+
+
+@pytest.mark.parametrize("grids", [
+    (sl.Grid1D(-2.0, 2.0, 9), sl.Grid1D(0.0, 8.0, 9)),    # same nx, other bounds
+    (sl.Grid1D(-2.0, 2.0, 9), sl.Grid1D(-2.0, 2.0, 17)),  # same bounds, other nx
+    (sl.Grid1D(-1.0, -0.0, 3), sl.Grid1D(-1.0, 0.0, 3)),  # equal grids, signed zero
+], ids=["bounds", "nx", "signed-zero"])
+def test_snapshot_x_column_follows_its_own_grid(grids, tmp_path):
+    for k in range(4):
+        grid = grids[k % 2]
+        path = tmp_path / f"snap_{k}.csv"
+        write_snapshot(sl.Field(np.full(grid.nx, 0.5), grid), path)
+        assert path.read_bytes() == _reference_snapshot(grid.x, [0.5] * grid.nx).encode()
+        x, _ = read_snapshot(path)
+        assert np.array_equal(x, grid.x)
+
+
+def test_snapshot_overwrite_leaves_no_temp_files(grid, tmp_path):
+    path = tmp_path / "snap.csv"
+    write_snapshot(sl.Field.constant(0.25, grid), path)
+    write_snapshot(sl.Field.constant(0.75, grid), path)
+    assert [p.name for p in tmp_path.iterdir()] == ["snap.csv"]
+    assert np.array_equal(read_snapshot(path)[1], np.full(grid.nx, 0.75))
+
+
+@pytest.mark.parametrize("text", [
+    "a,b\n1,2\n",
+    "x,value\n",
+    "x,value\n1\n2\n",
+    "x,value\n1,2,3\n",
+    "x,value\n1,2\n3,4,5\n",
+], ids=["header", "header-only", "one-column", "three-columns", "ragged"])
+def test_read_snapshot_rejects_other_files(text, tmp_path):
     path = tmp_path / "junk.csv"
-    path.write_text("a,b\n1,2\n")
-    with pytest.raises(ValueError):
-        read_snapshot(path)
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="junk.csv"):
+            read_snapshot(path)
 
 
 def test_manifest_format(tmp_path):
