@@ -48,6 +48,7 @@ from .experiments import (
     Verdict,
     estimate_wave_speed,
     extinction_check,
+    frequency_run,
     make_initial_data,
     run_convergence_sweep,
     track_front,

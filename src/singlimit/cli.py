@@ -12,15 +12,10 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, default_config, format_config, parse_config
-from .experiments import (
-    estimate_wave_speed,
-    make_initial_data,
-    run_convergence_sweep,
-)
-from .model import Variant, check_assumptions, equilibria, limit_reaction
+from .experiments import estimate_wave_speed, frequency_run, run_convergence_sweep
+from .model import Variant, check_assumptions, equilibria
 from .output import write_manifest, write_profiles_svg, write_report, write_snapshot
-from .reduction import to_reduced
-from .solver import SolverError, gradient_l2, run_scalar, run_system
+from .solver import SolverError, gradient_l2
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -82,22 +77,14 @@ def _load_config(args) -> RunConfig:
 
 
 def _run_model(cfg: RunConfig, which: str):
-    """Run the requested equation; returns (time, p Field) pairs."""
-    solver_cfg = cfg.solver_config()
-    if which == "limit":
-        model = cfg.scaled_model()
-        _, p_init = make_initial_data(model, cfg.init_spec(), cfg.grid())
-        return run_scalar(lambda v: limit_reaction(model, v), p_init, solver_cfg), None
-    variant = Variant.ALTERNATIVE if which == "alt" else None
-    model = cfg.scaled_model(variant=variant)
-    state0, _ = make_initial_data(model, cfg.init_spec(), cfg.grid())
-    series = run_system([model], [state0], solver_cfg)[0]
-    p_series = [(s.time, to_reduced(model, s).p) for s in series]
-    return p_series, series
+    """frequency_run of the --model choice: 'alt' is the system of the
+    alternative variant; returns (p_series, states or None)."""
+    model = cfg.scaled_model(variant=Variant.ALTERNATIVE if which == "alt" else None)
+    return frequency_run(model, cfg.init_spec(), cfg.solver_config(),
+                         "limit" if which == "limit" else "system")
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _load_config(args)
+def _cmd_simulate(args, cfg: RunConfig) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     p_series, raw_series = _run_model(cfg, args.model)
@@ -121,35 +108,32 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_converge(args) -> int:
-    cfg = _load_config(args)
+def _cmd_converge(args, cfg: RunConfig) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     window = cfg.speed_window if cfg.t_end >= cfg.speed_window[1] else None
-    sink: dict = {}
-    report = run_convergence_sweep(
+    report, limit_series, reduced_series = run_convergence_sweep(
         cfg.params(), cfg.variant, cfg.epsilons, cfg.init_spec(), cfg.solver_config(),
-        speed_window=window, speed_level=cfg.speed_level, series_sink=sink,
+        speed_window=window, speed_level=cfg.speed_level,
     )
     write_report(report, out / "report.csv")
     if args.svg:
-        write_profiles_svg(_thin_for_plot(sink["limit"]), out / "profiles_limit.svg",
+        write_profiles_svg(_thin_for_plot(limit_series), out / "profiles_limit.svg",
                            title="limit equation", y_range=(0.0, 1.0))
-        for eps in report.epsilons:
-            reduced = sink[eps]
+        for eps, reduced in zip(report.epsilons, reduced_series):
             write_profiles_svg(_thin_for_plot([(r.time, r.p) for r in reduced]),
                                out / f"profiles_eps_{eps:g}.svg",
                                title=f"system, eps = {eps:g}", y_range=(0.0, 1.0))
-    for eps, ep, em in zip(report.epsilons, report.err_p, report.err_m):
-        grad = gradient_l2(sink[eps][-1].p)
+    for eps, ep, em, reduced in zip(report.epsilons, report.err_p, report.err_m,
+                                    reduced_series):
+        grad = gradient_l2(reduced[-1].p)
         print(f"eps={eps:<8g} err_p={ep:.6e} err_m={em:.6e} "
               f"grad_p_final={grad:.4e} (informational)")
     print(f"report written to {out / 'report.csv'}")
     return EXIT_OK
 
 
-def _cmd_equilibria(args) -> int:
-    cfg = _load_config(args)
+def _cmd_equilibria(args, cfg: RunConfig) -> int:
     model = cfg.scaled_model()
     rows = equilibria(model)
     print(f"{'state':<12} {'n_i':>14} {'n_u':>14} {'frequency':>11} {'stability':>10}")
@@ -161,8 +145,7 @@ def _cmd_equilibria(args) -> int:
     return EXIT_OK
 
 
-def _cmd_wavespeed(args) -> int:
-    cfg = _load_config(args)
+def _cmd_wavespeed(args, cfg: RunConfig) -> int:
     if cfg.t_end < cfg.speed_window[1]:
         raise ConfigError(
             f"time.t_end = {cfg.t_end:g} does not cover the speed window "
@@ -174,8 +157,7 @@ def _cmd_wavespeed(args) -> int:
     return EXIT_OK
 
 
-def _cmd_check(args) -> int:
-    cfg = _load_config(args)
+def _cmd_check(args, cfg: RunConfig) -> int:
     report = check_assumptions(cfg.scaled_model(), samples=args.samples)
     for check in report.checks:
         state = "PASS" if check.passed else "FAIL"
@@ -201,10 +183,11 @@ def cli_dispatch(argv) -> int:
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
+        cfg = _load_config(args)
         if args.show_config:
-            print(format_config(_load_config(args)), end="")
+            print(format_config(cfg), end="")
             return EXIT_OK
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, cfg)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

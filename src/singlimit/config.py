@@ -9,6 +9,7 @@ with the offending line number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -30,11 +31,14 @@ class ConfigError(ValueError):
 def _float(text: str) -> float:
     text = text.strip()
     try:
-        if "/" in text:
-            return float(Fraction(text))
-        return float(text)
+        value = float(Fraction(text)) if "/" in text else float(text)
+    except OverflowError:
+        value = math.inf
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 def _int(text: str) -> int:
@@ -233,6 +237,7 @@ def _validate(cfg: RunConfig, line_of) -> None:
     expect("grid.dx", cfg.dx > 0, "dx must be positive")
     expect("time.dt", cfg.dt > 0, "dt must be positive")
     expect("time.t_end", cfg.t_end >= cfg.dt, "t_end must cover at least one step")
+    expect("time.dt", math.isfinite(cfg.t_end / cfg.dt), "t_end/dt is not a finite step count")
     expect("time.output_every", cfg.output_every >= 1, "output_every must be >= 1")
     if isinstance(cfg.a, tuple):
         expect("diffusion.a", all(v > 0 for _, v in cfg.a),

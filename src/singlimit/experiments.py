@@ -6,7 +6,9 @@ compact support), converted to densities through phi = p_init/(1 - p_init)
 so that the reduced population starts exactly on h(0) at every node, with
 bounds that do not depend on eps.
 
-The convergence sweep integrates the scalar limit equation once and the
+frequency_run is the one path from a model to its frequency series: it
+seeds the bump and runs either the system or the limit equation.  The
+convergence sweep integrates the scalar limit equation once and the
 two-population system for the whole eps ladder as one stacked run on the
 shared grid and cadence, then tabulates the space-time errors |p_eps - p0|
 and |m| per eps.  Wave speeds are least-squares slopes of tracked
@@ -31,7 +33,7 @@ from .model import (
     slow_manifold,
     slow_manifold_max,
 )
-from .reduction import error_norms, to_reduced
+from .reduction import ReducedFields, error_norms, to_reduced
 from .solver import (Field, Grid1D, PopulationState, SolverConfig, check_reaction_step,
                      run_scalar, run_system)
 
@@ -40,6 +42,7 @@ __all__ = [
     "ConvergenceReport",
     "Verdict",
     "make_initial_data",
+    "frequency_run",
     "run_convergence_sweep",
     "track_front",
     "estimate_wave_speed",
@@ -141,6 +144,24 @@ def make_initial_data(model: ScaledModel, spec: InitialDataSpec,
     return state, Field(p_init, grid)
 
 
+def frequency_run(model: ScaledModel, spec: InitialDataSpec, config: SolverConfig,
+                  equation: str = "system") -> tuple[list, list | None]:
+    """Frequency series of one model started from the seeded bump.
+
+    equation "system" runs the two-population system and reduces every frame;
+    "limit" runs the scalar limit equation.  Returns (p_series, states), where
+    p_series holds (time, p Field) pairs and states is the system's raw
+    series, or None for the limit equation.
+    """
+    if equation not in ("system", "limit"):
+        raise ValueError(f"equation must be 'system' or 'limit', got {equation!r}")
+    state0, p_init = make_initial_data(model, spec, config.grid)
+    if equation == "limit":
+        return run_scalar(lambda v: limit_reaction(model, v), p_init, config), None
+    states = run_system([model], [state0], config)[0]
+    return [(s.time, to_reduced(model, s).p) for s in states], states
+
+
 # ---------------------------------------------------------------------------
 # wave-speed estimation
 
@@ -200,15 +221,15 @@ def run_convergence_sweep(params: WolbachiaParams, variant: Variant,
                           epsilons: Sequence[float], spec: InitialDataSpec,
                           config: SolverConfig, *,
                           speed_window: tuple[float, float] | None = None,
-                          speed_level: float = 0.5,
-                          series_sink: dict | None = None) -> ConvergenceReport:
+                          speed_level: float = 0.5
+                          ) -> tuple[ConvergenceReport, list, list[list[ReducedFields]]]:
     """Solve the limit equation once and the system for the whole ladder in
     one stacked run; tabulate errors per eps.
 
     The eps ladder must be strictly decreasing and admissible: below the
     range where the resident state exists and the structural assumptions all
-    audit clean.  When series_sink is given it receives the limit series
-    under "limit" and each reduced system series under its eps.
+    audit clean.  Returns (report, limit_series, reduced_series), with one
+    reduced series per rung in ladder order.
     """
     epsilons = [float(e) for e in epsilons]
     if len(epsilons) == 0:
@@ -236,14 +257,10 @@ def run_convergence_sweep(params: WolbachiaParams, variant: Variant,
     if speed_window is not None:
         limit_speed = estimate_wave_speed(limit_series, speed_window, speed_level)
 
-    if series_sink is not None:
-        series_sink["limit"] = limit_series
-    rows = []
-    for eps, model, series in zip(epsilons, models,
-                                  run_system(models, [s for s, _ in initial], config)):
+    rows, reduced_series = [], []
+    for model, series in zip(models, run_system(models, [s for s, _ in initial], config)):
         reduced = [to_reduced(model, s) for s in series]
-        if series_sink is not None:
-            series_sink[eps] = reduced
+        reduced_series.append(reduced)
         speed = math.nan
         if speed_window is not None:
             speed = estimate_wave_speed([(r.time, r.p) for r in reduced],
@@ -251,13 +268,14 @@ def run_convergence_sweep(params: WolbachiaParams, variant: Variant,
         rows.append((*error_norms(reduced, limit_series), speed))
     err_p, err_m, speeds = zip(*rows)
 
-    return ConvergenceReport(
+    report = ConvergenceReport(
         epsilons=tuple(epsilons),
         err_p=err_p,
         err_m=err_m,
         speeds=speeds,
         limit_speed=limit_speed,
     )
+    return report, limit_series, reduced_series
 
 
 # ---------------------------------------------------------------------------
@@ -271,16 +289,10 @@ def extinction_check(model: ScaledModel, spec: InitialDataSpec, config: SolverCo
     Extinct when the frequency peaks below 0.1 everywhere; invaded when it
     exceeds 0.9 across the initial bump support; undecided otherwise.
     """
-    state0, p_init = make_initial_data(model, spec, config.grid)
-    if equation == "system":
-        final = to_reduced(model, run_system([model], [state0], config)[0][-1]).p.values
-    elif equation == "limit":
-        final = run_scalar(lambda v: limit_reaction(model, v), p_init, config)[-1][1].values
-    else:
-        raise ValueError(f"equation must be 'system' or 'limit', got {equation!r}")
+    final = frequency_run(model, spec, config, equation)[0][-1][1].values
     if final.max() < EXTINCT_BELOW:
         return Verdict.EXTINCT
-    support = p_init.values > 0.0
+    support = spec.profile(config.grid.x) > 0.0
     if final[support].min() > INVADED_ABOVE:
         return Verdict.INVADED
     return Verdict.UNDECIDED

@@ -449,27 +449,16 @@ def equilibria(model: ScaledModel) -> list[Equilibrium]:
     theta, p_high = _bistable_roots(model)
     total_cap = model.carrying_total
 
-    h_at = slow_manifold
-    ext_total = total_cap - h_at(model, 0.0)
-    if model.mu == 0.0:
-        inv_total = total_cap - h_at(model, 1.0)
-        coex_total = total_cap - h_at(model, theta)
-        coords = [
-            (0.0, ext_total, EquilibriumKind.EXTINCTION),
-            (inv_total, 0.0, EquilibriumKind.INVASION),
-            (theta * coex_total, (1.0 - theta) * coex_total, EquilibriumKind.COEXISTENCE),
-            (0.0, 0.0, EquilibriumKind.ORIGIN),
-        ]
-    else:
-        # both interior states sit at the density where infected growth stalls
-        n_star = prm.delta * prm.du / (prm.sigma * prm.fu * (1.0 - prm.mu) * (1.0 - prm.sf))
-        inv_total = total_cap - n_star
-        coords = [
-            (0.0, ext_total, EquilibriumKind.EXTINCTION),
-            (p_high * inv_total, (1.0 - p_high) * inv_total, EquilibriumKind.INVASION),
-            (theta * inv_total, (1.0 - theta) * inv_total, EquilibriumKind.COEXISTENCE),
-            (0.0, 0.0, EquilibriumKind.ORIGIN),
-        ]
+    # both interior states sit at the density where infected growth stalls;
+    # for mu = 0 this is h(1) = h(theta), and p_high = 1
+    n_star = prm.delta * prm.du / (prm.sigma * prm.fu * (1.0 - prm.mu) * (1.0 - prm.sf))
+    inv_total = total_cap - n_star
+    coords = [
+        (0.0, total_cap - slow_manifold(model, 0.0), EquilibriumKind.EXTINCTION),
+        (p_high * inv_total, (1.0 - p_high) * inv_total, EquilibriumKind.INVASION),
+        (theta * inv_total, (1.0 - theta) * inv_total, EquilibriumKind.COEXISTENCE),
+        (0.0, 0.0, EquilibriumKind.ORIGIN),
+    ]
 
     out = []
     for ni, nu, kind in coords:

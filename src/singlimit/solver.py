@@ -102,6 +102,8 @@ class Grid1D:
         if dx <= 0:
             raise ValueError("dx must be positive")
         intervals = (xmax - xmin) / dx
+        if not math.isfinite(intervals):
+            raise ValueError(f"dx={dx} gives no finite interval count on [{xmin}, {xmax}]")
         n = round(intervals)
         if n < 2 or abs(intervals - n) > 1e-9 * max(1.0, abs(intervals)):
             raise ValueError(f"dx={dx} does not tile [{xmin}, {xmax}] evenly")
@@ -175,6 +177,8 @@ class SolverConfig:
             raise ValueError("dt must be positive")
         if self.t_end < self.dt:
             raise ValueError("t_end must cover at least one step")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ValueError("t_end/dt is not a finite step count")
         steps = round(self.t_end / self.dt)
         if abs(steps * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
             raise ValueError("t_end must be an integer number of steps")

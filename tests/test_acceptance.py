@@ -44,10 +44,9 @@ def cfg125(grid601):
 
 @pytest.fixture(scope="session")
 def sweep_result(fig1_params, spec_default, cfg25):
-    sink = {}
-    rep = sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, EPS_LADDER,
-                                   spec_default, cfg25, series_sink=sink)
-    return rep, sink
+    rep, _, reduced_series = sl.run_convergence_sweep(
+        fig1_params, sl.Variant.PERFECT, EPS_LADDER, spec_default, cfg25)
+    return rep, reduced_series
 
 
 @pytest.fixture(scope="session")
@@ -250,9 +249,8 @@ def test_criterion_9_runtime_invariants(fig1_params, sweep_result, sys06_125,
     checked = 0
     h_cap = sl.slow_manifold_max(sl.ScaledModel(fig1_params, 0.1))
 
-    _, sink = sweep_result
-    for eps in EPS_LADDER:
-        reduced = sink[eps]
+    _, reduced_series = sweep_result
+    for eps, reduced in zip(EPS_LADDER, reduced_series):
         cap = 1.0 / (1.0 * eps)
         n_bound = max(h_cap, reduced[0].n.values.max()) + 1e-6
         for r in reduced:

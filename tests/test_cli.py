@@ -64,6 +64,15 @@ def test_validation_error_exit_code(tmp_path, capsys):
     assert "model.sh" in capsys.readouterr().err
 
 
+def test_subnormal_dx_is_validation_error(tmp_path, capsys):
+    cfg = tmp_path / "tiny_dx.cfg"
+    cfg.write_text("grid.dx = 1e-320\n")
+    assert cli_dispatch(["check", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: grid.dx:")
+    assert "Traceback" not in err
+
+
 def test_converge_rejects_unstable_eps(tmp_path, capsys):
     cfg = tmp_path / "small_eps.cfg"
     cfg.write_text("experiment.epsilons = 0.002\n")
@@ -124,11 +133,17 @@ def test_simulate_outputs_are_byte_identical(tmp_path, quick_cfg):
 
 def test_converge_writes_report(tmp_path, quick_cfg, capsys):
     out_dir = tmp_path / "conv"
-    assert cli_dispatch(["converge", "--config", str(quick_cfg), "--out", str(out_dir)]) == 0
+    assert cli_dispatch(["converge", "--config", str(quick_cfg), "--out", str(out_dir),
+                         "--svg"]) == 0
     lines = (out_dir / "report.csv").read_text().splitlines()
     assert lines[0] == "epsilon,err_p,err_m,speed,limit_speed"
     eps = [float(line.split(",")[0]) for line in lines[1:]]
     assert eps == [0.3, 0.1]
+    for name in ("profiles_limit.svg", "profiles_eps_0.3.svg", "profiles_eps_0.1.svg"):
+        assert (out_dir / name).is_file()
+    rungs = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+             if line.startswith("eps=")]
+    assert rungs == ["eps=0.3", "eps=0.1"]
 
 
 def test_wavespeed_prints_number(tmp_path, capsys):

@@ -124,6 +124,11 @@ def test_show_config_round_trips():
     ("experiment.speed_window = 75", "experiment.speed_window: need exactly two times"),
     ("diffusion.a = -15:0.1, 0.2", "diffusion.a: profile entries are x:value pairs"),
     ("model.delta = 1/0", "model.delta: not a number: '1/0'"),
+    ("time.t_end = inf", "time.t_end: not a finite number: 'inf'"),
+    ("model.fu = nan", "model.fu: not a finite number: 'nan'"),
+    ("grid.xmax = -inf", "grid.xmax: not a finite number: '-inf'"),
+    pytest.param(f"model.delta = {10**400}/3",
+                 f"model.delta: not a finite number: '{10**400}/3'", id="overflowing-ratio"),
 ])
 def test_malformed_value_names_line_and_key(text, message):
     with pytest.raises(ConfigError) as info:

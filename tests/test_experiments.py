@@ -122,6 +122,37 @@ def test_track_front_positions(grid601):
 
 
 # ---------------------------------------------------------------------------
+# frequency runs
+
+
+def test_frequency_run_matches_direct_runs(fig1_params, coarse_grid):
+    model = sl.ScaledModel(fig1_params, 0.1)
+    spec = sl.InitialDataSpec()
+    config = quick_config(coarse_grid)
+    state0, p_init = sl.make_initial_data(model, spec, coarse_grid)
+
+    p_series, states = sl.frequency_run(model, spec, config)
+    direct = sl.run_system([model], [state0], config)[0]
+    assert len(p_series) == len(states) == len(direct)
+    for (t, p), state, ref in zip(p_series, states, direct):
+        assert t == ref.time == state.time
+        assert np.array_equal(p.values, sl.to_reduced(model, ref).p.values)
+        assert np.array_equal(state.ni.values, ref.ni.values)
+        assert np.array_equal(state.nu.values, ref.nu.values)
+
+    p_series, states = sl.frequency_run(model, spec, config, equation="limit")
+    assert states is None
+    direct = sl.run_scalar(lambda v: sl.limit_reaction(model, v), p_init, config)
+    assert len(p_series) == len(direct)
+    for (t, p), (t_ref, p_ref) in zip(p_series, direct):
+        assert t == t_ref
+        assert np.array_equal(p.values, p_ref.values)
+
+    with pytest.raises(ValueError, match="equation must be"):
+        sl.frequency_run(model, spec, config, equation="both")
+
+
+# ---------------------------------------------------------------------------
 # extinction check
 
 
@@ -166,8 +197,8 @@ def test_single_eps_sweep_equals_direct_composition(fig1_params, coarse_grid):
     # every rung is computed on its own: row k equals the direct composition
     # for its eps, bit for bit, whatever else is on the ladder
     ladder = [0.3, 0.1]
-    report = sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, ladder,
-                                      spec, config)
+    report, _, _ = sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, ladder,
+                                             spec, config)
     first = sl.ScaledModel(fig1_params, ladder[0])
     _, p_init = sl.make_initial_data(first, spec, coarse_grid)
     limit = sl.run_scalar(lambda v: sl.limit_reaction(first, v), p_init, config)
@@ -184,8 +215,10 @@ def test_single_eps_sweep_equals_direct_composition(fig1_params, coarse_grid):
 def test_sweep_is_deterministic(fig1_params, coarse_grid):
     spec = sl.InitialDataSpec()
     config = quick_config(coarse_grid)
-    a = sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, [0.3, 0.1], spec, config)
-    b = sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, [0.3, 0.1], spec, config)
+    a, _, _ = sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, [0.3, 0.1], spec,
+                                       config)
+    b, _, _ = sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, [0.3, 0.1], spec,
+                                       config)
     assert a.epsilons == b.epsilons
     assert a.err_p == b.err_p
     assert a.err_m == b.err_m
@@ -245,12 +278,11 @@ def test_sweep_tags_solver_failures_with_eps(fig1_params, coarse_grid, monkeypat
         assert info.value.step == 7
 
 
-def test_sweep_series_sink(fig1_params, coarse_grid):
-    spec = sl.InitialDataSpec()
+def test_sweep_returns_series(fig1_params, coarse_grid):
     config = quick_config(coarse_grid)
-    sink = {}
-    sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, [0.1], spec, config,
-                             series_sink=sink)
-    assert set(sink) == {"limit", 0.1}
-    assert len(sink["limit"]) == len(sink[0.1])
-    assert isinstance(sink[0.1][0], sl.ReducedFields)
+    _, limit, reduced_series = sl.run_convergence_sweep(
+        fig1_params, sl.Variant.PERFECT, [0.3, 0.1], sl.InitialDataSpec(), config)
+    assert len(reduced_series) == 2
+    for reduced in reduced_series:
+        assert len(reduced) == len(limit)
+        assert all(isinstance(r, sl.ReducedFields) for r in reduced)

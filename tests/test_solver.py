@@ -39,6 +39,15 @@ def test_grid_rejects_uneven_spacing():
         sl.Grid1D(1.0, 0.0, 11)
 
 
+def test_subnormal_steps_raise_value_error():
+    # 30/1e-320 and 25/1e-320 overflow to inf: no finite count to round
+    with pytest.raises(ValueError, match="finite interval count"):
+        sl.Grid1D.from_spacing(-15.0, 15.0, 1e-320)
+    grid = sl.Grid1D.from_spacing(-15.0, 15.0, 0.05)
+    with pytest.raises(ValueError, match="finite step count"):
+        sl.SolverConfig(grid, dt=1e-320, t_end=25.0)
+
+
 def test_field_validation():
     grid = small_grid()
     with pytest.raises(ValueError):
