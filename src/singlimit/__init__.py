@@ -28,6 +28,7 @@ from .solver import (
     BoundaryCondition,
     Field,
     Grid1D,
+    MAX_NODES,
     PopulationState,
     SolverConfig,
     SolverError,

@@ -218,19 +218,22 @@ def _frequency(ni, nu):
     return np.where(total != 0.0, ni / safe, 0.0)
 
 
-def _kinetics(model: ScaledModel, ni, nu):
+def _kinetics(model: ScaledModel, ni, nu, epsilon=None):
     """Reaction right-hand sides without any input validation.
 
     Accepts scalars or arrays; also evaluable at slightly negative densities
-    so finite-difference Jacobians can probe across the axes.
+    so finite-difference Jacobians can probe across the axes.  epsilon, when
+    given, replaces model.epsilon; a (K,) row applies one eps per column of
+    (nx, K) densities, each column computed exactly as a call with its scalar.
     """
     prm = model.params
+    eps = model.epsilon if epsilon is None else epsilon
     total = ni + nu
     p = _frequency(ni, nu)
     if model.variant is Variant.ALTERNATIVE:
-        logistic = 1.0 - model.epsilon * prm.sigma * total
+        logistic = 1.0 - eps * prm.sigma * total
     else:
-        logistic = 1.0 / model.epsilon - prm.sigma * total
+        logistic = 1.0 / eps - prm.sigma * total
     if model.clipped:
         logistic = np.maximum(logistic, 0.0)
     mu = model.mu
@@ -241,20 +244,29 @@ def _kinetics(model: ScaledModel, ni, nu):
     return rate_i, rate_u
 
 
-def reaction_rates(model: ScaledModel, ni, nu):
+def reaction_rates(model: ScaledModel, ni, nu, epsilon=None):
     """Reaction terms (no diffusion) of the selected variant.
 
     Vectorized over matching array arguments.  Densities below -1e-12 or
     non-finite inputs are rejected; (0, 0) maps to (0, 0), there is no
-    spontaneous generation.
+    spontaneous generation.  epsilon, when given, overrides model.epsilon
+    and must be positive and finite; a (K,) row evaluates K scalings of one
+    parameter set at once, column k of (nx, K) densities at epsilon[k].
     """
     ni = np.asarray(ni, dtype=float)
     nu = np.asarray(nu, dtype=float)
-    if not (np.all(np.isfinite(ni)) and np.all(np.isfinite(nu))):
+    # min and max propagate NaN, so these four reductions see every
+    # non-finite entry without an isfinite pass over the inputs
+    bounds = (ni.min(), ni.max(), nu.min(), nu.max())
+    if not all(map(math.isfinite, bounds)):
         raise ValueError("non-finite density")
-    if ni.min() < -NEGATIVE_TOL or nu.min() < -NEGATIVE_TOL:
+    if min(bounds) < -NEGATIVE_TOL:
         raise ValueError("negative density")
-    rate_i, rate_u = _kinetics(model, ni, nu)
+    if epsilon is not None:
+        epsilon = np.asarray(epsilon, dtype=float)
+        if not (epsilon.min() > 0.0 and math.isfinite(epsilon.max())):
+            raise ValueError("epsilon must be positive and finite")
+    rate_i, rate_u = _kinetics(model, ni, nu, epsilon)
     if ni.ndim == 0:
         return float(rate_i), float(rate_u)
     return rate_i, rate_u

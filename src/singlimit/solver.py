@@ -8,10 +8,11 @@ and the diffusion implicitly:
 
 where L is the conservative second-order stencil for d/dx (a(x) du/dx) with
 arithmetic-mean face diffusivities.  The implicit matrix is tridiagonal,
-strictly diagonally dominant, and constant throughout a run, so the system
-is assembled once; the hot path solves it with LAPACK's banded solver while
-`tridiagonal_solve` provides the plain Thomas elimination for verification
-and small systems.
+strictly diagonally dominant, and constant throughout a run, so it is
+assembled and LU-factored once per run (LAPACK's dgttrf) and each step only
+solves with the factors (dgttrs), every field of the run as one column of a
+single right-hand side; `tridiagonal_solve` provides the plain Thomas
+elimination for verification and small systems.
 
 Homogeneous Neumann boundaries (zero flux through the boundary faces) are
 the default; they preserve constants and spatially uniform equilibria.  A
@@ -28,7 +29,7 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .model import NEGATIVE_TOL, ScaledModel, Variant, _check_frequency, reaction_rates
 
@@ -40,6 +41,7 @@ __all__ = [
     "SolverConfig",
     "TridiagonalSystem",
     "SolverError",
+    "MAX_NODES",
     "check_reaction_step",
     "assemble_diffusion",
     "tridiagonal_solve",
@@ -72,6 +74,11 @@ class _RungError(ValueError):
         self.rung = rung
 
 
+# Largest grid the solver accepts: a few float arrays of this length stay in
+# the hundreds of MB, and a finer grid is a typo, not an experiment.
+MAX_NODES = 10 ** 7
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform grid of nx nodes spanning [xmin, xmax], endpoints included."""
@@ -87,6 +94,8 @@ class Grid1D:
             raise ValueError("xmax must exceed xmin")
         if self.nx < 3:
             raise ValueError("need at least 3 grid nodes")
+        if self.nx > MAX_NODES:
+            raise ValueError(f"{self.nx:.3g} grid nodes exceed the limit of {MAX_NODES:.0e}")
 
     @property
     def dx(self) -> float:
@@ -296,14 +305,20 @@ def tridiagonal_solve(system: TridiagonalSystem) -> np.ndarray:
     return out
 
 
-def _banded(config: SolverConfig) -> np.ndarray:
-    """The assembled system as the (3, nx) band array of LAPACK's solver."""
+def _factor(config: SolverConfig) -> tuple[np.ndarray, ...]:
+    """LU factors of the assembled I - dt*L, as LAPACK's dgttrf returns them."""
     system = assemble_diffusion(config)
-    ab = np.zeros((3, config.grid.nx))
-    ab[0, 1:] = system.upper
-    ab[1, :] = system.diag
-    ab[2, :-1] = system.lower
-    return ab
+    *lu, info = dgttrf(system.lower, system.diag, system.upper)
+    if info != 0:
+        raise SolverError(f"implicit diffusion matrix could not be factored (dgttrf info {info})")
+    return tuple(lu)
+
+
+def solve_banded(lu: tuple[np.ndarray, ...], rhs: np.ndarray) -> np.ndarray:
+    """The per-step solve layer: x with (I - dt*L) x = rhs by LAPACK's dgttrs
+    on the factors from _factor, for (nx,) or (nx, k) rhs.  A Fortran-ordered
+    rhs is overwritten with x."""
+    return dgttrs(*lu, rhs, overwrite_b=1)[0]
 
 
 _DENSITY_NAMES = ("infected density", "uninfected density")
@@ -340,12 +355,12 @@ def _integrate(config: SolverConfig, values: np.ndarray,
     """The time loop shared by every run: yields (step, values) at step 0,
     every output_every steps and the final step.
 
-    values holds one column per field, (nx,) or (nx, k); all columns share
-    the one banded solve per step.  A ValueError from rate or settle (a
-    rejected state) becomes a SolverError carrying its step, and the rung
-    label of a _RungError.
+    values holds one column per field, (nx,) or (nx, k); the matrix is
+    factored once and all columns share the one solve per step.  A
+    ValueError from rate or settle (a rejected state) becomes a SolverError
+    carrying its step, and the rung label of a _RungError.
     """
-    ab = _banded(config)
+    lu = _factor(config)
     dt, last = config.dt, config.n_steps
     pin = config.bc is BoundaryCondition.DIRICHLET
     yield 0, values
@@ -354,7 +369,7 @@ def _integrate(config: SolverConfig, values: np.ndarray,
             star = values + dt * rate(values)
             if pin:
                 star[[0, -1]] = values[[0, -1]]
-            values = settle(solve_banded((1, 1), ab, star, check_finite=False))
+            values = settle(solve_banded(lu, star))
         except ValueError as exc:
             raise SolverError(str(exc), step, getattr(exc, "rung", None)) from exc
         if step % config.output_every == 0 or step == last:
@@ -385,10 +400,11 @@ def run_system(models: Sequence[ScaledModel], states: Sequence[PopulationState],
 
     Rung k is models[k] started from states[k]; all rungs share the grid, the
     clock and the implicit matrix of config, so their (n_i, n_u) column pairs
-    advance as one (nx, 2K) stack with one banded solve per step.  Returns
-    one series per rung: snapshots at step 0, every output_every steps, and
-    the final step, with times measured from the common initial time.  A
-    failure names the rung by its eps and the step.
+    advance as one (nx, 2K) stack with one kinetics call and one solve per
+    step; the rungs must therefore differ in eps only.  Returns one series
+    per rung: snapshots at step 0, every output_every steps, and the final
+    step, with times measured from the common initial time.  A failure names
+    the rung by its eps and the step.
     """
     models, states = list(models), list(states)
     if not models:
@@ -400,19 +416,28 @@ def run_system(models: Sequence[ScaledModel], states: Sequence[PopulationState],
     t0 = states[0].time
     if any(state.time != t0 for state in states):
         raise ValueError("rungs must start at one time")
+    first = models[0]
+    if any(m.params != first.params or m.variant is not first.variant for m in models):
+        raise ValueError("rungs must share one parameter set and variant")
     for model in models:
         check_reaction_step(model, config.dt)
     grid = config.grid
     rungs = [f"eps={model.epsilon:g}" for model in models]
+    eps_row = np.array([model.epsilon for model in models])
 
     def rate(values):
+        try:
+            rate_i, rate_u = reaction_rates(first, values[:, 0::2], values[:, 1::2], eps_row)
+        except ValueError:
+            # the stacked call cannot say which rung it rejected: ask each
+            for k, model in enumerate(models):
+                try:
+                    reaction_rates(model, values[:, 2 * k], values[:, 2 * k + 1])
+                except ValueError as exc:
+                    raise _RungError(rungs[k], str(exc)) from exc
+            raise
         rates = np.empty_like(values)
-        for k, model in enumerate(models):
-            try:
-                rates[:, 2 * k], rates[:, 2 * k + 1] = reaction_rates(
-                    model, values[:, 2 * k], values[:, 2 * k + 1])
-            except ValueError as exc:
-                raise _RungError(rungs[k], str(exc)) from exc
+        rates[:, 0::2], rates[:, 1::2] = rate_i, rate_u
         return rates
 
     stack = np.column_stack([v for s in states for v in (s.ni.values, s.nu.values)])

@@ -73,6 +73,16 @@ def test_subnormal_dx_is_validation_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_node_cap_dx_is_validation_error(tmp_path, capsys):
+    # 30/1e-300 intervals are finite but would need 3e301 nodes
+    cfg = tmp_path / "huge_grid.cfg"
+    cfg.write_text("grid.dx = 1e-300\n")
+    assert cli_dispatch(["check", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: grid.dx: 3e+301 grid nodes exceed the limit")
+    assert "Traceback" not in err
+
+
 def test_converge_rejects_unstable_eps(tmp_path, capsys):
     cfg = tmp_path / "small_eps.cfg"
     cfg.write_text("experiment.epsilons = 0.002\n")

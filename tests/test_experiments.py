@@ -252,22 +252,24 @@ def test_sweep_rejects_unstable_ladder_before_integrating(fig1_params, coarse_gr
 
 
 def test_sweep_tags_solver_failures_with_eps(fig1_params, coarse_grid, monkeypatch):
-    # the eps = 0.1 rung fails at its 7th rate evaluation, i.e. at step 7,
-    # by a NaN that the density settle rejects or by a ValueError from the
-    # rates themselves; the eps = 0.3 rung of the same stack stays healthy
+    # the eps = 0.1 rung fails at the 7th stacked rate evaluation, i.e. at
+    # step 7, by NaN columns that the density settle rejects or by a
+    # ValueError from the rates themselves, which the stack retries rung by
+    # rung; the eps = 0.3 rung of the same stack stays healthy
     real = sl.solver.reaction_rates
     for failure, reason in (("nan", "infected density became non-finite"),
                             ("raise", "rate rejected")):
         calls = []
 
-        def failing_rates(model, ni, nu):
-            rate_i, rate_u = real(model, ni, nu)
-            if model.epsilon == 0.1:
+        def failing_rates(model, ni, nu, epsilon=None):
+            rate_i, rate_u = real(model, ni, nu, epsilon)
+            if np.ndim(ni) == 2:
                 calls.append(1)
-                if len(calls) == 7:
-                    if failure == "raise":
-                        raise ValueError("rate rejected")
-                    rate_i = np.full_like(rate_i, np.nan)
+            poisoned = np.atleast_1d(model.epsilon if epsilon is None else epsilon) == 0.1
+            if len(calls) == 7 and poisoned.any():
+                if failure == "raise":
+                    raise ValueError("rate rejected")
+                rate_i[..., poisoned] = np.nan
             return rate_i, rate_u
 
         monkeypatch.setattr("singlimit.solver.reaction_rates", failing_rates)

@@ -95,6 +95,35 @@ def test_reaction_rates_vectorized(fig1_params):
         assert vec_i[k] == ri and vec_u[k] == ru
 
 
+@pytest.mark.parametrize("variant", list(sl.Variant))
+def test_stacked_eps_row_equals_per_rung_calls(fig1_params, fig2_params, variant):
+    # column k of an (nx, K) stack at epsilon[k] is bit-identical to the
+    # one-rung call, so a ladder may evaluate its kinetics in one call
+    params = fig2_params if variant is sl.Variant.IMPERFECT else fig1_params
+    eps = np.array([0.3, 0.1, 0.05, 0.02])
+    rng = np.random.default_rng(3)
+    ni = rng.uniform(0.0, 30.0, (41, 4))
+    nu = rng.uniform(0.0, 30.0, (41, 4))
+    ni[0], nu[0] = 0.0, 0.0
+    model = sl.ScaledModel(params, 0.5, variant)
+    if variant is sl.Variant.IMPERFECT:
+        # some totals lie beyond every rung's carrying capacity, so the clip acts
+        assert np.any(ni + nu > 1.0 / (params.sigma * eps))
+        assert np.any(ni + nu < 1.0 / (params.sigma * eps))
+    rate_i, rate_u = sl.reaction_rates(model, ni, nu, eps)
+    assert rate_i.shape == rate_u.shape == (41, 4)
+    for k, e in enumerate(eps):
+        one_i, one_u = sl.reaction_rates(sl.ScaledModel(params, e, variant),
+                                         ni[:, k], nu[:, k])
+        assert np.array_equal(rate_i[:, k], one_i)
+        assert np.array_equal(rate_u[:, k], one_u)
+    scalar = sl.reaction_rates(model, 1.3, 2.4, 0.1)
+    assert all(type(r) is float for r in scalar)
+    assert scalar == sl.reaction_rates(sl.ScaledModel(params, 0.1, variant), 1.3, 2.4)
+    with pytest.raises(ValueError, match="epsilon"):
+        sl.reaction_rates(model, ni, nu, np.array([0.3, 0.1, 0.0, 0.02]))
+
+
 def test_alternative_scaling_formula(fig1_params):
     model = sl.ScaledModel(fig1_params, 0.1, sl.Variant.ALTERNATIVE)
     ni, nu = 2.0, 3.0

@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 import singlimit as sl
-from singlimit.solver import _banded, _settle_density
+from singlimit.solver import _factor, _settle_density
 
 
 def small_grid(nx=11, span=1.0):
@@ -46,6 +46,15 @@ def test_subnormal_steps_raise_value_error():
     grid = sl.Grid1D.from_spacing(-15.0, 15.0, 0.05)
     with pytest.raises(ValueError, match="finite step count"):
         sl.SolverConfig(grid, dt=1e-320, t_end=25.0)
+
+
+def test_grid_caps_node_count():
+    # the cap is checked before any node array exists (x is built lazily)
+    assert sl.Grid1D(-30.0, 30.0, sl.MAX_NODES).nx == sl.MAX_NODES
+    with pytest.raises(ValueError, match="grid nodes exceed the limit"):
+        sl.Grid1D(-30.0, 30.0, sl.MAX_NODES + 1)
+    with pytest.raises(ValueError, match="6e\\+301 grid nodes exceed the limit"):
+        sl.Grid1D.from_spacing(-30.0, 30.0, 1e-300)
 
 
 def test_field_validation():
@@ -147,6 +156,16 @@ def test_random_dominant_against_dense_lu():
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
+def band_array(config):
+    """The assembled system as the (3, nx) band array of scipy's solve_banded."""
+    system = sl.assemble_diffusion(config)
+    ab = np.zeros((3, config.grid.nx))
+    ab[0, 1:] = system.upper
+    ab[1, :] = system.diag
+    ab[2, :-1] = system.lower
+    return ab
+
+
 def test_thomas_matches_banded_hot_path():
     grid = small_grid(nx=101, span=5.0)
     config = sl.SolverConfig(grid, dt=0.01, t_end=1.0,
@@ -154,8 +173,34 @@ def test_thomas_matches_banded_hot_path():
     rng = np.random.default_rng(5)
     rhs = rng.uniform(-1, 1, grid.nx)
     a = sl.tridiagonal_solve(sl.assemble_diffusion(config).with_rhs(rhs))
-    b = solve_banded((1, 1), _banded(config), rhs)
+    b = sl.solver.solve_banded(_factor(config), rhs.copy())
     assert np.max(np.abs(a - b)) < 1e-13
+
+
+@pytest.mark.parametrize("bc", list(sl.BoundaryCondition))
+@pytest.mark.parametrize("columns", [1, 2, 8])
+def test_prefactored_solve_equals_scipy_banded(grid601, bc, columns):
+    # factoring once and solving per step changes no bit of any step
+    config = sl.SolverConfig(grid601, dt=0.005, t_end=1.0, bc=bc,
+                             diffusivity=lambda x: 0.1 + 0.05 * np.cos(x))
+    rng = np.random.default_rng(columns)
+    rhs = rng.uniform(0.0, 10.0, (grid601.nx, columns))
+    if columns == 1:
+        rhs = rhs[:, 0]
+    want = solve_banded((1, 1), band_array(config), rhs)
+    got = sl.solver.solve_banded(_factor(config), rhs.copy())
+    assert got.shape == rhs.shape
+    assert np.array_equal(got, want)
+
+
+def test_singular_factorisation_is_solver_error(grid601, monkeypatch):
+    def singular(lower, diag, upper):
+        return lower, diag, upper, np.zeros(len(diag) - 2), np.arange(len(diag)), 3
+
+    monkeypatch.setattr("singlimit.solver.dgttrf", singular)
+    config = sl.SolverConfig(grid601, dt=0.005, t_end=1.0)
+    with pytest.raises(sl.SolverError, match="dgttrf info 3"):
+        _factor(config)
 
 
 def test_zero_pivot_is_hard_error():
@@ -234,7 +279,7 @@ def test_stacked_rungs_equal_one_rung_runs(fig1_params, grid601, bc):
             assert np.array_equal(a.nu.values, b.nu.values)
 
 
-@pytest.mark.parametrize("case", ["empty", "lengths", "grid", "times"])
+@pytest.mark.parametrize("case", ["empty", "lengths", "grid", "times", "mixed", "variant"])
 def test_run_system_rejects_malformed_rungs(fig1_params, grid601, monkeypatch, case):
     def no_solve(*args, **kwargs):
         raise AssertionError("run_system integrated a malformed rung list")
@@ -248,14 +293,45 @@ def test_run_system_rejects_malformed_rungs(fig1_params, grid601, monkeypatch, c
     elsewhere = sl.PopulationState(sl.Field.constant(1.0, other_grid),
                                    sl.Field.constant(1.0, other_grid))
     later = dataclasses.replace(state, time=1.0)
+    # one kinetics call serves the whole stack, so rungs may differ in eps only
+    other_params = sl.ScaledModel(dataclasses.replace(fig1_params, du=0.3), 0.05)
+    other_variant = sl.ScaledModel(fig1_params, 0.05, sl.Variant.ALTERNATIVE)
     models, states, reason = {
         "empty": ([], [], "at least one rung"),
         "lengths": ([model, model], [state], "2 models for 1 initial states"),
         "grid": ([model, model], [state, elsewhere], "different grid"),
         "times": ([model, model], [state, later], "one time"),
+        "mixed": ([model, other_params], [state, state], "one parameter set and variant"),
+        "variant": ([model, other_variant], [state, state], "one parameter set and variant"),
     }[case]
     with pytest.raises(ValueError, match=reason):
         sl.run_system(models, states, config)
+
+
+def test_one_kinetics_call_one_solve_per_step(fig1_params, grid601, monkeypatch):
+    # the whole stack costs one reaction_rates call and one solve per step,
+    # and the matrix is factored once per run, however many rungs it holds
+    counts = {"reaction_rates": 0, "solve_banded": 0, "dgttrf": 0}
+
+    def counting(name):
+        real = getattr(sl.solver, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(sl.solver, name, counting(name))
+    config = sl.SolverConfig(grid601, dt=0.005, t_end=0.1, diffusivity=0.1, output_every=7)
+    models = [sl.ScaledModel(fig1_params, eps) for eps in (0.3, 0.1, 0.05)]
+    states = [sl.make_initial_data(m, sl.InitialDataSpec(), grid601)[0] for m in models]
+    sl.run_system(models, states, config)
+    assert counts == {"reaction_rates": 20, "solve_banded": 20, "dgttrf": 1}
+    counts.update(dict.fromkeys(counts, 0))
+    sl.run_scalar(lambda v: sl.limit_reaction(models[0], v),
+                  sl.Field.constant(0.5, grid601), config)
+    assert counts == {"reaction_rates": 0, "solve_banded": 20, "dgttrf": 1}
 
 
 def test_scalar_rest_states_exact(fig1_params, grid601):
