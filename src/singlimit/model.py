@@ -211,11 +211,10 @@ class AssumptionReport:
 # kinetics
 
 
-def _frequency(ni, nu):
-    """Infected frequency n_i/(n_i+n_u) with p = 0 wherever the total is 0."""
-    total = ni + nu
-    safe = np.where(total != 0.0, total, 1.0)
-    return np.where(total != 0.0, ni / safe, 0.0)
+def _frequency(ni, total):
+    """Infected frequency n_i/total, total = n_i + n_u, with p = +0.0 wherever
+    the total is 0."""
+    return np.divide(ni, total, out=np.zeros_like(total), where=total != 0.0)
 
 
 def _kinetics(model: ScaledModel, ni, nu, epsilon=None):
@@ -229,7 +228,7 @@ def _kinetics(model: ScaledModel, ni, nu, epsilon=None):
     prm = model.params
     eps = model.epsilon if epsilon is None else epsilon
     total = ni + nu
-    p = _frequency(ni, nu)
+    p = _frequency(ni, total)
     if model.variant is Variant.ALTERNATIVE:
         logistic = 1.0 - eps * prm.sigma * total
     else:
@@ -296,15 +295,21 @@ def _denominator(model: ScaledModel, p):
     return a * p * p - b * p + 1.0
 
 
-def _check_frequency(p):
-    """p as a float array; rejects NaN and excursions outside [0, 1] beyond
-    FREQUENCY_TOL."""
-    p = np.asarray(p, dtype=float)
+def _frequency_range(p: np.ndarray) -> tuple[float, float]:
+    """(min, max) of the float array p; rejects NaN and excursions outside
+    [0, 1] beyond FREQUENCY_TOL."""
     low, high = p.min(), p.max()
     if not (low >= -FREQUENCY_TOL and high <= 1.0 + FREQUENCY_TOL):
         raise ValueError(
             f"frequency left [0, 1] by more than round-off: [{low:.6e}, {high:.6e}]"
         )
+    return low, high
+
+
+def _check_frequency(p):
+    """p as a float array, checked by _frequency_range."""
+    p = np.asarray(p, dtype=float)
+    _frequency_range(p)
     return p
 
 
@@ -556,7 +561,7 @@ def check_assumptions(model: ScaledModel, samples: int = 100) -> AssumptionRepor
     keep = (ii + jj <= samples) & (ii + jj > 0)
     n1 = ii[keep] * (cap / samples)
     n2 = jj[keep] * (cap / samples)
-    p = _frequency(n1, n2)
+    p = _frequency(n1, n1 + n2)
 
     try:
         bound = drift_slope_bound(model)

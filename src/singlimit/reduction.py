@@ -49,7 +49,7 @@ def to_reduced(model: ScaledModel, state: PopulationState) -> ReducedFields:
     prm = model.params
     grid = state.grid
 
-    p_field = Field(np.clip(_frequency(ni, nu), 0.0, 1.0), grid)
+    p_field = Field(np.clip(_frequency(ni, total), 0.0, 1.0), grid)
 
     if model.variant is Variant.ALTERNATIVE:
         n = model.epsilon * prm.sigma * total

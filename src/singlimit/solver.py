@@ -9,10 +9,12 @@ and the diffusion implicitly:
 where L is the conservative second-order stencil for d/dx (a(x) du/dx) with
 arithmetic-mean face diffusivities.  The implicit matrix is tridiagonal,
 strictly diagonally dominant, and constant throughout a run, so it is
-assembled and LU-factored once per run (LAPACK's dgttrf) and each step only
-solves with the factors (dgttrs), every field of the run as one column of a
-single right-hand side; `tridiagonal_solve` provides the plain Thomas
-elimination for verification and small systems.
+assembled and LDL^T-factored once per run (LAPACK's dpttrf) and each step only
+solves with the factors (dpttrs), every field of the run as one column of a
+single right-hand side.  Under Dirichlet boundaries the couplings of the two
+pinned rows are folded into the right-hand side first, which leaves a
+symmetric positive-definite matrix; `tridiagonal_solve` provides the plain
+Thomas elimination for verification and small systems.
 
 Homogeneous Neumann boundaries (zero flux through the boundary faces) are
 the default; they preserve constants and spatially uniform equilibria.  A
@@ -29,9 +31,9 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .model import NEGATIVE_TOL, ScaledModel, Variant, _check_frequency, reaction_rates
+from .model import NEGATIVE_TOL, ScaledModel, Variant, _frequency_range, reaction_rates
 
 __all__ = [
     "Grid1D",
@@ -305,20 +307,40 @@ def tridiagonal_solve(system: TridiagonalSystem) -> np.ndarray:
     return out
 
 
-def _factor(config: SolverConfig) -> tuple[np.ndarray, ...]:
-    """LU factors of the assembled I - dt*L, as LAPACK's dgttrf returns them."""
+def _factor(config: SolverConfig) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """LDL^T factors (d, e) of the assembled I - dt*L, as LAPACK's dpttrf
+    returns them, and the couplings (c0, c1) of rows 1 and nx-2 to the
+    boundary values.
+
+    The Neumann assembly is symmetric and its couplings are 0.  Under
+    Dirichlet boundaries rows 0 and nx-1 are identity rows, so x there equals
+    the rhs; moving their couplings into the rhs of rows 1 and nx-2 leaves a
+    symmetric positive-definite matrix with the same solution.
+    """
     system = assemble_diffusion(config)
-    *lu, info = dgttrf(system.lower, system.diag, system.upper)
+    e = system.upper.copy()
+    c0 = c1 = 0.0
+    if config.bc is BoundaryCondition.DIRICHLET:
+        c0, c1 = -system.lower[0], -system.upper[-1]
+        e[-1] = 0.0
+    d, e, info = dpttrf(system.diag, e)
     if info != 0:
-        raise SolverError(f"implicit diffusion matrix could not be factored (dgttrf info {info})")
-    return tuple(lu)
+        raise SolverError(f"implicit diffusion matrix could not be factored (dpttrf info {info})")
+    return d, e, c0, c1
 
 
-def solve_banded(lu: tuple[np.ndarray, ...], rhs: np.ndarray) -> np.ndarray:
-    """The per-step solve layer: x with (I - dt*L) x = rhs by LAPACK's dgttrs
-    on the factors from _factor, for (nx,) or (nx, k) rhs.  A Fortran-ordered
-    rhs is overwritten with x."""
-    return dgttrs(*lu, rhs, overwrite_b=1)[0]
+def solve_banded(factors: tuple[np.ndarray, np.ndarray, float, float],
+                 rhs: np.ndarray) -> np.ndarray:
+    """The per-step solve layer: x with (I - dt*L) x = rhs for the assembled
+    matrix, by LAPACK's dpttrs on the factors from _factor, for (nx,) or
+    (nx, k) rhs.  rhs is overwritten: by the boundary fold under Dirichlet
+    boundaries, and with x when it is Fortran-ordered."""
+    d, e, c0, c1 = factors
+    if c0 or c1:
+        # zero under Neumann; skipping the fold there keeps a -0.0 rhs entry
+        rhs[1] += c0 * rhs[0]
+        rhs[-2] += c1 * rhs[-1]
+    return dpttrs(d, e, rhs, overwrite_b=1)[0]
 
 
 _DENSITY_NAMES = ("infected density", "uninfected density")
@@ -346,7 +368,11 @@ def _settle_density(values: np.ndarray, rungs: Sequence[str | None] = (None,)) -
 
 
 def _settle_frequency(values: np.ndarray) -> np.ndarray:
-    return np.clip(_check_frequency(values), 0.0, 1.0)
+    """Reject frequencies beyond round-off of [0, 1]; clamp the rest."""
+    low, high = _frequency_range(values)
+    if low < 0.0 or high > 1.0:
+        values = np.clip(values, 0.0, 1.0)
+    return values
 
 
 def _integrate(config: SolverConfig, values: np.ndarray,
@@ -360,7 +386,7 @@ def _integrate(config: SolverConfig, values: np.ndarray,
     ValueError from rate or settle (a rejected state) becomes a SolverError
     carrying its step, and the rung label of a _RungError.
     """
-    lu = _factor(config)
+    factors = _factor(config)
     dt, last = config.dt, config.n_steps
     pin = config.bc is BoundaryCondition.DIRICHLET
     yield 0, values
@@ -369,7 +395,7 @@ def _integrate(config: SolverConfig, values: np.ndarray,
             star = values + dt * rate(values)
             if pin:
                 star[[0, -1]] = values[[0, -1]]
-            values = settle(solve_banded(lu, star))
+            values = settle(solve_banded(factors, star))
         except ValueError as exc:
             raise SolverError(str(exc), step, getattr(exc, "rung", None)) from exc
         if step % config.output_every == 0 or step == last:

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from scipy.linalg import solve_banded
+from scipy.linalg import solve_banded, solveh_banded
 
 import singlimit as sl
 from singlimit.solver import _factor, _settle_density
@@ -180,26 +180,38 @@ def test_thomas_matches_banded_hot_path():
 @pytest.mark.parametrize("bc", list(sl.BoundaryCondition))
 @pytest.mark.parametrize("columns", [1, 2, 8])
 def test_prefactored_solve_equals_scipy_banded(grid601, bc, columns):
-    # factoring once and solving per step changes no bit of any step
+    # factoring once and solving per step changes no bit of any step: the
+    # oracle is LAPACK's ptsv (pttrf + pttrs) on the symmetric band, with the
+    # Dirichlet rows' couplings folded into its rhs; the general banded solve
+    # of the assembled matrix agrees to round-off
     config = sl.SolverConfig(grid601, dt=0.005, t_end=1.0, bc=bc,
                              diffusivity=lambda x: 0.1 + 0.05 * np.cos(x))
     rng = np.random.default_rng(columns)
     rhs = rng.uniform(0.0, 10.0, (grid601.nx, columns))
     if columns == 1:
         rhs = rhs[:, 0]
-    want = solve_banded((1, 1), band_array(config), rhs)
+    ab = band_array(config)
+    folded = rhs.copy()
+    if bc is sl.BoundaryCondition.DIRICHLET:
+        folded[1] -= ab[2, 0] * folded[0]
+        folded[-2] -= ab[0, -1] * folded[-1]
+        ab[2, 0] = ab[0, -1] = 0.0
+    assert np.array_equal(ab[0, 1:], ab[2, :-1])
+    want = solveh_banded(ab[:2], folded)
     got = sl.solver.solve_banded(_factor(config), rhs.copy())
     assert got.shape == rhs.shape
     assert np.array_equal(got, want)
+    general = solve_banded((1, 1), band_array(config), rhs)
+    assert np.max(np.abs(got - general)) <= 1e-14 * np.max(np.abs(general))
 
 
 def test_singular_factorisation_is_solver_error(grid601, monkeypatch):
-    def singular(lower, diag, upper):
-        return lower, diag, upper, np.zeros(len(diag) - 2), np.arange(len(diag)), 3
+    def singular(diag, off):
+        return diag, off, 3
 
-    monkeypatch.setattr("singlimit.solver.dgttrf", singular)
+    monkeypatch.setattr("singlimit.solver.dpttrf", singular)
     config = sl.SolverConfig(grid601, dt=0.005, t_end=1.0)
-    with pytest.raises(sl.SolverError, match="dgttrf info 3"):
+    with pytest.raises(sl.SolverError, match="dpttrf info 3"):
         _factor(config)
 
 
@@ -311,7 +323,7 @@ def test_run_system_rejects_malformed_rungs(fig1_params, grid601, monkeypatch, c
 def test_one_kinetics_call_one_solve_per_step(fig1_params, grid601, monkeypatch):
     # the whole stack costs one reaction_rates call and one solve per step,
     # and the matrix is factored once per run, however many rungs it holds
-    counts = {"reaction_rates": 0, "solve_banded": 0, "dgttrf": 0}
+    counts = {"reaction_rates": 0, "solve_banded": 0, "dpttrf": 0}
 
     def counting(name):
         real = getattr(sl.solver, name)
@@ -327,11 +339,11 @@ def test_one_kinetics_call_one_solve_per_step(fig1_params, grid601, monkeypatch)
     models = [sl.ScaledModel(fig1_params, eps) for eps in (0.3, 0.1, 0.05)]
     states = [sl.make_initial_data(m, sl.InitialDataSpec(), grid601)[0] for m in models]
     sl.run_system(models, states, config)
-    assert counts == {"reaction_rates": 20, "solve_banded": 20, "dgttrf": 1}
+    assert counts == {"reaction_rates": 20, "solve_banded": 20, "dpttrf": 1}
     counts.update(dict.fromkeys(counts, 0))
     sl.run_scalar(lambda v: sl.limit_reaction(models[0], v),
                   sl.Field.constant(0.5, grid601), config)
-    assert counts == {"reaction_rates": 0, "solve_banded": 20, "dgttrf": 1}
+    assert counts == {"reaction_rates": 0, "solve_banded": 20, "dpttrf": 1}
 
 
 def test_scalar_rest_states_exact(fig1_params, grid601):
@@ -407,6 +419,28 @@ def test_dirichlet_pins_boundary_values(grid601):
     for _, f in series:
         assert f.values[0] == p0.values[0]
         assert f.values[-1] == p0.values[-1]
+
+
+def test_dirichlet_ladder_keeps_boundary_values(fig1_params, grid601):
+    # every column of the stack gets its own boundary fold, so the pinned
+    # nodes of every rung keep their initial values bit for bit while
+    # reaction and diffusion move their neighbours
+    config = sl.SolverConfig(grid601, dt=0.005, t_end=0.5, diffusivity=0.1,
+                             output_every=20, bc=sl.BoundaryCondition.DIRICHLET)
+    x = grid601.x
+    models = [sl.ScaledModel(fig1_params, eps) for eps in (0.3, 0.1, 0.05)]
+    states = [sl.PopulationState(sl.Field(k + 1.0 + np.sin(x), grid601),
+                                 sl.Field(2.0 + np.cos(0.5 * x), grid601))
+              for k in range(3)]
+    ladder = sl.run_system(models, states, config)
+    ends = [0, -1]
+    for state, series in zip(states, ladder):
+        assert len(series) == 6
+        for frame in series:
+            assert np.array_equal(frame.ni.values[ends], state.ni.values[ends])
+            assert np.array_equal(frame.nu.values[ends], state.nu.values[ends])
+        assert np.all(series[-1].ni.values[[1, -2]] != state.ni.values[[1, -2]])
+        assert np.all(series[-1].nu.values[[1, -2]] != state.nu.values[[1, -2]])
 
 
 def test_run_snapshot_cadence(fig1_params, grid601):
