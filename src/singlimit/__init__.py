@@ -7,6 +7,7 @@ from .model import (
     BistabilityError,
     Equilibrium,
     EquilibriumKind,
+    FieldError,
     ScaledModel,
     Stability,
     StabilityResult,

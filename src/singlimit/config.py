@@ -2,9 +2,12 @@
 
 Every key has a default; an empty file reproduces the reference traveling-
 wave setup.  Values are floats (a ratio like 10/9 is accepted and stored as
-the parsed double), integers, enum words, or comma-separated
-lists.  Unknown keys, duplicate keys and invariant violations are rejected
-with the offending line number.
+the parsed double), integers, enum words, or comma-separated lists.  Unknown
+keys, duplicate keys and rule violations are rejected with the offending
+line number and key.  A rule on one value is owned by the constructor of its
+domain object, whose FieldError names the field, reported here as its key.
+This module checks each value's syntax, builds the domain objects, then
+checks the rules that span keys; the first error reported follows that order.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .experiments import InitialDataSpec
-from .model import ScaledModel, Variant, WolbachiaParams
+from .model import FieldError, ScaledModel, Variant, WolbachiaParams
 from .solver import BoundaryCondition, Grid1D, SolverConfig
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "default_config", "format_config"]
@@ -84,6 +87,8 @@ def _diffusivity(text: str) -> float | tuple[tuple[float, float], ...]:
         pairs.append((_float(xs), _float(vs)))
     if any(b[0] <= a[0] for a, b in zip(pairs, pairs[1:])):
         raise ValueError("profile x must increase")
+    if any(v <= 0 for _, v in pairs):
+        raise ValueError("diffusivity must be strictly positive")
     return tuple(pairs)
 
 
@@ -114,6 +119,7 @@ _KEYS: dict[str, tuple[str, bool, Callable[[str], object]]] = {
     "experiment.speed_level": ("0.5", True, _float),
     "experiment.speed_window": ("75, 125", True, _window),
 }
+_KEY_OF_FIELD = {key.split(".", 1)[1]: key for key in _KEYS} | {"diffusivity": "diffusion.a"}
 
 
 @dataclass(frozen=True)
@@ -208,48 +214,23 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lines.get(key, 0)}: {key}: {exc}") from None
 
     cfg = RunConfig(**values, raw=raw)
-    _validate(cfg, lambda key: lines.get(key, 0))
+    _validate(cfg, lines)
     return cfg
 
 
-def _validate(cfg: RunConfig, line_of) -> None:
-    def fail(key: str, message: str):
-        loc = line_of(key)
-        where = f"line {loc}: " if loc else ""
-        raise ConfigError(f"{where}{key}: {message}")
-
+def _validate(cfg: RunConfig, lines: dict[str, int]) -> None:
     def expect(key: str, ok: bool, message: str):
         if not ok:
-            fail(key, message)
+            where = f"line {lines[key]}: " if key in lines else ""
+            raise ConfigError(f"{where}{key}: {message}")
 
-    expect("model.fu", cfg.fu > 0, "fu must be positive")
-    expect("model.du", cfg.du > 0, "du must be positive")
-    expect("model.delta", cfg.delta >= 1, "delta must be >= 1")
-    expect("model.sf", 0 <= cfg.sf < 1, "sf must lie in [0, 1)")
-    expect("model.sh", 0 < cfg.sh <= 1, "sh must lie in (0, 1]")
+    try:
+        cfg.scaled_model()
+        config = cfg.solver_config()
+        cfg.init_spec().check_inside(config.grid)
+    except FieldError as exc:
+        expect(_KEY_OF_FIELD[exc.field], False, str(exc))
     expect("model.sf", cfg.sf < cfg.sh, f"requires sf < sh (sh = {cfg.sh:g})")
-    expect("model.sigma", cfg.sigma > 0, "sigma must be positive")
-    expect("model.mu", 0 <= cfg.mu < 1, "mu must lie in [0, 1)")
-    if cfg.variant is not Variant.IMPERFECT and cfg.mu != 0:
-        fail("model.mu", f"variant {cfg.variant.value!r} forces mu = 0")
-    expect("model.epsilon", cfg.epsilon > 0, "epsilon must be positive")
-    expect("grid.xmax", cfg.xmax > cfg.xmin, "xmax must exceed xmin")
-    expect("grid.dx", cfg.dx > 0, "dx must be positive")
-    expect("time.dt", cfg.dt > 0, "dt must be positive")
-    expect("time.t_end", cfg.t_end >= cfg.dt, "t_end must cover at least one step")
-    expect("time.dt", math.isfinite(cfg.t_end / cfg.dt), "t_end/dt is not a finite step count")
-    expect("time.output_every", cfg.output_every >= 1, "output_every must be >= 1")
-    if isinstance(cfg.a, tuple):
-        expect("diffusion.a", all(v > 0 for _, v in cfg.a),
-               "diffusivity must be strictly positive")
-    else:
-        expect("diffusion.a", cfg.a > 0, "diffusivity must be strictly positive")
-    expect("init.amplitude", 0 < cfg.amplitude < 1, "amplitude must lie in (0, 1)")
-    expect("init.radius", cfg.radius > 0, "radius must be positive")
-    expect("init.smoothing", cfg.smoothing >= 0, "smoothing must be >= 0")
-    half = min(-cfg.xmin, cfg.xmax)
-    expect("init.radius", cfg.radius + cfg.smoothing < half,
-           "bump support must sit strictly inside the domain")
     eps = cfg.epsilons
     expect("experiment.epsilons", all(e > 0 for e in eps), "eps values must be positive")
     expect("experiment.epsilons", all(b < a for a, b in zip(eps, eps[1:])),
@@ -258,19 +239,6 @@ def _validate(cfg: RunConfig, line_of) -> None:
            "speed_level must lie in (0, 1)")
     expect("experiment.speed_window", 0 <= cfg.speed_window[0] < cfg.speed_window[1],
            "speed_window must be an increasing pair of times")
-
-    # cross-checks by constructing the domain objects
-    try:
-        cfg.grid()
-    except ValueError as exc:
-        fail("grid.dx", str(exc))
-    try:
-        cfg.params()
-        cfg.scaled_model()
-        cfg.init_spec()
-        cfg.solver_config()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def format_config(cfg: RunConfig) -> str:

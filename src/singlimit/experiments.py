@@ -30,6 +30,7 @@ from .model import (
     WolbachiaParams,
     check_assumptions,
     limit_reaction,
+    require,
     slow_manifold,
     slow_manifold_max,
 )
@@ -72,12 +73,15 @@ class InitialDataSpec:
     smoothing: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 < self.amplitude < 1.0:
-            raise ValueError("amplitude must lie strictly inside (0, 1)")
-        if self.radius <= 0.0:
-            raise ValueError("radius must be positive")
-        if self.smoothing < 0.0:
-            raise ValueError("smoothing must be non-negative")
+        require(0.0 < self.amplitude < 1.0, "amplitude",
+                "amplitude must lie strictly inside (0, 1)")
+        require(self.radius > 0.0, "radius", "radius must be positive")
+        require(self.smoothing >= 0.0, "smoothing", "smoothing must be non-negative")
+
+    def check_inside(self, grid: Grid1D) -> None:
+        """Reject a bump whose support reaches the domain boundary."""
+        require(self.radius + self.smoothing < min(-grid.xmin, grid.xmax), "radius",
+                "bump support must sit strictly inside the domain")
 
     def profile(self, x: np.ndarray) -> np.ndarray:
         r = np.abs(x)
@@ -119,9 +123,7 @@ def make_initial_data(model: ScaledModel, spec: InitialDataSpec,
     total is partitioned so the derived frequency equals the bump exactly and
     the reduced population is spatially uniform.
     """
-    half_width = min(-grid.xmin, grid.xmax)
-    if spec.radius + spec.smoothing >= half_width:
-        raise ValueError("bump support must sit strictly inside the domain")
+    spec.check_inside(grid)
     p_init = spec.profile(grid.x)
     prm = model.params
 
@@ -238,7 +240,8 @@ def run_convergence_sweep(params: WolbachiaParams, variant: Variant,
         raise ValueError("eps ladder must be strictly decreasing")
 
     models = [ScaledModel(params, eps, variant) for eps in epsilons]
-    eps_cap = 1.0 / slow_manifold_max(models[0])
+    # the resident state needs carrying_total = 1/(sigma*eps) > max h
+    eps_cap = 1.0 / (params.sigma * slow_manifold_max(models[0]))
     for model in models:
         if model.epsilon >= eps_cap:
             raise ValueError(

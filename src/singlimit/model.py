@@ -44,6 +44,7 @@ __all__ = [
     "AssumptionCheck",
     "AssumptionReport",
     "BistabilityError",
+    "FieldError",
     "reaction_rates",
     "reduced_drift",
     "slow_manifold",
@@ -75,6 +76,20 @@ class BistabilityError(ValueError):
     """The parameter set does not produce a bistable limit reaction."""
 
 
+class FieldError(ValueError):
+    """A constructor argument broke its rule; field names the argument."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
+def require(ok: bool, field: str, message: str) -> None:
+    """Raise FieldError(field, message) unless ok."""
+    if not ok:
+        raise FieldError(field, message)
+
+
 @dataclass(frozen=True)
 class WolbachiaParams:
     """Biological parameters shared by every model variant.
@@ -101,21 +116,15 @@ class WolbachiaParams:
     mu: float = 0.0
 
     def __post_init__(self):
-        vals = (self.fu, self.du, self.delta, self.sf, self.sh, self.sigma, self.mu)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("non-finite model parameter")
-        if self.fu <= 0 or self.du <= 0:
-            raise ValueError("fu and du must be positive")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if self.delta < 1:
-            raise ValueError("delta must be >= 1")
-        if not 0 <= self.sf <= 1:
-            raise ValueError("sf must lie in [0, 1]")
-        if not 0 < self.sh <= 1:
-            raise ValueError("sh must lie in (0, 1]")
-        if not 0 <= self.mu < 1:
-            raise ValueError("mu must lie in [0, 1)")
+        for name, ok, rule in (("fu", self.fu > 0, "be positive"),
+                               ("du", self.du > 0, "be positive"),
+                               ("delta", self.delta >= 1, "be >= 1"),
+                               ("sf", 0 <= self.sf <= 1, "lie in [0, 1]"),
+                               ("sh", 0 < self.sh <= 1, "lie in (0, 1]"),
+                               ("sigma", self.sigma > 0, "be positive"),
+                               ("mu", 0 <= self.mu < 1, "lie in [0, 1)")):
+            require(math.isfinite(getattr(self, name)), name, f"{name} must be finite")
+            require(ok, name, f"{name} must {rule}")
 
 
 @dataclass(frozen=True)
@@ -127,10 +136,10 @@ class ScaledModel:
     variant: Variant = Variant.PERFECT
 
     def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError("epsilon must be positive and finite")
-        if self.variant is not Variant.IMPERFECT and self.params.mu != 0.0:
-            raise ValueError(f"variant {self.variant.value!r} forces mu = 0")
+        require(math.isfinite(self.epsilon) and self.epsilon > 0, "epsilon",
+                "epsilon must be positive and finite")
+        require(self.variant is Variant.IMPERFECT or self.params.mu == 0.0, "mu",
+                f"variant {self.variant.value!r} forces mu = 0")
 
     @property
     def mu(self) -> float:
@@ -392,30 +401,12 @@ def limit_reaction(model: ScaledModel, p):
     return float(value) if value.ndim == 0 else value
 
 
-def _growth_balance(model: ScaledModel, p: float) -> float:
-    """Sign factor of limit_reaction/p: positive strictly between its roots."""
-    prm = model.params
-    return (1.0 - model.mu) * (1.0 - prm.sf) * ((prm.delta - 1.0) * p + 1.0) \
-        - prm.delta * _denominator(model, p)
-
-
-def _bisect(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    flo = f(lo)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if flo * f(mid) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
 def _bistable_roots(model: ScaledModel) -> tuple[float, float]:
     """Interior roots (threshold, stable high state) of the limit reaction.
 
-    mu = 0: closed forms (theta, 1).  mu > 0: bisection to 1e-12 on the
-    growth balance, whose concave quadratic is positive strictly between the
-    two roots.
+    mu = 0: closed forms (theta, 1).  mu > 0: vertex -+ sqrt(disc)/(2a), the
+    roots of the growth balance -a p^2 + b p - c, a concave quadratic with the
+    sign of limit_reaction/p, positive strictly between them.
     """
     _require_reducible(model, "bistable roots")
     prm = model.params
@@ -427,14 +418,14 @@ def _bistable_roots(model: ScaledModel) -> tuple[float, float]:
                 "is outside (0, 1)"
             )
         return theta, 1.0
-    a, _ = _quadratic_coeffs(model)
-    vertex_num = prm.delta * (prm.sf + prm.sh) + (prm.delta - 1.0 + prm.mu) * (1.0 - prm.sf)
-    vertex = vertex_num / (2.0 * prm.delta * a)
-    if not 0.0 < vertex < 1.0 or _growth_balance(model, vertex) <= 0.0:
+    a = prm.delta * _quadratic_coeffs(model)[0]
+    b = prm.delta * (prm.sf + prm.sh) + (prm.delta - 1.0 + prm.mu) * (1.0 - prm.sf)
+    disc = b * b - 4.0 * a * (prm.delta - (1.0 - prm.mu) * (1.0 - prm.sf))
+    vertex = b / (2.0 * a)
+    if not 0.0 < vertex < 1.0 or disc <= 0.0:
         raise BistabilityError("limit reaction has no interior sign change")
-    theta = _bisect(lambda p: _growth_balance(model, p), 0.0, vertex)
-    p_high = _bisect(lambda p: -_growth_balance(model, p), vertex, 1.0)
-    return theta, p_high
+    half_width = math.sqrt(disc) / (2.0 * a)
+    return vertex - half_width, vertex + half_width
 
 
 def invasion_threshold(model: ScaledModel) -> float:

@@ -33,7 +33,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .model import NEGATIVE_TOL, ScaledModel, Variant, _frequency_range, reaction_rates
+from .model import (NEGATIVE_TOL, FieldError, ScaledModel, Variant, _frequency_range,
+                    reaction_rates, require)
 
 __all__ = [
     "Grid1D",
@@ -90,14 +91,16 @@ class Grid1D:
     nx: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.xmin) and math.isfinite(self.xmax)):
-            raise ValueError("grid bounds must be finite")
-        if self.xmax <= self.xmin:
-            raise ValueError("xmax must exceed xmin")
-        if self.nx < 3:
-            raise ValueError("need at least 3 grid nodes")
-        if self.nx > MAX_NODES:
-            raise ValueError(f"{self.nx:.3g} grid nodes exceed the limit of {MAX_NODES:.0e}")
+        self._check_bounds(self.xmin, self.xmax)
+        require(self.nx >= 3, "nx", "need at least 3 grid nodes")
+        require(self.nx <= MAX_NODES, "nx",
+                f"{self.nx:.3g} grid nodes exceed the limit of {MAX_NODES:.0e}")
+
+    @staticmethod
+    def _check_bounds(xmin: float, xmax: float) -> None:
+        require(math.isfinite(xmin), "xmin", "xmin must be finite")
+        require(math.isfinite(xmax), "xmax", "xmax must be finite")
+        require(xmax > xmin, "xmax", "xmax must exceed xmin")
 
     @property
     def dx(self) -> float:
@@ -109,16 +112,20 @@ class Grid1D:
 
     @classmethod
     def from_spacing(cls, xmin: float, xmax: float, dx: float) -> "Grid1D":
-        """Grid with the requested spacing; dx must tile the domain exactly."""
-        if dx <= 0:
-            raise ValueError("dx must be positive")
+        """Grid with the requested spacing; dx must tile the domain exactly.
+        A rejected node count is reported for dx, which sets it."""
+        cls._check_bounds(xmin, xmax)
+        require(dx > 0, "dx", "dx must be positive")
         intervals = (xmax - xmin) / dx
-        if not math.isfinite(intervals):
-            raise ValueError(f"dx={dx} gives no finite interval count on [{xmin}, {xmax}]")
+        require(math.isfinite(intervals), "dx",
+                f"dx={dx} gives no finite interval count on [{xmin}, {xmax}]")
         n = round(intervals)
-        if n < 2 or abs(intervals - n) > 1e-9 * max(1.0, abs(intervals)):
-            raise ValueError(f"dx={dx} does not tile [{xmin}, {xmax}] evenly")
-        return cls(xmin, xmax, n + 1)
+        require(abs(intervals - n) <= 1e-9 * max(1.0, intervals), "dx",
+                f"dx={dx} does not tile [{xmin}, {xmax}] evenly")
+        try:
+            return cls(xmin, xmax, n + 1)
+        except FieldError as exc:
+            raise FieldError("dx", str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -184,20 +191,16 @@ class SolverConfig:
     bc: BoundaryCondition = BoundaryCondition.NEUMANN
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError("dt must be positive")
-        if self.t_end < self.dt:
-            raise ValueError("t_end must cover at least one step")
-        if not math.isfinite(self.t_end / self.dt):
-            raise ValueError("t_end/dt is not a finite step count")
+        require(math.isfinite(self.dt) and self.dt > 0, "dt", "dt must be positive")
+        require(self.t_end >= self.dt, "t_end", "t_end must cover at least one step")
+        require(math.isfinite(self.t_end / self.dt), "dt", "t_end/dt is not a finite step count")
         steps = round(self.t_end / self.dt)
-        if abs(steps * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
-            raise ValueError("t_end must be an integer number of steps")
-        if int(self.output_every) != self.output_every or self.output_every < 1:
-            raise ValueError("output_every must be a positive integer")
-        a = self.diffusivity_values
-        if a.min() <= 0.0:
-            raise ValueError("diffusivity must be strictly positive everywhere")
+        require(abs(steps * self.dt - self.t_end) <= 1e-9 * max(1.0, self.t_end), "dt",
+                "t_end must be an integer number of steps")
+        require(float(self.output_every).is_integer() and self.output_every >= 1,
+                "output_every", "output_every must be a positive integer")
+        require(self.diffusivity_values.min() > 0.0, "diffusivity",
+                "diffusivity must be strictly positive everywhere")
 
     @cached_property
     def diffusivity_values(self) -> np.ndarray:
@@ -207,10 +210,9 @@ class SolverConfig:
             a = np.full(self.grid.nx, float(self.diffusivity))
         else:
             a = np.asarray(self.diffusivity, dtype=float)
-        if a.shape != (self.grid.nx,):
-            raise ValueError("diffusivity profile does not match the grid")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("diffusivity contains non-finite values")
+        require(a.shape == (self.grid.nx,), "diffusivity",
+                "diffusivity profile does not match the grid")
+        require(np.all(np.isfinite(a)), "diffusivity", "diffusivity contains non-finite values")
         return a
 
     @property

@@ -92,6 +92,19 @@ def test_converge_rejects_unstable_eps(tmp_path, capsys):
     assert not (out_dir / "report.csv").exists()
 
 
+@pytest.mark.parametrize("sigma, eps, code", [(2, 3.5, 1), (0.5, 2.0, 0)])
+def test_converge_eps_cap_does_not_depend_on_sigma(tmp_path, capsys, sigma, eps, code):
+    cfg = tmp_path / "sigma.cfg"
+    cfg.write_text(f"model.sigma = {sigma}\nexperiment.epsilons = {eps}\ntime.t_end = 1\n")
+    out_dir = tmp_path / "conv"
+    assert cli_dispatch(["converge", "--config", str(cfg), "--out", str(out_dir)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == "error: eps=3.5 is outside the admissible range (< 2.908)\n"
+    else:
+        assert err == "" and (out_dir / "report.csv").exists()
+
+
 def test_missing_config_file_is_runtime_error(capsys):
     assert cli_dispatch(["check", "--config", "/nonexistent/x.cfg"]) == 2
 

@@ -136,6 +136,52 @@ def test_malformed_value_names_line_and_key(text, message):
     assert str(info.value) == "line 2: " + message
 
 
+# one out-of-range value per key with a rule, each on line 2; the domain
+# constructors own the single-value rules and config reports their field as
+# its key.  grid.xmin has no rule of its own (xmax must exceed it), and the
+# enum keys have only the parse rules tested above.
+RULE_CASES = [
+    ("model.fu = 0", "fu must be positive"),
+    ("model.du = -0.27", "du must be positive"),
+    ("model.delta = 0.9", "delta must be >= 1"),
+    ("model.sf = -0.1", "sf must lie in [0, 1]"),
+    ("model.sh = 1.2", "sh must lie in (0, 1]"),
+    ("model.sigma = 0", "sigma must be positive"),
+    ("model.mu = 1", "mu must lie in [0, 1)"),
+    ("model.mu = 0.04", "variant 'perfect' forces mu = 0"),
+    ("model.epsilon = 0", "epsilon must be positive and finite"),
+    ("grid.xmax = -20", "xmax must exceed xmin"),
+    ("grid.dx = -0.05", "dx must be positive"),
+    ("grid.dx = 30", "need at least 3 grid nodes"),
+    ("time.dt = 0.4\ntime.t_end = 1.0", "t_end must be an integer number of steps"),
+    ("time.dt = 0", "dt must be positive"),
+    ("time.t_end = 0.001", "t_end must cover at least one step"),
+    ("time.output_every = 0", "output_every must be a positive integer"),
+    ("diffusion.a = 0", "diffusivity must be strictly positive everywhere"),
+    ("diffusion.a = -15:0.1, 0:0, 15:0.1", "diffusivity must be strictly positive"),
+    ("init.amplitude = 1", "amplitude must lie strictly inside (0, 1)"),
+    ("init.radius = 0", "radius must be positive"),
+    ("init.radius = 14.5", "bump support must sit strictly inside the domain"),
+    ("init.smoothing = -0.5", "smoothing must be non-negative"),
+    ("experiment.epsilons = 0.1, -0.1", "eps values must be positive"),
+    ("experiment.speed_level = 1", "speed_level must lie in (0, 1)"),
+    ("experiment.speed_window = 10, 5", "speed_window must be an increasing pair of times"),
+]
+
+
+@pytest.mark.parametrize("text, message", RULE_CASES)
+def test_rule_violation_names_line_and_key(text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config("# header\n" + text + "\n")
+    key = text.split(" =", 1)[0]
+    assert str(info.value) == f"line 2: {key}: {message}"
+
+
+def test_rule_cases_cover_every_key_with_a_rule():
+    keys = {text.split(" =", 1)[0] for text, _ in RULE_CASES}
+    assert keys == set(_KEYS) - {"grid.xmin", "model.variant", "diffusion.bc"}
+
+
 def test_key_table_covers_every_field():
     fields = [f.name for f in dataclasses.fields(RunConfig) if f.name != "raw"]
     assert [key.split(".", 1)[1] for key in _KEYS] == fields

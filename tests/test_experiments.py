@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -232,9 +234,23 @@ def test_sweep_rejects_bad_ladders(fig1_params, coarse_grid):
         sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, [0.1, 0.3], spec, config)
     with pytest.raises(ValueError):
         sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, [], spec, config)
-    # eps beyond the admissible range (resident state requires eps < 1/max h)
+    # eps beyond the admissible range (resident state requires eps < 1/(sigma max h))
     with pytest.raises(ValueError, match="admissible"):
         sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, [3.5], spec, config)
+
+
+@pytest.mark.parametrize("sigma, eps, admissible", [(2.0, 3.5, False), (0.5, 2.0, True)])
+def test_sweep_eps_cap_does_not_depend_on_sigma(fig1_params, coarse_grid, sigma, eps,
+                                                admissible):
+    # h scales like 1/sigma, so the cap 1/(sigma max h) = 2.908 holds for every sigma
+    params = dataclasses.replace(fig1_params, sigma=sigma)
+    args = (params, sl.Variant.PERFECT, [eps], sl.InitialDataSpec(), quick_config(coarse_grid))
+    if admissible:
+        assert np.isfinite(sl.run_convergence_sweep(*args)[0].err_p[0])
+    else:
+        with pytest.raises(ValueError, match=r"eps=3\.5 is outside the admissible range "
+                                             r"\(< 2\.908\)"):
+            sl.run_convergence_sweep(*args)
 
 
 def test_sweep_rejects_unstable_ladder_before_integrating(fig1_params, coarse_grid,

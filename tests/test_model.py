@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,10 @@ def test_params_reject_bad_ranges():
         sl.WolbachiaParams(**{**good, "mu": 1.0})
     with pytest.raises(ValueError):
         sl.WolbachiaParams(**{**good, "du": float("nan")})
+    # each rejection names its field
+    with pytest.raises(sl.FieldError, match="^du must be finite$") as info:
+        sl.WolbachiaParams(**{**good, "du": float("inf")})
+    assert info.value.field == "du"
 
 
 def test_params_allow_ordering_violation_for_diagnostics():
@@ -267,10 +273,14 @@ def test_invasion_threshold_delta_one():
     assert sl.invasion_threshold(sl.ScaledModel(params, 0.1)) == pytest.approx(0.1 / 0.8, rel=1e-14)
 
 
-def test_invasion_threshold_needs_bistability():
+def test_invasion_threshold_needs_bistability(fig1_params):
     params = sl.WolbachiaParams(fu=1.12, du=0.27, delta=5.0, sf=0.1, sh=0.8, sigma=1.0)
     with pytest.raises(sl.BistabilityError):
         sl.invasion_threshold(sl.ScaledModel(params, 0.1))
+    # mu = 0.2 leaks enough births that the growth balance stays negative
+    leaky = dataclasses.replace(fig1_params, mu=0.2)
+    with pytest.raises(sl.BistabilityError, match="no interior sign change"):
+        sl.invasion_threshold(sl.ScaledModel(leaky, 0.1, sl.Variant.IMPERFECT))
 
 
 def test_mu_roots_match_frozen_oracle(fig2_params):

@@ -37,6 +37,10 @@ def test_grid_rejects_uneven_spacing():
         sl.Grid1D(0.0, 1.0, 2)
     with pytest.raises(ValueError):
         sl.Grid1D(1.0, 0.0, 11)
+    # reversed bounds are reported as such, before dx is asked to tile them
+    with pytest.raises(sl.FieldError, match="^xmax must exceed xmin$") as info:
+        sl.Grid1D.from_spacing(0.0, -1.0, 0.1)
+    assert info.value.field == "xmax"
 
 
 def test_subnormal_steps_raise_value_error():
@@ -87,6 +91,9 @@ def test_solver_config_validation():
         sl.SolverConfig(grid, dt=0.1, t_end=1.0, diffusivity=0.0)
     with pytest.raises(ValueError):
         sl.SolverConfig(grid, dt=0.1, t_end=1.0, output_every=0)
+    for cadence in (2.5, math.inf, math.nan):
+        with pytest.raises(sl.FieldError, match="output_every must be a positive integer"):
+            sl.SolverConfig(grid, dt=0.1, t_end=1.0, output_every=cadence)
 
 
 # ---------------------------------------------------------------------------
