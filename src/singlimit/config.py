@@ -119,7 +119,16 @@ _KEYS: dict[str, tuple[str, bool, Callable[[str], object]]] = {
     "experiment.speed_level": ("0.5", True, _float),
     "experiment.speed_window": ("75, 125", True, _window),
 }
-_KEY_OF_FIELD = {key.split(".", 1)[1]: key for key in _KEYS} | {"diffusivity": "diffusion.a"}
+# field of a FieldError -> the keys its rule reads, its own key first
+_KEYS_OF_FIELD = {key.split(".", 1)[1]: (key,) for key in _KEYS} | {
+    "diffusivity": ("diffusion.a",),
+    "mu": ("model.mu", "model.variant"),
+    "xmax": ("grid.xmax", "grid.xmin"),
+    "dx": ("grid.dx", "grid.xmin", "grid.xmax"),
+    "dt": ("time.dt", "time.t_end"),
+    "t_end": ("time.t_end", "time.dt"),
+    "radius": ("init.radius", "init.smoothing", "grid.xmin", "grid.xmax"),
+}
 
 
 @dataclass(frozen=True)
@@ -219,8 +228,11 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _validate(cfg: RunConfig, lines: dict[str, int]) -> None:
-    def expect(key: str, ok: bool, message: str):
+    def expect(ok: bool, message: str, *keys: str):
+        """Report a broken rule on the first of its keys that the text sets,
+        with that key's line; on its first key when the text sets none."""
         if not ok:
+            key = next((key for key in keys if key in lines), keys[0])
             where = f"line {lines[key]}: " if key in lines else ""
             raise ConfigError(f"{where}{key}: {message}")
 
@@ -229,16 +241,15 @@ def _validate(cfg: RunConfig, lines: dict[str, int]) -> None:
         config = cfg.solver_config()
         cfg.init_spec().check_inside(config.grid)
     except FieldError as exc:
-        expect(_KEY_OF_FIELD[exc.field], False, str(exc))
-    expect("model.sf", cfg.sf < cfg.sh, f"requires sf < sh (sh = {cfg.sh:g})")
+        expect(False, str(exc), *_KEYS_OF_FIELD[exc.field])
+    expect(cfg.sf < cfg.sh, f"requires sf < sh (sh = {cfg.sh:g})", "model.sf", "model.sh")
     eps = cfg.epsilons
-    expect("experiment.epsilons", all(e > 0 for e in eps), "eps values must be positive")
-    expect("experiment.epsilons", all(b < a for a, b in zip(eps, eps[1:])),
-           "eps ladder must be strictly decreasing")
-    expect("experiment.speed_level", 0 < cfg.speed_level < 1,
-           "speed_level must lie in (0, 1)")
-    expect("experiment.speed_window", 0 <= cfg.speed_window[0] < cfg.speed_window[1],
-           "speed_window must be an increasing pair of times")
+    expect(all(e > 0 for e in eps), "eps values must be positive", "experiment.epsilons")
+    expect(all(b < a for a, b in zip(eps, eps[1:])), "eps ladder must be strictly decreasing",
+           "experiment.epsilons")
+    expect(0 < cfg.speed_level < 1, "speed_level must lie in (0, 1)", "experiment.speed_level")
+    expect(0 <= cfg.speed_window[0] < cfg.speed_window[1],
+           "speed_window must be an increasing pair of times", "experiment.speed_window")
 
 
 def format_config(cfg: RunConfig) -> str:

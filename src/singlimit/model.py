@@ -233,22 +233,39 @@ def _kinetics(model: ScaledModel, ni, nu, epsilon=None):
     so finite-difference Jacobians can probe across the axes.  epsilon, when
     given, replaces model.epsilon; a (K,) row applies one eps per column of
     (nx, K) densities, each column computed exactly as a call with its scalar.
+
+    Rounding for rounding, rate_i = (1-mu)(1-sf) fu n_i * logistic - delta du
+    n_i and rate_u = fu (n_u (1 - sh p) + mu (1-sf) n_i p) * logistic - du n_u,
+    by augmented assignments on this function's own temporaries (in place
+    for arrays, rebinding for scalars); a - b is formed as (-b) + a, which
+    rounds identically.  At mu = 0 the leakage term would only add zeros and
+    is skipped.  Only a total that is not positive (vacuum) needs the masked
+    divide.
     """
     prm = model.params
     eps = model.epsilon if epsilon is None else epsilon
-    total = ni + nu
-    p = _frequency(ni, total)
-    if model.variant is Variant.ALTERNATIVE:
-        logistic = 1.0 - eps * prm.sigma * total
-    else:
-        logistic = 1.0 / eps - prm.sigma * total
-    if model.clipped:
-        logistic = np.maximum(logistic, 0.0)
     mu = model.mu
-    births_i = (1.0 - mu) * (1.0 - prm.sf) * prm.fu * ni
-    births_u = prm.fu * (nu * (1.0 - prm.sh * p) + mu * (1.0 - prm.sf) * ni * p)
-    rate_i = births_i * logistic - prm.delta * prm.du * ni
-    rate_u = births_u * logistic - prm.du * nu
+    total = np.add(ni, nu)  # a numpy scalar, with .min(), for float inputs
+    p = ni / total if total.min() > 0.0 else _frequency(ni, total)
+    if model.variant is Variant.ALTERNATIVE:
+        total *= -(eps * prm.sigma)
+        total += 1.0
+    else:
+        total *= -prm.sigma
+        total += 1.0 / eps
+    logistic = np.maximum(total, 0.0) if model.clipped else total
+    rate_i = (1.0 - mu) * (1.0 - prm.sf) * prm.fu * ni
+    rate_i *= logistic
+    rate_i -= prm.delta * prm.du * ni
+    rate_u = p * -prm.sh
+    rate_u += 1.0
+    rate_u *= nu
+    if mu:
+        p *= mu * (1.0 - prm.sf) * ni
+        rate_u += p
+    rate_u *= prm.fu
+    rate_u *= logistic
+    rate_u -= prm.du * nu
     return rate_i, rate_u
 
 
@@ -346,9 +363,18 @@ def slow_manifold(model: ScaledModel, p):
     return float(value) if value.ndim == 0 else value
 
 
-def slow_manifold_max(model: ScaledModel, samples: int = 2001) -> float:
-    """max over [0, 1] of the slow manifold, by dense sampling."""
-    return float(np.max(slow_manifold(model, np.linspace(0.0, 1.0, samples))))
+def slow_manifold_max(model: ScaledModel) -> float:
+    """Exact max over [0, 1] of the slow manifold.
+
+    With Q(p) = a p^2 - b p + 1, h' has the sign of -((delta-1) a p^2 + 2a p
+    - (delta-1+b)), a quadratic with one root of each sign: h rises up to
+    the positive root p* (written without cancellation; the vertex b/(2a) of
+    Q at delta = 1) and falls beyond it.
+    """
+    a, b = _quadratic_coeffs(model)
+    c = model.params.delta - 1.0
+    root = (c + b) / (a + math.sqrt(a * a + c * a * (c + b)))
+    return float(np.max(slow_manifold(model, np.array([0.0, 1.0, min(root, 1.0)]))))
 
 
 def drift_slope_bound(model: ScaledModel) -> float:

@@ -11,8 +11,11 @@ arithmetic-mean face diffusivities.  The implicit matrix is tridiagonal,
 strictly diagonally dominant, and constant throughout a run, so it is
 assembled and LDL^T-factored once per run (LAPACK's dpttrf) and each step only
 solves with the factors (dpttrs), every field of the run as one column of a
-single right-hand side.  Under Dirichlet boundaries the couplings of the two
-pinned rows are folded into the right-hand side first, which leaves a
+single Fortran-ordered right-hand side, which dpttrs overwrites with the
+solution.  A system run of K rungs keeps its densities as one (nx, 2K) block
+[n_i of every rung | n_u of every rung], and each step writes u* into a
+fresh block of that layout.  Under Dirichlet boundaries the couplings of the
+two pinned rows are folded into the right-hand side first, which leaves a
 symmetric positive-definite matrix; `tridiagonal_solve` provides the plain
 Thomas elimination for verification and small systems.
 
@@ -350,22 +353,26 @@ _DENSITY_NAMES = ("infected density", "uninfected density")
 
 def _settle_density(values: np.ndarray, rungs: Sequence[str | None] = (None,)) -> np.ndarray:
     """Reject non-finite densities and negatives beyond NEGATIVE_TOL; clamp
-    round-off negatives to zero.
+    round-off negatives to zero in place.
 
-    values stacks one (n_i, n_u) column pair per rung; a rejection names the
-    density and carries the label of its rung from rungs.
+    values is the (nx, 2K) block [n_i of every rung | n_u of every rung] for
+    the K labels in rungs: column c holds density c // K of rung c % K.  One
+    min carries NaN and -inf, one max carries +inf; only a rejection goes
+    back over the columns to name the density and the rung, in rung order.
     """
-    finite = np.isfinite(values).all(axis=0)
-    lows = values.min(axis=0)
-    if not finite.all() or lows.min() < -NEGATIVE_TOL:
-        for column, (ok, low) in enumerate(zip(finite, lows)):
-            rung, name = rungs[column // 2], _DENSITY_NAMES[column % 2]
-            if not ok:
-                raise _RungError(rung, f"{name} became non-finite")
-            if low < -NEGATIVE_TOL:
-                raise _RungError(rung, f"{name} fell to {low:.3e}, beyond round-off")
-    if lows.min() < 0.0:
-        values = np.where(values < 0.0, 0.0, values)
+    low = values.min()
+    if not (low >= -NEGATIVE_TOL and values.max() < math.inf):
+        lows, finite = values.min(axis=0), np.isfinite(values).all(axis=0)
+        k = len(rungs)
+        for j, rung in enumerate(rungs):
+            for column in (j, j + k):
+                name = _DENSITY_NAMES[column // k]
+                if not finite[column]:
+                    raise _RungError(rung, f"{name} became non-finite")
+                if lows[column] < -NEGATIVE_TOL:
+                    raise _RungError(rung, f"{name} fell to {lows[column]:.3e}, beyond round-off")
+    if low < 0.0:
+        np.copyto(values, 0.0, where=values < 0.0)
     return values
 
 
@@ -378,26 +385,28 @@ def _settle_frequency(values: np.ndarray) -> np.ndarray:
 
 
 def _integrate(config: SolverConfig, values: np.ndarray,
-               rate: Callable[[np.ndarray], np.ndarray],
+               explicit_step: Callable[[np.ndarray], np.ndarray],
                settle: Callable[[np.ndarray], np.ndarray]):
     """The time loop shared by every run: yields (step, values) at step 0,
     every output_every steps and the final step.
 
-    values holds one column per field, (nx,) or (nx, k); the matrix is
-    factored once and all columns share the one solve per step.  A
-    ValueError from rate or settle (a rejected state) becomes a SolverError
+    values holds one column per field, (nx,) or (nx, k); explicit_step maps
+    them to the right-hand side u + dt*reaction(u) as a fresh array, which
+    the solve overwrites with the new values.  The matrix is factored once
+    and all columns share the one solve per step.  A ValueError from
+    explicit_step or settle (a rejected state) becomes a SolverError
     carrying its step, and the rung label of a _RungError.
     """
     factors = _factor(config)
-    dt, last = config.dt, config.n_steps
+    last = config.n_steps
     pin = config.bc is BoundaryCondition.DIRICHLET
     yield 0, values
     for step in range(1, last + 1):
         try:
-            star = values + dt * rate(values)
+            rhs = explicit_step(values)
             if pin:
-                star[[0, -1]] = values[[0, -1]]
-            values = settle(solve_banded(factors, star))
+                rhs[[0, -1]] = values[[0, -1]]
+            values = settle(solve_banded(factors, rhs))
         except ValueError as exc:
             raise SolverError(str(exc), step, getattr(exc, "rung", None)) from exc
         if step % config.output_every == 0 or step == last:
@@ -427,12 +436,14 @@ def run_system(models: Sequence[ScaledModel], states: Sequence[PopulationState],
     """Integrate the two-population system of every rung to t_end.
 
     Rung k is models[k] started from states[k]; all rungs share the grid, the
-    clock and the implicit matrix of config, so their (n_i, n_u) column pairs
-    advance as one (nx, 2K) stack with one kinetics call and one solve per
-    step; the rungs must therefore differ in eps only.  Returns one series
-    per rung: snapshots at step 0, every output_every steps, and the final
-    step, with times measured from the common initial time.  A failure names
-    the rung by its eps and the step.
+    clock and the implicit matrix of config, so the K rungs advance as one
+    Fortran-ordered (nx, 2K) block [n_i of every rung | n_u of every rung]
+    with one kinetics call and one solve per step; the rungs must therefore
+    differ in eps only.  Each step writes dt*rate_i and dt*rate_u straight
+    into the two halves of a fresh right-hand side and adds the densities.
+    Returns one series per rung: snapshots at step 0, every output_every
+    steps, and the final step, with times measured from the common initial
+    time.  A failure names the rung by its eps and the step.
     """
     models, states = list(models), list(states)
     if not models:
@@ -449,33 +460,36 @@ def run_system(models: Sequence[ScaledModel], states: Sequence[PopulationState],
         raise ValueError("rungs must share one parameter set and variant")
     for model in models:
         check_reaction_step(model, config.dt)
-    grid = config.grid
+    grid, dt, k = config.grid, config.dt, len(models)
     rungs = [f"eps={model.epsilon:g}" for model in models]
     eps_row = np.array([model.epsilon for model in models])
 
-    def rate(values):
+    def explicit_step(values):
+        ni, nu = values[:, :k], values[:, k:]
         try:
-            rate_i, rate_u = reaction_rates(first, values[:, 0::2], values[:, 1::2], eps_row)
+            rate_i, rate_u = reaction_rates(first, ni, nu, eps_row)
         except ValueError:
             # the stacked call cannot say which rung it rejected: ask each
-            for k, model in enumerate(models):
+            for j, model in enumerate(models):
                 try:
-                    reaction_rates(model, values[:, 2 * k], values[:, 2 * k + 1])
+                    reaction_rates(model, ni[:, j], nu[:, j])
                 except ValueError as exc:
-                    raise _RungError(rungs[k], str(exc)) from exc
+                    raise _RungError(rungs[j], str(exc)) from exc
             raise
-        rates = np.empty_like(values)
-        rates[:, 0::2], rates[:, 1::2] = rate_i, rate_u
-        return rates
+        rhs = np.empty_like(values)
+        np.multiply(dt, rate_i, out=rhs[:, :k])
+        np.multiply(dt, rate_u, out=rhs[:, k:])
+        rhs += values
+        return rhs
 
-    stack = np.column_stack([v for s in states for v in (s.ni.values, s.nu.values)])
-    frames = _integrate(config, stack, rate, lambda values: _settle_density(values, rungs))
+    block = np.array([s.ni.values for s in states] + [s.nu.values for s in states]).T
+    frames = _integrate(config, block, explicit_step,
+                        lambda values: _settle_density(values, rungs))
     series: list[list[PopulationState]] = [[] for _ in models]
     for step, v in frames:
-        t = t0 + step * config.dt
-        for k, rung_series in enumerate(series):
-            rung_series.append(PopulationState(Field(v[:, 2 * k], grid),
-                                               Field(v[:, 2 * k + 1], grid), t))
+        t = t0 + step * dt
+        for j, rung_series in enumerate(series):
+            rung_series.append(PopulationState(Field(v[:, j], grid), Field(v[:, k + j], grid), t))
     return series
 
 
@@ -489,10 +503,10 @@ def run_scalar(reaction: Callable[[np.ndarray], np.ndarray], p0: Field,
     """
     if p0.grid != config.grid:
         raise ValueError("initial field lives on a different grid")
+    dt = config.dt
     frames = _integrate(config, _settle_frequency(p0.values),
-                        lambda values: np.asarray(reaction(values), dtype=float),
-                        _settle_frequency)
-    return [(step * config.dt, Field(v, config.grid)) for step, v in frames]
+                        lambda values: values + dt * reaction(values), _settle_frequency)
+    return [(step * dt, Field(v, config.grid)) for step, v in frames]
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,21 @@ def test_rule_cases_cover_every_key_with_a_rule():
     assert keys == set(_KEYS) - {"grid.xmin", "model.variant", "diffusion.bc"}
 
 
+# a rule that reads several keys is reported on the first of them, in rule
+# order, that the text sets, with its line
+@pytest.mark.parametrize("text, message", [
+    ("time.t_end = 1.003", "time.t_end: t_end must be an integer number of steps"),
+    ("grid.xmax = 15.01", "grid.xmax: dx=0.05 does not tile [-15.0, 15.01] evenly"),
+    ("grid.xmin = 20", "grid.xmin: xmax must exceed xmin"),
+    ("model.sh = 0.05", "model.sh: requires sf < sh (sh = 0.05)"),
+    ("grid.xmax = 2", "grid.xmax: bump support must sit strictly inside the domain"),
+])
+def test_cross_key_rule_names_a_key_the_text_sets(text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config("# header\n" + text + "\n")
+    assert str(info.value) == "line 2: " + message
+
+
 def test_key_table_covers_every_field():
     fields = [f.name for f in dataclasses.fields(RunConfig) if f.name != "raw"]
     assert [key.split(".", 1)[1] for key in _KEYS] == fields

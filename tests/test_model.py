@@ -130,6 +130,37 @@ def test_stacked_eps_row_equals_per_rung_calls(fig1_params, fig2_params, variant
         sl.reaction_rates(model, ni, nu, np.array([0.3, 0.1, 0.0, 0.02]))
 
 
+@pytest.mark.parametrize("variant", list(sl.Variant))
+def test_reaction_rates_leave_inputs_unchanged(fig1_params, fig2_params, variant):
+    # the kinetics work in place on their own temporaries only: the (nx, K)
+    # halves of a [n_i | n_u] block keep every bit, signed zeros included
+    params = fig2_params if variant is sl.Variant.IMPERFECT else fig1_params
+    rng = np.random.default_rng(5)
+    block = np.asfortranarray(rng.uniform(0.0, 30.0, (41, 6)))
+    block[0], block[1, 0], block[2, 3] = 0.0, -0.0, -1e-13
+    before = block.tobytes()
+    eps = np.array([0.3, 0.1, 0.05])
+    model = sl.ScaledModel(params, 0.5, variant)
+    sl.reaction_rates(model, block[:, :3], block[:, 3:], eps)
+    sl.reaction_rates(model, block[:, 0], block[:, 3])
+    assert block.tobytes() == before
+
+
+@pytest.mark.parametrize("variant", list(sl.Variant))
+def test_vacuum_node_takes_masked_frequency(fig1_params, fig2_params, variant):
+    # a zero total selects the masked divide (p = 0 there, no 0/0 warning,
+    # which pytest would raise); the other nodes match one-node calls
+    params = fig2_params if variant is sl.Variant.IMPERFECT else fig1_params
+    model = sl.ScaledModel(params, 0.1, variant)
+    ni = np.array([0.0, 1.0, 2.0, 0.0])
+    nu = np.array([0.0, 3.0, 0.0, 4.0])
+    rate_i, rate_u = sl.reaction_rates(model, ni, nu)
+    assert rate_i[0] == 0.0 and rate_u[0] == 0.0
+    for k in range(1, 4):
+        assert (rate_i[k], rate_u[k]) == sl.reaction_rates(model, ni[k], nu[k])
+    assert sl.reaction_rates(model, 0.0, 0.0) == (0.0, 0.0)
+
+
 def test_alternative_scaling_formula(fig1_params):
     model = sl.ScaledModel(fig1_params, 0.1, sl.Variant.ALTERNATIVE)
     ni, nu = 2.0, 3.0
@@ -192,6 +223,21 @@ def test_slow_manifold_independent_of_eps(fig1_params):
     a = sl.slow_manifold(perfect(fig1_params, 0.1), p)
     b = sl.slow_manifold(perfect(fig1_params, 0.02), p)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("delta, mu", [(10 / 9, 0.0), (10 / 9, 0.05), (1.0, 0.0), (3.0, 0.0)])
+def test_slow_manifold_max_is_exact(delta, mu):
+    # perfect, imperfect with leakage, delta = 1 (interior max at the vertex
+    # of Q) and delta = 3 (h increasing, max at p = 1): never below dense
+    # sampling, and within 1e-9 of it
+    params = sl.WolbachiaParams(fu=1.12, du=0.27, delta=delta, sf=0.1, sh=0.8,
+                                sigma=1.0, mu=mu)
+    variant = sl.Variant.IMPERFECT if mu else sl.Variant.PERFECT
+    model = sl.ScaledModel(params, 0.1, variant)
+    exact = sl.slow_manifold_max(model)
+    sampled = float(np.max(sl.slow_manifold(model, np.linspace(0.0, 1.0, 100001))))
+    assert exact >= sampled
+    assert exact == pytest.approx(sampled, rel=1e-9, abs=0.0)
 
 
 def test_denominator_stays_away_from_zero():

@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import solve_banded, solveh_banded
 
 import singlimit as sl
-from singlimit.solver import _factor, _settle_density
+from singlimit.solver import _DENSITY_NAMES, _factor, _settle_density, solve_banded as lapack_solve
 
 
 def small_grid(nx=11, span=1.0):
@@ -402,6 +402,108 @@ def test_settle_density_clamps_or_raises():
         _settle_density(np.array([[0.2, -1e-11], [0.2, 0.3]]))
     with pytest.raises(ValueError, match="^infected density became non-finite"):
         _settle_density(np.array([[np.nan, 0.2], [0.2, 0.3]]))
+
+
+@pytest.mark.parametrize("column", range(4))
+@pytest.mark.parametrize("bad, reason", [
+    (np.inf, "became non-finite"),
+    (-np.inf, "became non-finite"),
+    (np.nan, "became non-finite"),
+    (-1e-11, "fell to -1.000e-11, beyond round-off"),
+])
+def test_settle_density_names_rung_and_density_of_block_column(column, bad, reason):
+    # a 2-rung block [n_i, n_i | n_u, n_u]: column c is density c // 2 of
+    # rung c % 2
+    rungs = ["eps=0.3", "eps=0.1"]
+    values = np.full((5, 4), 0.5, order="F")
+    values[2, column] = bad
+    with pytest.raises(ValueError) as info:
+        _settle_density(values, rungs)
+    assert str(info.value) == f"{_DENSITY_NAMES[column // 2]} {reason}"
+    assert info.value.rung == rungs[column % 2]
+
+
+def test_settle_density_reports_the_first_rung():
+    # rung 0's n_u (column 2) is named before rung 1's n_i (column 1)
+    values = np.full((3, 4), 0.5, order="F")
+    values[0, 1], values[0, 2] = np.nan, -1.0
+    with pytest.raises(ValueError, match="^uninfected density fell") as info:
+        _settle_density(values, ["eps=0.3", "eps=0.1"])
+    assert info.value.rung == "eps=0.3"
+
+
+def test_settle_density_clamps_block_in_place():
+    values = np.full((3, 4), 0.5, order="F")
+    values[0, 3], values[1, 1], values[2, 0] = -5e-13, -0.0, -1e-300
+    settled = _settle_density(values, ["eps=0.3", "eps=0.1"])
+    assert settled is values
+    assert values.min() == 0.0
+    assert np.count_nonzero(values == 0.0) == 3
+    assert math.copysign(1.0, values[1, 1]) == -1.0  # -0.0 is not negative
+
+
+def _reference_kinetics(model, ni, nu):
+    # the kinetics written as plain expressions: masked frequency divide,
+    # leakage term always added
+    prm, eps, mu = model.params, model.epsilon, model.mu
+    total = ni + nu
+    p = np.divide(ni, total, out=np.zeros_like(total), where=total != 0.0)
+    if model.variant is sl.Variant.ALTERNATIVE:
+        logistic = 1.0 - eps * prm.sigma * total
+    else:
+        logistic = 1.0 / eps - prm.sigma * total
+    if model.clipped:
+        logistic = np.maximum(logistic, 0.0)
+    births_i = (1.0 - mu) * (1.0 - prm.sf) * prm.fu * ni
+    births_u = prm.fu * (nu * (1.0 - prm.sh * p) + mu * (1.0 - prm.sf) * ni * p)
+    return births_i * logistic - prm.delta * prm.du * ni, births_u * logistic - prm.du * nu
+
+
+def _reference_run(model, state, config):
+    # one rung stepped as u* = u + dt*rate with an interleaved (n_i, n_u)
+    # pair, the pinned rows copied under Dirichlet boundaries, the banded
+    # solve and a np.where clamp of negatives
+    factors = _factor(config)
+    values = np.column_stack([state.ni.values, state.nu.values])
+    frames = [values]
+    for _ in range(config.n_steps):
+        rate = np.column_stack(_reference_kinetics(model, values[:, 0], values[:, 1]))
+        star = values + config.dt * rate
+        if config.bc is sl.BoundaryCondition.DIRICHLET:
+            star[[0, -1]] = values[[0, -1]]
+        values = lapack_solve(factors, star)
+        assert values.min() >= -sl.model.NEGATIVE_TOL
+        values = np.where(values < 0.0, 0.0, values)
+        frames.append(values)
+    return frames
+
+
+@pytest.mark.parametrize("bc", list(sl.BoundaryCondition))
+@pytest.mark.parametrize("variant", list(sl.Variant))
+def test_block_stepper_is_bit_identical_to_reference(fig1_params, fig2_params, grid601,
+                                                     variant, bc):
+    # 50 steps of a 3-rung ladder on 601 nodes; the start crowds the centre
+    # beyond carrying capacity (the imperfect clip acts) and leaves vacuum
+    # near both ends (the masked frequency divide acts)
+    params = fig2_params if variant is sl.Variant.IMPERFECT else fig1_params
+    config = sl.SolverConfig(grid601, dt=0.005, t_end=0.25, diffusivity=0.1,
+                             output_every=1, bc=bc)
+    x = grid601.x
+    models = [sl.ScaledModel(params, eps, variant) for eps in (0.3, 0.1, 0.05)]
+    states = []
+    for model in models:
+        total = model.carrying_total * (0.9 + 0.3 * np.exp(-x ** 2)) * (np.abs(x) < 14.0)
+        p = 0.05 + 0.4 * np.exp(-(x - 2.0) ** 2)
+        states.append(sl.PopulationState(sl.Field(p * total, grid601),
+                                         sl.Field((1.0 - p) * total, grid601)))
+        assert np.any(total > model.carrying_total) and np.any(total == 0.0)
+    ladder = sl.run_system(models, states, config)
+    for model, state, series in zip(models, states, ladder):
+        want = _reference_run(model, state, config)
+        assert len(series) == len(want) == 51
+        for frame, values in zip(series, want):
+            assert np.array_equal(frame.ni.values, values[:, 0])
+            assert np.array_equal(frame.nu.values, values[:, 1])
 
 
 def test_system_run_rejects_negative_overshoot(fig1_params, grid601):
