@@ -103,7 +103,7 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
     write_manifest(entries, out / "manifest.csv")
     if args.svg:
         write_profiles_svg(_thin_for_plot(p_series), out / "profiles.svg",
-                           title=f"frequency, model={args.model}", y_range=(0.0, 1.0))
+                           title=f"frequency, model={args.model}")
     print(f"wrote {len(entries)} snapshots to {out}")
     return EXIT_OK
 
@@ -119,11 +119,11 @@ def _cmd_converge(args, cfg: RunConfig) -> int:
     write_report(report, out / "report.csv")
     if args.svg:
         write_profiles_svg(_thin_for_plot(limit_series), out / "profiles_limit.svg",
-                           title="limit equation", y_range=(0.0, 1.0))
+                           title="limit equation")
         for eps, reduced in zip(report.epsilons, reduced_series):
             write_profiles_svg(_thin_for_plot([(r.time, r.p) for r in reduced]),
                                out / f"profiles_eps_{eps:g}.svg",
-                               title=f"system, eps = {eps:g}", y_range=(0.0, 1.0))
+                               title=f"system, eps = {eps:g}")
     for eps, ep, em, reduced in zip(report.epsilons, report.err_p, report.err_m,
                                     reduced_series):
         grad = gradient_l2(reduced[-1].p)

@@ -164,10 +164,8 @@ class RunConfig:
         return WolbachiaParams(self.fu, self.du, self.delta, self.sf, self.sh,
                                self.sigma, self.mu)
 
-    def scaled_model(self, epsilon: float | None = None,
-                     variant: Variant | None = None) -> ScaledModel:
-        return ScaledModel(self.params(),
-                           self.epsilon if epsilon is None else epsilon,
+    def scaled_model(self, variant: Variant | None = None) -> ScaledModel:
+        return ScaledModel(self.params(), self.epsilon,
                            self.variant if variant is None else variant)
 
     def grid(self) -> Grid1D:
@@ -179,10 +177,9 @@ class RunConfig:
             return np.interp(self.grid().x, knots_x, knots_v)
         return self.a
 
-    def solver_config(self, t_end: float | None = None) -> SolverConfig:
-        return SolverConfig(self.grid(), self.dt,
-                            self.t_end if t_end is None else t_end,
-                            self.diffusivity(), self.output_every, self.bc)
+    def solver_config(self) -> SolverConfig:
+        return SolverConfig(self.grid(), self.dt, self.t_end, self.diffusivity(),
+                            self.output_every, self.bc)
 
     def init_spec(self) -> InitialDataSpec:
         return InitialDataSpec(self.amplitude, self.radius, self.smoothing)

@@ -151,12 +151,15 @@ def frequency_run(model: ScaledModel, spec: InitialDataSpec, config: SolverConfi
     """Frequency series of one model started from the seeded bump.
 
     equation "system" runs the two-population system and reduces every frame;
-    "limit" runs the scalar limit equation.  Returns (p_series, states), where
-    p_series holds (time, p Field) pairs and states is the system's raw
-    series, or None for the limit equation.
+    "limit" runs the scalar limit equation, which the alternative variant
+    does not have.  Returns (p_series, states), where p_series holds
+    (time, p Field) pairs and states is the system's raw series, or None for
+    the limit equation.
     """
     if equation not in ("system", "limit"):
         raise ValueError(f"equation must be 'system' or 'limit', got {equation!r}")
+    if equation == "limit" and model.variant is Variant.ALTERNATIVE:
+        raise ValueError("the limit equation needs the perfect or imperfect variant")
     state0, p_init = make_initial_data(model, spec, config.grid)
     if equation == "limit":
         return run_scalar(lambda v: limit_reaction(model, v), p_init, config), None
@@ -228,11 +231,14 @@ def run_convergence_sweep(params: WolbachiaParams, variant: Variant,
     """Solve the limit equation once and the system for the whole ladder in
     one stacked run; tabulate errors per eps.
 
-    The eps ladder must be strictly decreasing and admissible: below the
-    range where the resident state exists and the structural assumptions all
-    audit clean.  Returns (report, limit_series, reduced_series), with one
-    reduced series per rung in ladder order.
+    The variant must be perfect or imperfect, and the eps ladder strictly
+    decreasing and admissible: below the range where the resident state
+    exists and the structural assumptions all audit clean.  Returns (report,
+    limit_series, reduced_series), with one reduced series per rung in ladder
+    order.
     """
+    if variant is Variant.ALTERNATIVE:
+        raise ValueError("the convergence sweep needs the perfect or imperfect variant")
     epsilons = [float(e) for e in epsilons]
     if len(epsilons) == 0:
         raise ValueError("empty eps ladder")

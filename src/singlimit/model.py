@@ -548,6 +548,11 @@ def classify_stability(model: ScaledModel, point) -> StabilityResult:
 # assumption audit
 
 
+# Largest audit resolution: the sample grid holds (samples+1)^2 points, about
+# 50 MB of index and mask arrays at this cap.
+MAX_SAMPLES = 1000
+
+
 def check_assumptions(model: ScaledModel, samples: int = 100) -> AssumptionReport:
     """Audit the structural conditions behind the scalar reduction.
 
@@ -568,6 +573,8 @@ def check_assumptions(model: ScaledModel, samples: int = 100) -> AssumptionRepor
     _require_reducible(model, "check_assumptions")
     if samples < 10:
         raise ValueError("need at least 10 samples per axis")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"{samples} samples per axis exceed the limit of {MAX_SAMPLES}")
     prm = model.params
     cap = model.carrying_total
     checks = []

@@ -110,29 +110,22 @@ def _px(x, lo, hi, size, invert=False):
 
 
 def write_profiles_svg(series: Iterable[tuple[float, Field]], path: str | Path,
-                       title: str = "", y_range: tuple[float, float] | None = None) -> None:
-    """One polyline per snapshot, labeled with its time."""
+                       title: str) -> None:
+    """One polyline per snapshot of a frequency profile, labeled with its
+    time, under `title`; the frequency axis is fixed at [0, 1]."""
     series = list(series)
     if not series:
         raise ValueError("nothing to plot")
     grid = series[0][1].grid
-    if y_range is None:
-        lo = min(f.values.min() for _, f in series)
-        hi = max(f.values.max() for _, f in series)
-        pad = 0.05 * max(hi - lo, 1e-12)
-        y_range = (lo - pad, hi + pad)
-    ylo, yhi = y_range
+    ylo, yhi = 0.0, 1.0
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
         f'viewBox="0 0 {_SVG_W} {_SVG_H}">',
         f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
+        f'<text x="{_SVG_W / 2:.1f}" y="24" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="15">{title}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_SVG_W / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{title}</text>'
-        )
     # axes
     x0, x1 = _MARGIN, _SVG_W - _MARGIN
     y0, y1 = _SVG_H - _MARGIN, _MARGIN

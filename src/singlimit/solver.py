@@ -182,14 +182,14 @@ class BoundaryCondition(Enum):
 class SolverConfig:
     """Grid, time step, diffusivity profile, output cadence and boundary.
 
-    diffusivity may be a constant, a callable sampled on the grid nodes, or
-    an array of per-node values; it must stay strictly positive.
+    diffusivity is a constant or an array of per-node values; it must stay
+    strictly positive.
     """
 
     grid: Grid1D
     dt: float
     t_end: float
-    diffusivity: float | Callable[[np.ndarray], np.ndarray] | Sequence[float] = 0.1
+    diffusivity: float | Sequence[float] = 0.1
     output_every: int = 200
     bc: BoundaryCondition = BoundaryCondition.NEUMANN
 
@@ -207,9 +207,7 @@ class SolverConfig:
 
     @cached_property
     def diffusivity_values(self) -> np.ndarray:
-        if callable(self.diffusivity):
-            a = np.asarray(self.diffusivity(self.grid.x), dtype=float)
-        elif np.ndim(self.diffusivity) == 0:
+        if np.ndim(self.diffusivity) == 0:
             a = np.full(self.grid.nx, float(self.diffusivity))
         else:
             a = np.asarray(self.diffusivity, dtype=float)
@@ -465,17 +463,7 @@ def run_system(models: Sequence[ScaledModel], states: Sequence[PopulationState],
     eps_row = np.array([model.epsilon for model in models])
 
     def explicit_step(values):
-        ni, nu = values[:, :k], values[:, k:]
-        try:
-            rate_i, rate_u = reaction_rates(first, ni, nu, eps_row)
-        except ValueError:
-            # the stacked call cannot say which rung it rejected: ask each
-            for j, model in enumerate(models):
-                try:
-                    reaction_rates(model, ni[:, j], nu[:, j])
-                except ValueError as exc:
-                    raise _RungError(rungs[j], str(exc)) from exc
-            raise
+        rate_i, rate_u = reaction_rates(first, values[:, :k], values[:, k:], eps_row)
         rhs = np.empty_like(values)
         np.multiply(dt, rate_i, out=rhs[:, :k])
         np.multiply(dt, rate_u, out=rhs[:, k:])

@@ -105,6 +105,27 @@ def test_converge_eps_cap_does_not_depend_on_sigma(tmp_path, capsys, sigma, eps,
         assert err == "" and (out_dir / "report.csv").exists()
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["simulate", "--model", "limit"], "the limit equation"),
+    (["wavespeed", "--model", "limit"], "the limit equation"),
+    (["converge"], "the convergence sweep"),
+])
+def test_alternative_variant_has_no_limit_run(tmp_path, capsys, argv, what):
+    cfg = tmp_path / "alt.cfg"
+    cfg.write_text("model.variant = alternative\ntime.t_end = 125\n")
+    out_dir = tmp_path / "out"
+    if argv[0] != "wavespeed":
+        argv = argv + ["--out", str(out_dir)]
+    assert cli_dispatch(argv + ["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {what} needs the perfect or imperfect variant\n"
+    assert not list(out_dir.glob("*.csv"))
+
+
+def test_check_caps_samples(capsys):
+    assert cli_dispatch(["check", "--samples", "1001"]) == 1
+    assert capsys.readouterr().err == "error: 1001 samples per axis exceed the limit of 1000\n"
+
+
 def test_missing_config_file_is_runtime_error(capsys):
     assert cli_dispatch(["check", "--config", "/nonexistent/x.cfg"]) == 2
 

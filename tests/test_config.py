@@ -227,5 +227,3 @@ def test_solver_config_construction():
     assert solver_cfg.n_steps == 400
     assert solver_cfg.output_every == 40
     assert np.all(solver_cfg.diffusivity_values == 0.1)
-    override = cfg.solver_config(t_end=1.0)
-    assert override.n_steps == 200

@@ -269,31 +269,25 @@ def test_sweep_rejects_unstable_ladder_before_integrating(fig1_params, coarse_gr
 
 def test_sweep_tags_solver_failures_with_eps(fig1_params, coarse_grid, monkeypatch):
     # the eps = 0.1 rung fails at the 7th stacked rate evaluation, i.e. at
-    # step 7, by NaN columns that the density settle rejects or by a
-    # ValueError from the rates themselves, which the stack retries rung by
-    # rung; the eps = 0.3 rung of the same stack stays healthy
+    # step 7, by NaN columns that the density settle rejects; the eps = 0.3
+    # rung of the same stack stays healthy
     real = sl.solver.reaction_rates
-    for failure, reason in (("nan", "infected density became non-finite"),
-                            ("raise", "rate rejected")):
-        calls = []
+    calls = []
 
-        def failing_rates(model, ni, nu, epsilon=None):
-            rate_i, rate_u = real(model, ni, nu, epsilon)
-            if np.ndim(ni) == 2:
-                calls.append(1)
-            poisoned = np.atleast_1d(model.epsilon if epsilon is None else epsilon) == 0.1
-            if len(calls) == 7 and poisoned.any():
-                if failure == "raise":
-                    raise ValueError("rate rejected")
-                rate_i[..., poisoned] = np.nan
-            return rate_i, rate_u
+    def failing_rates(model, ni, nu, epsilon=None):
+        rate_i, rate_u = real(model, ni, nu, epsilon)
+        calls.append(1)
+        if len(calls) == 7:
+            rate_i[..., np.atleast_1d(epsilon) == 0.1] = np.nan
+        return rate_i, rate_u
 
-        monkeypatch.setattr("singlimit.solver.reaction_rates", failing_rates)
-        with pytest.raises(sl.SolverError, match=rf"^eps=0\.1: step 7: {reason}$") as info:
-            sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, [0.3, 0.1],
-                                     sl.InitialDataSpec(), quick_config(coarse_grid))
-        assert "eps=0.3" not in str(info.value)
-        assert info.value.step == 7
+    monkeypatch.setattr("singlimit.solver.reaction_rates", failing_rates)
+    with pytest.raises(sl.SolverError,
+                       match=r"^eps=0\.1: step 7: infected density became non-finite$") as info:
+        sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, [0.3, 0.1],
+                                 sl.InitialDataSpec(), quick_config(coarse_grid))
+    assert "eps=0.3" not in str(info.value)
+    assert info.value.step == 7
 
 
 def test_sweep_returns_series(fig1_params, coarse_grid):

@@ -498,9 +498,10 @@ def test_check_assumptions_flags_monostable_delta():
     assert not report.passed
 
 
-def test_check_assumptions_needs_samples(fig1_params):
-    with pytest.raises(ValueError):
-        sl.check_assumptions(perfect(fig1_params), samples=5)
+@pytest.mark.parametrize("samples", [5, sl.model.MAX_SAMPLES + 1])
+def test_check_assumptions_needs_samples(fig1_params, samples):
+    with pytest.raises(ValueError, match="samples per axis"):
+        sl.check_assumptions(perfect(fig1_params), samples=samples)
 
 
 def test_check_assumptions_imperfect(fig2_params):

@@ -125,7 +125,7 @@ def test_assemble_neumann_boundary_row():
 def test_constants_invariant_under_neumann_solve():
     grid = small_grid(nx=41, span=2.0)
     config = sl.SolverConfig(grid, dt=0.02, t_end=1.0,
-                             diffusivity=lambda x: 0.1 + 0.05 * np.cos(x))
+                             diffusivity=0.1 + 0.05 * np.cos(grid.x))
     system = sl.assemble_diffusion(config)
     c = 3.7
     out = sl.tridiagonal_solve(system.with_rhs(np.full(grid.nx, c)))
@@ -176,7 +176,7 @@ def band_array(config):
 def test_thomas_matches_banded_hot_path():
     grid = small_grid(nx=101, span=5.0)
     config = sl.SolverConfig(grid, dt=0.01, t_end=1.0,
-                             diffusivity=lambda x: 0.1 + 0.02 * np.sin(3 * x))
+                             diffusivity=0.1 + 0.02 * np.sin(3 * grid.x))
     rng = np.random.default_rng(5)
     rhs = rng.uniform(-1, 1, grid.nx)
     a = sl.tridiagonal_solve(sl.assemble_diffusion(config).with_rhs(rhs))
@@ -192,7 +192,7 @@ def test_prefactored_solve_equals_scipy_banded(grid601, bc, columns):
     # Dirichlet rows' couplings folded into its rhs; the general banded solve
     # of the assembled matrix agrees to round-off
     config = sl.SolverConfig(grid601, dt=0.005, t_end=1.0, bc=bc,
-                             diffusivity=lambda x: 0.1 + 0.05 * np.cos(x))
+                             diffusivity=0.1 + 0.05 * np.cos(grid601.x))
     rng = np.random.default_rng(columns)
     rhs = rng.uniform(0.0, 10.0, (grid601.nx, columns))
     if columns == 1:
