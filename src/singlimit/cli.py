@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .config import ConfigError, RunConfig, default_config, format_config, parse_config
 from .experiments import estimate_wave_speed, frequency_run, run_convergence_sweep
-from .model import Variant, check_assumptions, equilibria
+from .model import check_assumptions, equilibria
 from .output import write_manifest, write_profiles_svg, write_report, write_snapshot
 from .solver import SolverError, gradient_l2
 
@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", parents=[common],
                          help="integrate one model and write snapshot CSVs")
-    sim.add_argument("--model", choices=("system", "limit", "alt"), default="system")
+    sim.add_argument("--model", choices=("system", "limit"), default="system")
     sim.add_argument("--out", required=True, metavar="DIR")
     sim.add_argument("--svg", action="store_true", help="also write a profile plot")
 
@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     wave = sub.add_parser("wavespeed", parents=[common],
                           help="integrate and print the fitted front speed")
-    wave.add_argument("--model", choices=("system", "limit", "alt"), default="limit")
+    wave.add_argument("--model", choices=("system", "limit"), default="limit")
 
     chk = sub.add_parser("check", parents=[common],
                          help="audit the structural assumptions")
@@ -76,18 +76,11 @@ def _load_config(args) -> RunConfig:
     return parse_config(Path(args.config).read_text(encoding="utf-8"))
 
 
-def _run_model(cfg: RunConfig, which: str):
-    """frequency_run of the --model choice: 'alt' is the system of the
-    alternative variant; returns (p_series, states or None)."""
-    model = cfg.scaled_model(variant=Variant.ALTERNATIVE if which == "alt" else None)
-    return frequency_run(model, cfg.init_spec(), cfg.solver_config(),
-                         "limit" if which == "limit" else "system")
-
-
 def _cmd_simulate(args, cfg: RunConfig) -> int:
+    p_series, raw_series = frequency_run(cfg.scaled_model(), cfg.init_spec(),
+                                         cfg.solver_config(), args.model)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    p_series, raw_series = _run_model(cfg, args.model)
 
     entries = []
     for k, (t, p_field) in enumerate(p_series):
@@ -109,13 +102,13 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
 
 
 def _cmd_converge(args, cfg: RunConfig) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     window = cfg.speed_window if cfg.t_end >= cfg.speed_window[1] else None
     report, limit_series, reduced_series = run_convergence_sweep(
         cfg.params(), cfg.variant, cfg.epsilons, cfg.init_spec(), cfg.solver_config(),
         speed_window=window, speed_level=cfg.speed_level,
     )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_report(report, out / "report.csv")
     if args.svg:
         write_profiles_svg(_thin_for_plot(limit_series), out / "profiles_limit.svg",
@@ -151,7 +144,8 @@ def _cmd_wavespeed(args, cfg: RunConfig) -> int:
             f"time.t_end = {cfg.t_end:g} does not cover the speed window "
             f"ending at {cfg.speed_window[1]:g}"
         )
-    p_series, _ = _run_model(cfg, args.model)
+    p_series, _ = frequency_run(cfg.scaled_model(), cfg.init_spec(), cfg.solver_config(),
+                                args.model)
     speed = estimate_wave_speed(p_series, cfg.speed_window, cfg.speed_level)
     print(f"speed {speed:.10g}")
     return EXIT_OK

@@ -5,9 +5,11 @@ wave setup.  Values are floats (a ratio like 10/9 is accepted and stored as
 the parsed double), integers, enum words, or comma-separated lists.  Unknown
 keys, duplicate keys and rule violations are rejected with the offending
 line number and key.  A rule on one value is owned by the constructor of its
-domain object, whose FieldError names the field, reported here as its key.
-This module checks each value's syntax, builds the domain objects, then
-checks the rules that span keys; the first error reported follows that order.
+domain object, or by the experiments check of the eps ladder or speed level,
+whose FieldError names the field, reported here as its key.  This module
+checks each value's syntax, builds the domain objects, then checks sf < sh,
+the ladder, the speed level and the speed window; the first error reported
+follows that order.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .experiments import InitialDataSpec
-from .model import FieldError, ScaledModel, Variant, WolbachiaParams
+from .experiments import InitialDataSpec, require_eps_ladder, require_speed_level
+from .model import FieldError, ScaledModel, Variant, WolbachiaParams, require
 from .solver import BoundaryCondition, Grid1D, SolverConfig
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "default_config", "format_config"]
@@ -122,6 +124,7 @@ _KEYS: dict[str, tuple[str, bool, Callable[[str], object]]] = {
 # field of a FieldError -> the keys its rule reads, its own key first
 _KEYS_OF_FIELD = {key.split(".", 1)[1]: (key,) for key in _KEYS} | {
     "diffusivity": ("diffusion.a",),
+    "sf": ("model.sf", "model.sh"),
     "mu": ("model.mu", "model.variant"),
     "xmax": ("grid.xmax", "grid.xmin"),
     "dx": ("grid.dx", "grid.xmin", "grid.xmax"),
@@ -164,9 +167,8 @@ class RunConfig:
         return WolbachiaParams(self.fu, self.du, self.delta, self.sf, self.sh,
                                self.sigma, self.mu)
 
-    def scaled_model(self, variant: Variant | None = None) -> ScaledModel:
-        return ScaledModel(self.params(), self.epsilon,
-                           self.variant if variant is None else variant)
+    def scaled_model(self) -> ScaledModel:
+        return ScaledModel(self.params(), self.epsilon, self.variant)
 
     def grid(self) -> Grid1D:
         return Grid1D.from_spacing(self.xmin, self.xmax, self.dx)
@@ -225,28 +227,23 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _validate(cfg: RunConfig, lines: dict[str, int]) -> None:
-    def expect(ok: bool, message: str, *keys: str):
-        """Report a broken rule on the first of its keys that the text sets,
-        with that key's line; on its first key when the text sets none."""
-        if not ok:
-            key = next((key for key in keys if key in lines), keys[0])
-            where = f"line {lines[key]}: " if key in lines else ""
-            raise ConfigError(f"{where}{key}: {message}")
-
+    """Build the domain objects, then check the rules that span keys.  A
+    broken rule is reported on the first of its keys that the text sets,
+    with that key's line; on its first key when the text sets none."""
     try:
         cfg.scaled_model()
         config = cfg.solver_config()
         cfg.init_spec().check_inside(config.grid)
+        require(cfg.sf < cfg.sh, "sf", f"requires sf < sh (sh = {cfg.sh:g})")
+        require_eps_ladder(cfg.epsilons)
+        require_speed_level(cfg.speed_level)
+        require(0 <= cfg.speed_window[0] < cfg.speed_window[1], "speed_window",
+                "speed_window must be an increasing pair of times")
     except FieldError as exc:
-        expect(False, str(exc), *_KEYS_OF_FIELD[exc.field])
-    expect(cfg.sf < cfg.sh, f"requires sf < sh (sh = {cfg.sh:g})", "model.sf", "model.sh")
-    eps = cfg.epsilons
-    expect(all(e > 0 for e in eps), "eps values must be positive", "experiment.epsilons")
-    expect(all(b < a for a, b in zip(eps, eps[1:])), "eps ladder must be strictly decreasing",
-           "experiment.epsilons")
-    expect(0 < cfg.speed_level < 1, "speed_level must lie in (0, 1)", "experiment.speed_level")
-    expect(0 <= cfg.speed_window[0] < cfg.speed_window[1],
-           "speed_window must be an increasing pair of times", "experiment.speed_window")
+        keys = _KEYS_OF_FIELD[exc.field]
+        key = next((key for key in keys if key in lines), keys[0])
+        where = f"line {lines[key]}: " if key in lines else ""
+        raise ConfigError(f"{where}{key}: {exc}") from None
 
 
 def format_config(cfg: RunConfig) -> str:

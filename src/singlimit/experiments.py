@@ -31,6 +31,7 @@ from .model import (
     check_assumptions,
     limit_reaction,
     require,
+    require_reducible,
     slow_manifold,
     slow_manifold_max,
 )
@@ -52,6 +53,20 @@ __all__ = [
 
 EXTINCT_BELOW = 0.1
 INVADED_ABOVE = 0.9
+
+
+def require_eps_ladder(epsilons: Sequence[float]) -> None:
+    """Raise FieldError("epsilons", ...) unless the ladder is non-empty,
+    positive and strictly decreasing."""
+    require(len(epsilons) > 0, "epsilons", "empty eps ladder")
+    require(all(e > 0 for e in epsilons), "epsilons", "eps values must be positive")
+    require(all(b < a for a, b in zip(epsilons, epsilons[1:])), "epsilons",
+            "eps ladder must be strictly decreasing")
+
+
+def require_speed_level(level: float) -> None:
+    """Raise FieldError("speed_level", ...) unless the level lies in (0, 1)."""
+    require(0.0 < level < 1.0, "speed_level", "speed_level must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -105,8 +120,7 @@ class ConvergenceReport:
         k = len(self.epsilons)
         if not (len(self.err_p) == len(self.err_m) == len(self.speeds) == k):
             raise ValueError("report columns must align with the eps ladder")
-        if np.any(np.diff(self.epsilons) >= 0):
-            raise ValueError("eps ladder must be strictly decreasing")
+        require_eps_ladder(self.epsilons)
 
 
 class Verdict(Enum):
@@ -158,10 +172,9 @@ def frequency_run(model: ScaledModel, spec: InitialDataSpec, config: SolverConfi
     """
     if equation not in ("system", "limit"):
         raise ValueError(f"equation must be 'system' or 'limit', got {equation!r}")
-    if equation == "limit" and model.variant is Variant.ALTERNATIVE:
-        raise ValueError("the limit equation needs the perfect or imperfect variant")
     state0, p_init = make_initial_data(model, spec, config.grid)
     if equation == "limit":
+        require_reducible(model, "the limit equation")
         return run_scalar(lambda v: limit_reaction(model, v), p_init, config), None
     states = run_system([model], [state0], config)[0]
     return [(s.time, to_reduced(model, s).p) for s in states], states
@@ -179,8 +192,7 @@ def track_front(series: Sequence[tuple[float, Field]], level: float = 0.5,
     Raises when a snapshot in the window has no crossing or its crossing
     sits within 2*dx of a boundary, naming the first bad snapshot.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
+    require_speed_level(level)
     times, positions = [], []
     for k, (t, field) in enumerate(series):
         if window is not None and not (window[0] - 1e-9 <= t <= window[1] + 1e-9):
@@ -237,15 +249,10 @@ def run_convergence_sweep(params: WolbachiaParams, variant: Variant,
     limit_series, reduced_series), with one reduced series per rung in ladder
     order.
     """
-    if variant is Variant.ALTERNATIVE:
-        raise ValueError("the convergence sweep needs the perfect or imperfect variant")
     epsilons = [float(e) for e in epsilons]
-    if len(epsilons) == 0:
-        raise ValueError("empty eps ladder")
-    if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
-        raise ValueError("eps ladder must be strictly decreasing")
-
+    require_eps_ladder(epsilons)
     models = [ScaledModel(params, eps, variant) for eps in epsilons]
+    require_reducible(models[0], "the convergence sweep")
     # the resident state needs carrying_total = 1/(sigma*eps) > max h
     eps_cap = 1.0 / (params.sigma * slow_manifold_max(models[0]))
     for model in models:

@@ -301,12 +301,11 @@ def reaction_rates(model: ScaledModel, ni, nu, epsilon=None):
 # reduced objects: drift, slow manifold, limit reaction
 
 
-def _require_reducible(model: ScaledModel, what: str):
+def require_reducible(model: ScaledModel, what: str) -> None:
+    """Reject the alternative variant, whose reduced system keeps two coupled
+    equations for every eps and so has no limit equation."""
     if model.variant is Variant.ALTERNATIVE:
-        raise ValueError(
-            f"{what} is not defined for the alternative scaling: its reduced "
-            "system keeps two coupled equations for every eps"
-        )
+        raise ValueError(f"{what} needs the perfect or imperfect variant")
 
 
 def _quadratic_coeffs(model: ScaledModel) -> tuple[float, float]:
@@ -346,7 +345,7 @@ def reduced_drift(model: ScaledModel, n, p):
     n = slow_manifold(p).  n may be negative (the expression is polynomial),
     but p must lie in [0, 1].
     """
-    _require_reducible(model, "reduced_drift")
+    require_reducible(model, "the reduced drift")
     p = _check_frequency(p)
     prm = model.params
     value = -prm.sigma * prm.fu * np.asarray(n, dtype=float) * _denominator(model, p) \
@@ -356,7 +355,7 @@ def reduced_drift(model: ScaledModel, n, p):
 
 def slow_manifold(model: ScaledModel, p):
     """Unique positive root n = h(p) of the reduced drift."""
-    _require_reducible(model, "slow_manifold")
+    require_reducible(model, "the slow manifold")
     p = _check_frequency(p)
     prm = model.params
     value = prm.du * ((prm.delta - 1.0) * p + 1.0) / (prm.sigma * prm.fu * _denominator(model, p))
@@ -383,7 +382,7 @@ def drift_slope_bound(model: ScaledModel) -> float:
     Equals sigma*fu times the minimum over [0, 1] of Q(p), attained at the
     vertex of Q; requires sf < sh so that the bound is positive.
     """
-    _require_reducible(model, "drift_slope_bound")
+    require_reducible(model, "the drift slope bound")
     prm = model.params
     if prm.sf >= prm.sh:
         raise ValueError(
@@ -412,7 +411,7 @@ def limit_reaction(model: ScaledModel, p):
     Both forms equal p * F1(h(p), p), the per-capita growth of the infected
     pool evaluated on the slow manifold.
     """
-    _require_reducible(model, "limit_reaction")
+    require_reducible(model, "the limit reaction")
     p = _check_frequency(p)
     prm = model.params
     den = _denominator(model, p)
@@ -434,7 +433,7 @@ def _bistable_roots(model: ScaledModel) -> tuple[float, float]:
     roots of the growth balance -a p^2 + b p - c, a concave quadratic with the
     sign of limit_reaction/p, positive strictly between them.
     """
-    _require_reducible(model, "bistable roots")
+    require_reducible(model, "the bistable roots")
     prm = model.params
     if model.mu == 0.0:
         theta = _theta_formula(model)
@@ -478,7 +477,7 @@ def equilibria(model: ScaledModel) -> list[Equilibrium]:
     ValueError when eps is so large that a steady state would leave the
     non-negative quadrant.
     """
-    _require_reducible(model, "equilibria")
+    require_reducible(model, "equilibria")
     prm = model.params
     theta, p_high = _bistable_roots(model)
     total_cap = model.carrying_total
@@ -570,7 +569,7 @@ def check_assumptions(model: ScaledModel, samples: int = 100) -> AssumptionRepor
 
     Failures are report entries, never exceptions.
     """
-    _require_reducible(model, "check_assumptions")
+    require_reducible(model, "the assumption audit")
     if samples < 10:
         raise ValueError("need at least 10 samples per axis")
     if samples > MAX_SAMPLES:

@@ -89,7 +89,7 @@ def test_converge_rejects_unstable_eps(tmp_path, capsys):
     out_dir = tmp_path / "conv"
     assert cli_dispatch(["converge", "--config", str(cfg), "--out", str(out_dir)]) == 1
     assert "eps=0.002" in capsys.readouterr().err
-    assert not (out_dir / "report.csv").exists()
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("sigma, eps, code", [(2, 3.5, 1), (0.5, 2.0, 0)])
@@ -109,16 +109,29 @@ def test_converge_eps_cap_does_not_depend_on_sigma(tmp_path, capsys, sigma, eps,
     (["simulate", "--model", "limit"], "the limit equation"),
     (["wavespeed", "--model", "limit"], "the limit equation"),
     (["converge"], "the convergence sweep"),
+    (["equilibria"], "equilibria"),
+    (["check"], "the assumption audit"),
 ])
 def test_alternative_variant_has_no_limit_run(tmp_path, capsys, argv, what):
     cfg = tmp_path / "alt.cfg"
     cfg.write_text("model.variant = alternative\ntime.t_end = 125\n")
     out_dir = tmp_path / "out"
-    if argv[0] != "wavespeed":
+    if argv[0] in ("simulate", "converge"):
         argv = argv + ["--out", str(out_dir)]
     assert cli_dispatch(argv + ["--config", str(cfg)]) == 1
     assert capsys.readouterr().err == f"error: {what} needs the perfect or imperfect variant\n"
-    assert not list(out_dir.glob("*.csv"))
+    assert not out_dir.exists()
+
+
+def test_alternative_variant_is_selected_by_config_only(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert cli_dispatch(["simulate", "--model", "alt", "--out", str(out_dir)]) == 1
+    assert "invalid choice: 'alt'" in capsys.readouterr().err
+    cfg = tmp_path / "alt.cfg"
+    cfg.write_text("model.variant = alternative\ntime.t_end = 0.5\n")
+    assert cli_dispatch(["simulate", "--model", "system", "--config", str(cfg),
+                         "--out", str(out_dir)]) == 0
+    assert (out_dir / "ni_0000.csv").exists() and (out_dir / "nu_0000.csv").exists()
 
 
 def test_check_caps_samples(capsys):

@@ -121,6 +121,8 @@ def test_track_front_positions(grid601):
     series = synthetic_front(0.5, grid601, np.arange(0.0, 11.0, 1.0))
     times, positions = sl.track_front(series, 0.5, (0.0, 10.0))
     assert np.allclose(positions, 0.5 * times, atol=1e-6)
+    with pytest.raises(ValueError, match=r"speed_level must lie in \(0, 1\)"):
+        sl.track_front(series, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +232,11 @@ def test_sweep_is_deterministic(fig1_params, coarse_grid):
 def test_sweep_rejects_bad_ladders(fig1_params, coarse_grid):
     spec = sl.InitialDataSpec()
     config = quick_config(coarse_grid)
-    with pytest.raises(ValueError):
-        sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, [0.1, 0.3], spec, config)
-    with pytest.raises(ValueError):
-        sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, [], spec, config)
+    for ladder, message in (([0.1, 0.3], "eps ladder must be strictly decreasing"),
+                            ([], "empty eps ladder"),
+                            ([0.1, -0.1], "eps values must be positive")):
+        with pytest.raises(ValueError, match=message):
+            sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, ladder, spec, config)
     # eps beyond the admissible range (resident state requires eps < 1/(sigma max h))
     with pytest.raises(ValueError, match="admissible"):
         sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, [3.5], spec, config)

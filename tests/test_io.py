@@ -129,7 +129,7 @@ def test_report_format(tmp_path):
 def test_report_rejects_misaligned_columns():
     with pytest.raises(ValueError):
         sl.ConvergenceReport((0.3, 0.1), (0.1,), (0.1, 0.2), (1.0, 1.0), 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="eps ladder must be strictly decreasing"):
         sl.ConvergenceReport((0.1, 0.3), (0.1, 0.2), (0.1, 0.2), (1.0, 1.0), 1.0)
 
 
