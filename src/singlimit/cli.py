@@ -77,8 +77,7 @@ def _load_config(args) -> RunConfig:
 
 
 def _cmd_simulate(args, cfg: RunConfig) -> int:
-    p_series, raw_series = frequency_run(cfg.scaled_model(), cfg.init_spec(),
-                                         cfg.solver_config(), args.model)
+    p_series, raw_series = frequency_run(cfg.model, cfg.spec, cfg.solver, args.model)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -102,9 +101,9 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
 
 
 def _cmd_converge(args, cfg: RunConfig) -> int:
-    window = cfg.speed_window if cfg.t_end >= cfg.speed_window[1] else None
+    window = cfg.speed_window if cfg.solver.t_end >= cfg.speed_window[1] else None
     report, limit_series, reduced_series = run_convergence_sweep(
-        cfg.params(), cfg.variant, cfg.epsilons, cfg.init_spec(), cfg.solver_config(),
+        cfg.model.params, cfg.model.variant, cfg.epsilons, cfg.spec, cfg.solver,
         speed_window=window, speed_level=cfg.speed_level,
     )
     out = Path(args.out)
@@ -127,8 +126,7 @@ def _cmd_converge(args, cfg: RunConfig) -> int:
 
 
 def _cmd_equilibria(args, cfg: RunConfig) -> int:
-    model = cfg.scaled_model()
-    rows = equilibria(model)
+    rows = equilibria(cfg.model)
     print(f"{'state':<12} {'n_i':>14} {'n_u':>14} {'frequency':>11} {'stability':>10}")
     for eq in rows:
         total = eq.ni + eq.nu
@@ -139,20 +137,19 @@ def _cmd_equilibria(args, cfg: RunConfig) -> int:
 
 
 def _cmd_wavespeed(args, cfg: RunConfig) -> int:
-    if cfg.t_end < cfg.speed_window[1]:
+    if cfg.solver.t_end < cfg.speed_window[1]:
         raise ConfigError(
-            f"time.t_end = {cfg.t_end:g} does not cover the speed window "
+            f"time.t_end = {cfg.solver.t_end:g} does not cover the speed window "
             f"ending at {cfg.speed_window[1]:g}"
         )
-    p_series, _ = frequency_run(cfg.scaled_model(), cfg.init_spec(), cfg.solver_config(),
-                                args.model)
+    p_series, _ = frequency_run(cfg.model, cfg.spec, cfg.solver, args.model)
     speed = estimate_wave_speed(p_series, cfg.speed_window, cfg.speed_level)
     print(f"speed {speed:.10g}")
     return EXIT_OK
 
 
 def _cmd_check(args, cfg: RunConfig) -> int:
-    report = check_assumptions(cfg.scaled_model(), samples=args.samples)
+    report = check_assumptions(cfg.model, samples=args.samples)
     for check in report.checks:
         state = "PASS" if check.passed else "FAIL"
         where = "" if check.location is None else f" at {check.location}"

@@ -6,10 +6,11 @@ the parsed double), integers, enum words, or comma-separated lists.  Unknown
 keys, duplicate keys and rule violations are rejected with the offending
 line number and key.  A rule on one value is owned by the constructor of its
 domain object, or by the experiments check of the eps ladder or speed level,
-whose FieldError names the field, reported here as its key.  This module
-checks each value's syntax, builds the domain objects, then checks sf < sh,
-the ladder, the speed level and the speed window; the first error reported
-follows that order.
+whose FieldError names the field, reported here as its key.  parse_config
+checks each value's syntax, builds the domain objects once, then checks
+sf < sh, the ladder, the speed level and the speed window; the first error
+reported follows that order.  The RunConfig it returns holds the model,
+solver configuration and initial bump it built, and the sweep's settings.
 """
 
 from __future__ import annotations
@@ -136,55 +137,16 @@ _KEYS_OF_FIELD = {key.split(".", 1)[1]: (key,) for key in _KEYS} | {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration from parse_config; one field per key."""
+    """A validated run from parse_config: the objects its keys build, the
+    sweep's ladder and speed settings, and the key values the text set."""
 
-    fu: float
-    du: float
-    delta: float
-    sf: float
-    sh: float
-    sigma: float
-    mu: float
-    variant: Variant
-    epsilon: float
-    xmin: float
-    xmax: float
-    dx: float
-    dt: float
-    t_end: float
-    output_every: int
-    a: float | tuple[tuple[float, float], ...]
-    bc: BoundaryCondition
-    amplitude: float
-    radius: float
-    smoothing: float
+    model: ScaledModel
+    solver: SolverConfig
+    spec: InitialDataSpec
     epsilons: tuple[float, ...]
     speed_level: float
     speed_window: tuple[float, float]
     raw: dict = field(default_factory=dict, compare=False)
-
-    def params(self) -> WolbachiaParams:
-        return WolbachiaParams(self.fu, self.du, self.delta, self.sf, self.sh,
-                               self.sigma, self.mu)
-
-    def scaled_model(self) -> ScaledModel:
-        return ScaledModel(self.params(), self.epsilon, self.variant)
-
-    def grid(self) -> Grid1D:
-        return Grid1D.from_spacing(self.xmin, self.xmax, self.dx)
-
-    def diffusivity(self):
-        if isinstance(self.a, tuple):
-            knots_x, knots_v = zip(*self.a)
-            return np.interp(self.grid().x, knots_x, knots_v)
-        return self.a
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(self.grid(), self.dt, self.t_end, self.diffusivity(),
-                            self.output_every, self.bc)
-
-    def init_spec(self) -> InitialDataSpec:
-        return InitialDataSpec(self.amplitude, self.radius, self.smoothing)
 
 
 def default_config() -> RunConfig:
@@ -192,7 +154,9 @@ def default_config() -> RunConfig:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and fully validate config text; omitted keys take defaults."""
+    """Parse and fully validate config text; omitted keys take defaults.  A
+    broken rule is reported on the first of its keys that the text sets,
+    with that key's line; on its first key when the text sets none."""
     raw: dict[str, str] = {}
     lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -214,36 +178,37 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: {key}: empty value")
         raw[key], lines[key] = value, lineno
 
-    values: dict[str, object] = {}
+    v: dict[str, object] = {}
     for key, (default_text, _, parse) in _KEYS.items():
         try:
-            values[key.split(".", 1)[1]] = parse(raw.get(key, default_text))
+            v[key.split(".", 1)[1]] = parse(raw.get(key, default_text))
         except ValueError as exc:
             raise ConfigError(f"line {lines.get(key, 0)}: {key}: {exc}") from None
 
-    cfg = RunConfig(**values, raw=raw)
-    _validate(cfg, lines)
-    return cfg
-
-
-def _validate(cfg: RunConfig, lines: dict[str, int]) -> None:
-    """Build the domain objects, then check the rules that span keys.  A
-    broken rule is reported on the first of its keys that the text sets,
-    with that key's line; on its first key when the text sets none."""
     try:
-        cfg.scaled_model()
-        config = cfg.solver_config()
-        cfg.init_spec().check_inside(config.grid)
-        require(cfg.sf < cfg.sh, "sf", f"requires sf < sh (sh = {cfg.sh:g})")
-        require_eps_ladder(cfg.epsilons)
-        require_speed_level(cfg.speed_level)
-        require(0 <= cfg.speed_window[0] < cfg.speed_window[1], "speed_window",
+        params = WolbachiaParams(v["fu"], v["du"], v["delta"], v["sf"], v["sh"],
+                                 v["sigma"], v["mu"])
+        model = ScaledModel(params, v["epsilon"], v["variant"])
+        grid = Grid1D.from_spacing(v["xmin"], v["xmax"], v["dx"])
+        a = v["a"]
+        if isinstance(a, tuple):
+            knots_x, knots_v = zip(*a)
+            a = tuple(np.interp(grid.x, knots_x, knots_v).tolist())
+        solver = SolverConfig(grid, v["dt"], v["t_end"], a, v["output_every"], v["bc"])
+        spec = InitialDataSpec(v["amplitude"], v["radius"], v["smoothing"])
+        spec.check_inside(grid)
+        require(params.sf < params.sh, "sf", f"requires sf < sh (sh = {params.sh:g})")
+        require_eps_ladder(v["epsilons"])
+        require_speed_level(v["speed_level"])
+        require(0 <= v["speed_window"][0] < v["speed_window"][1], "speed_window",
                 "speed_window must be an increasing pair of times")
     except FieldError as exc:
         keys = _KEYS_OF_FIELD[exc.field]
         key = next((key for key in keys if key in lines), keys[0])
         where = f"line {lines[key]}: " if key in lines else ""
         raise ConfigError(f"{where}{key}: {exc}") from None
+    return RunConfig(model, solver, spec, v["epsilons"], v["speed_level"],
+                     v["speed_window"], raw)
 
 
 def format_config(cfg: RunConfig) -> str:

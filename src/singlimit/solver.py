@@ -182,8 +182,9 @@ class BoundaryCondition(Enum):
 class SolverConfig:
     """Grid, time step, diffusivity profile, output cadence and boundary.
 
-    diffusivity is a constant or an array of per-node values; it must stay
-    strictly positive.
+    diffusivity is a constant or a sequence of per-node values (a config's
+    tabulated profile arrives as a tuple of floats); it must stay strictly
+    positive.
     """
 
     grid: Grid1D

@@ -134,6 +134,19 @@ def test_alternative_variant_is_selected_by_config_only(tmp_path, capsys):
     assert (out_dir / "ni_0000.csv").exists() and (out_dir / "nu_0000.csv").exists()
 
 
+def test_solver_failure_is_runtime_error(tmp_path, capsys):
+    # dt = 5 is far past the explicit step bound of the alternative kinetics
+    cfg = tmp_path / "alt.cfg"
+    cfg.write_text("model.variant = alternative\ntime.dt = 5\ntime.t_end = 50\n"
+                   "time.output_every = 1\n")
+    out_dir = tmp_path / "out"
+    assert cli_dispatch(["simulate", "--model", "system", "--config", str(cfg),
+                         "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: eps=0.1: step 5: infected density fell to -1.297e-01")
+    assert not out_dir.exists()
+
+
 def test_check_caps_samples(capsys):
     assert cli_dispatch(["check", "--samples", "1001"]) == 1
     assert capsys.readouterr().err == "error: 1001 samples per axis exceed the limit of 1000\n"
@@ -169,6 +182,17 @@ def test_simulate_limit_writes_snapshots(tmp_path, quick_cfg, capsys):
     assert len(x) == 121
     assert values.max() == 0.4
     assert (out_dir / "profiles.svg").exists()
+
+
+def test_simulate_thins_plot_to_six_curves(tmp_path, quick_cfg):
+    # 21 snapshots at t = 0, 0.1, ..., 2; the plot keeps 6, endpoints included
+    quick_cfg.write_text(QUICK.replace("time.output_every = 50", "time.output_every = 5"))
+    out_dir = tmp_path / "run"
+    assert cli_dispatch(["simulate", "--config", str(quick_cfg), "--model", "limit",
+                         "--out", str(out_dir), "--svg"]) == 0
+    svg = (out_dir / "profiles.svg").read_text()
+    assert svg.count("<polyline") == 6
+    assert ">t = 0<" in svg and ">t = 2<" in svg
 
 
 def test_simulate_system_writes_densities(tmp_path, quick_cfg):

@@ -1,25 +1,25 @@
-import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import singlimit as sl
-from singlimit.config import _KEYS, ConfigError, RunConfig, format_config, parse_config
+from singlimit.config import _KEYS, ConfigError, format_config, parse_config
 
 
 def test_empty_text_gives_reference_defaults():
     cfg = parse_config("")
-    assert cfg.fu == 1.12
-    assert cfg.du == 0.27
-    assert cfg.delta == pytest.approx(10 / 9, rel=1e-15)
-    assert cfg.sf == 0.1 and cfg.sh == 0.8 and cfg.sigma == 1.0
-    assert cfg.a == 0.1
-    assert (cfg.xmin, cfg.xmax, cfg.dx) == (-15.0, 15.0, 0.05)
-    assert cfg.dt == 0.005
-    assert cfg.variant is sl.Variant.PERFECT
+    params, grid = cfg.model.params, cfg.solver.grid
+    assert params.fu == 1.12
+    assert params.du == 0.27
+    assert params.delta == pytest.approx(10 / 9, rel=1e-15)
+    assert params.sf == 0.1 and params.sh == 0.8 and params.sigma == 1.0
+    assert cfg.solver.diffusivity == 0.1
+    assert (grid.xmin, grid.xmax, grid.dx) == (-15.0, 15.0, 0.05)
+    assert cfg.solver.dt == 0.005
+    assert cfg.model.variant is sl.Variant.PERFECT
     assert cfg.epsilons == (0.3, 0.1, 0.05, 0.02)
-    assert cfg.grid().nx == 601
+    assert grid.nx == 601
 
 
 def test_ratio_and_comments_parse():
@@ -29,8 +29,8 @@ def test_ratio_and_comments_parse():
         "model.delta = 11/9  # inline comment\n"
         "model.epsilon = 0.05\n"
     )
-    assert cfg.delta == pytest.approx(11 / 9, rel=1e-15)
-    assert cfg.epsilon == 0.05
+    assert cfg.model.params.delta == pytest.approx(11 / 9, rel=1e-15)
+    assert cfg.model.epsilon == 0.05
 
 
 def test_invalid_sh_rejected_with_line():
@@ -74,7 +74,7 @@ def test_mu_requires_imperfect_variant():
     with pytest.raises(ConfigError, match="forces mu"):
         parse_config("model.mu = 0.04\n")
     cfg = parse_config("model.mu = 0.04\nmodel.variant = imperfect\n")
-    assert cfg.scaled_model().mu == 0.04
+    assert cfg.model.mu == 0.04
 
 
 def test_epsilon_ladder_must_decrease():
@@ -91,8 +91,8 @@ def test_speed_window_needs_two_increasing_times():
 
 def test_tabulated_diffusivity():
     cfg = parse_config("diffusion.a = -15:0.1, 0:0.2, 15:0.1\n")
-    profile = cfg.diffusivity()
-    grid = cfg.grid()
+    profile = cfg.solver.diffusivity_values
+    grid = cfg.solver.grid
     assert profile[0] == pytest.approx(0.1)
     assert profile[grid.nx // 2] == pytest.approx(0.2)
     # linear in between
@@ -105,8 +105,8 @@ def test_tabulated_diffusivity():
 
 def test_variant_and_bc_words():
     cfg = parse_config("model.variant = alternative\ndiffusion.bc = dirichlet\n")
-    assert cfg.variant is sl.Variant.ALTERNATIVE
-    assert cfg.bc is sl.BoundaryCondition.DIRICHLET
+    assert cfg.model.variant is sl.Variant.ALTERNATIVE
+    assert cfg.solver.bc is sl.BoundaryCondition.DIRICHLET
 
 
 def test_show_config_round_trips():
@@ -197,9 +197,27 @@ def test_cross_key_rule_names_a_key_the_text_sets(text, message):
     assert str(info.value) == "line 2: " + message
 
 
-def test_key_table_covers_every_field():
-    fields = [f.name for f in dataclasses.fields(RunConfig) if f.name != "raw"]
-    assert [key.split(".", 1)[1] for key in _KEYS] == fields
+def test_every_key_reaches_the_run():
+    cfg = parse_config(
+        "model.fu = 1.2\nmodel.du = 0.3\nmodel.delta = 1.2\nmodel.sf = 0.2\n"
+        "model.sh = 0.9\nmodel.sigma = 2\nmodel.mu = 0.03\nmodel.variant = imperfect\n"
+        "model.epsilon = 0.07\ngrid.xmin = -10\ngrid.xmax = 12\ngrid.dx = 0.1\n"
+        "time.dt = 0.01\ntime.t_end = 3\ntime.output_every = 7\ndiffusion.a = 0.15\n"
+        "diffusion.bc = dirichlet\ninit.amplitude = 0.35\ninit.radius = 1.2\n"
+        "init.smoothing = 0.4\nexperiment.epsilons = 0.2, 0.05\n"
+        "experiment.speed_level = 0.4\nexperiment.speed_window = 1, 3\n"
+    )
+    assert set(cfg.raw) == set(_KEYS)
+    assert cfg.model.params == sl.WolbachiaParams(1.2, 0.3, 1.2, 0.2, 0.9, 2.0, 0.03)
+    assert (cfg.model.epsilon, cfg.model.variant) == (0.07, sl.Variant.IMPERFECT)
+    assert cfg.solver.grid == sl.Grid1D(-10.0, 12.0, 221)
+    assert (cfg.solver.dt, cfg.solver.t_end, cfg.solver.output_every) == (0.01, 3.0, 7)
+    assert cfg.solver.diffusivity == 0.15
+    assert cfg.solver.bc is sl.BoundaryCondition.DIRICHLET
+    assert cfg.spec == sl.InitialDataSpec(0.35, 1.2, 0.4)
+    assert cfg.epsilons == (0.2, 0.05)
+    assert cfg.speed_level == 0.4
+    assert cfg.speed_window == (1.0, 3.0)
 
 
 def test_readme_lists_every_key():
@@ -223,7 +241,7 @@ def test_choice_markers():
 
 def test_solver_config_construction():
     cfg = parse_config("time.t_end = 2\ntime.output_every = 40\n")
-    solver_cfg = cfg.solver_config()
+    solver_cfg = cfg.solver
     assert solver_cfg.n_steps == 400
     assert solver_cfg.output_every == 40
     assert np.all(solver_cfg.diffusivity_values == 0.1)

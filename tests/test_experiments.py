@@ -301,3 +301,15 @@ def test_sweep_returns_series(fig1_params, coarse_grid):
     for reduced in reduced_series:
         assert len(reduced) == len(limit)
         assert all(isinstance(r, sl.ReducedFields) for r in reduced)
+
+
+def test_sweep_speeds_approach_the_limit_speed(fig1_params, grid601):
+    # a window early enough for a short run: both rungs' fronts and the
+    # limit front recede at about 0.2, and the gap to the limit shrinks with eps
+    config = sl.SolverConfig(grid601, dt=0.005, t_end=0.5, diffusivity=0.1, output_every=10)
+    report, _, _ = sl.run_convergence_sweep(
+        fig1_params, sl.Variant.PERFECT, [0.3, 0.1], sl.InitialDataSpec(), config,
+        speed_window=(0.25, 0.5), speed_level=0.3)
+    assert np.all(np.isfinite(report.speeds)) and np.isfinite(report.limit_speed)
+    gaps = [abs(speed - report.limit_speed) for speed in report.speeds]
+    assert gaps[1] < gaps[0]
