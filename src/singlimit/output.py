@@ -36,7 +36,7 @@ def _fmt(value: float) -> str:
 
 def _atomic_write(path: str | Path, text: str) -> None:
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
             handle.write(text)

@@ -10,9 +10,9 @@ import singlimit as sl
 PUBLIC_NAMES = [
     "AssumptionCheck", "AssumptionReport", "BistabilityError", "BoundaryCondition",
     "ConfigError", "ConvergenceReport", "Equilibrium", "EquilibriumKind", "Field",
-    "FieldError", "Grid1D", "InitialDataSpec", "MAX_NODES", "PopulationState",
-    "ReducedFields", "RunConfig", "ScaledModel", "SolverConfig", "SolverError",
-    "Stability", "StabilityResult", "TridiagonalSystem", "Variant", "Verdict",
+    "FieldError", "Grid1D", "InitialDataSpec", "MAX_NODES", "MAX_STEPS",
+    "PopulationState", "ReducedFields", "RunConfig", "ScaledModel", "SolverConfig",
+    "SolverError", "Stability", "StabilityResult", "TridiagonalSystem", "Variant", "Verdict",
     "WolbachiaParams", "assemble_diffusion", "check_assumptions", "check_reaction_step",
     "classify_stability", "config", "default_config", "drift_slope_bound", "equilibria",
     "error_norms", "estimate_wave_speed", "experiments", "extinction_check",
@@ -40,6 +40,6 @@ def test_public_namespace_is_pinned():
 def test_exports_are_the_modules_all_lists():
     modules = (sl.model, sl.solver, sl.reduction, sl.experiments, sl.config)
     exported = [name for module in modules for name in module.__all__]
-    assert len(exported) == len(set(exported)) == 56
+    assert len(exported) == len(set(exported)) == 57
     assert all(getattr(sl, name) is getattr(module, name)
                for module in modules for name in module.__all__)

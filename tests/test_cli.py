@@ -83,6 +83,18 @@ def test_node_cap_dx_is_validation_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_step_cap_dt_is_validation_error(tmp_path, capsys):
+    # 25/1e-12 steps would run for days, keeping a frame every 200 steps
+    cfg = tmp_path / "tiny_dt.cfg"
+    cfg.write_text("time.dt = 1e-12\n")
+    out_dir = tmp_path / "limit"
+    args = ["simulate", "--model", "limit", "--config", str(cfg), "--out", str(out_dir)]
+    assert cli_dispatch(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: time.dt: t_end/dt = 25000000000000 steps exceed")
+    assert not out_dir.exists()
+
+
 def test_converge_rejects_unstable_eps(tmp_path, capsys):
     cfg = tmp_path / "small_eps.cfg"
     cfg.write_text("experiment.epsilons = 0.002\n")

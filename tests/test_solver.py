@@ -61,6 +61,18 @@ def test_grid_caps_node_count():
         sl.Grid1D.from_spacing(-30.0, 30.0, 1e-300)
 
 
+def test_config_caps_step_count():
+    # the cap is checked before any run: 25/1e-12 is a finite step count
+    grid = small_grid()
+    cap = sl.MAX_STEPS
+    assert sl.SolverConfig(grid, dt=1.0, t_end=float(cap)).n_steps == cap
+    with pytest.raises(sl.FieldError, match="10000001 steps exceed the limit") as info:
+        sl.SolverConfig(grid, dt=1.0, t_end=float(cap + 1))
+    assert info.value.field == "dt"
+    with pytest.raises(sl.FieldError, match="25000000000000 steps exceed the limit"):
+        sl.SolverConfig(grid, dt=1e-12, t_end=25.0)
+
+
 def test_field_validation():
     grid = small_grid()
     with pytest.raises(ValueError):
@@ -205,9 +217,15 @@ def test_prefactored_solve_equals_scipy_banded(grid601, bc, columns):
         ab[2, 0] = ab[0, -1] = 0.0
     assert np.array_equal(ab[0, 1:], ab[2, :-1])
     want = solveh_banded(ab[:2], folded)
-    got = sl.solver.solve_banded(_factor(config), rhs.copy())
+    factors = _factor(config)
+    got = sl.solver.solve_banded(factors, rhs.copy())
     assert got.shape == rhs.shape
     assert np.array_equal(got, want)
+    # a Fortran-ordered rhs, the block run_system steps, is solved in place
+    block = np.array(rhs, order="F")
+    solved = sl.solver.solve_banded(factors, block)
+    assert np.shares_memory(solved, block)
+    assert np.array_equal(solved, want)
     general = solve_banded((1, 1), band_array(config), rhs)
     assert np.max(np.abs(got - general)) <= 1e-14 * np.max(np.abs(general))
 
