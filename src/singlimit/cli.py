@@ -14,7 +14,8 @@ from pathlib import Path
 from .config import ConfigError, RunConfig, default_config, format_config, parse_config
 from .experiments import estimate_wave_speed, frequency_run, run_convergence_sweep
 from .model import check_assumptions, equilibria
-from .output import write_manifest, write_profiles_svg, write_report, write_snapshot
+from .output import (staged_output, write_manifest, write_profiles_svg, write_report,
+                     write_snapshot)
 from .solver import SolverError, gradient_l2
 
 EXIT_OK = 0
@@ -25,13 +26,16 @@ EXIT_CHECK_FAILED = 3
 MAX_PLOT_CURVES = 6
 
 
-def _thin_for_plot(series):
-    """At most MAX_PLOT_CURVES evenly spaced snapshots, endpoints kept."""
-    if len(series) <= MAX_PLOT_CURVES:
-        return list(series)
-    idx = sorted({round(k * (len(series) - 1) / (MAX_PLOT_CURVES - 1))
-                  for k in range(MAX_PLOT_CURVES)})
-    return [series[i] for i in idx]
+def _plot_indices(n: int) -> list[int]:
+    """Indices of at most MAX_PLOT_CURVES evenly spaced frames out of n,
+    endpoints kept."""
+    if n <= MAX_PLOT_CURVES:
+        return list(range(n))
+    return sorted({round(k * (n - 1) / (MAX_PLOT_CURVES - 1)) for k in range(MAX_PLOT_CURVES)})
+
+
+def _thin(series: list) -> list:
+    return [series[i] for i in _plot_indices(len(series))]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,12 +53,12 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", parents=[common],
                          help="integrate one model and write snapshot CSVs")
     sim.add_argument("--model", choices=("system", "limit"), default="system")
-    sim.add_argument("--out", required=True, metavar="DIR")
+    sim.add_argument("--out", metavar="DIR", help="output directory (required to run)")
     sim.add_argument("--svg", action="store_true", help="also write a profile plot")
 
     conv = sub.add_parser("converge", parents=[common],
                           help="run the eps ladder and write report.csv")
-    conv.add_argument("--out", required=True, metavar="DIR")
+    conv.add_argument("--out", metavar="DIR", help="output directory (required to run)")
     conv.add_argument("--svg", action="store_true", help="also write profile plots")
 
     sub.add_parser("equilibria", parents=[common],
@@ -77,26 +81,30 @@ def _load_config(args) -> RunConfig:
 
 
 def _cmd_simulate(args, cfg: RunConfig) -> int:
-    p_series, raw_series = frequency_run(cfg.model, cfg.spec, cfg.solver, args.model)
+    plot_at = set(_plot_indices(cfg.solver.n_frames))
+    p_rows, density_rows, plot = [], [], []
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    with staged_output(out) as staging:
 
-    entries = []
-    for k, (t, p_field) in enumerate(p_series):
-        name = f"p_{k:04d}.csv"
-        write_snapshot(p_field, out / name)
-        entries.append((t, name))
-    if raw_series is not None:
-        for k, state in enumerate(raw_series):
-            for tag, fld in (("ni", state.ni), ("nu", state.nu)):
-                name = f"{tag}_{k:04d}.csv"
-                write_snapshot(fld, out / name)
-                entries.append((state.time, name))
-    write_manifest(entries, out / "manifest.csv")
-    if args.svg:
-        write_profiles_svg(_thin_for_plot(p_series), out / "profiles.svg",
-                           title=f"frequency, model={args.model}")
-    print(f"wrote {len(entries)} snapshots to {out}")
+        def write(tag, k, t, fld):
+            name = f"{tag}_{k:04d}.csv"
+            write_snapshot(fld, staging.path(name))
+            return t, name
+
+        def on_frame(t, p, state):
+            k = len(p_rows)
+            p_rows.append(write("p", k, t, p))
+            if state is not None:
+                density_rows.extend([write("ni", k, t, state.ni), write("nu", k, t, state.nu)])
+            if k in plot_at:
+                plot.append((t, p))
+
+        frequency_run(cfg.model, cfg.spec, cfg.solver, args.model, on_frame=on_frame)
+        write_manifest(p_rows + density_rows, staging.path("manifest.csv"))
+        if args.svg:
+            write_profiles_svg(plot, staging.path("profiles.svg"),
+                               title=f"frequency, model={args.model}")
+    print(f"wrote {len(p_rows) + len(density_rows)} snapshots to {out}")
     return EXIT_OK
 
 
@@ -107,15 +115,15 @@ def _cmd_converge(args, cfg: RunConfig) -> int:
         speed_window=window, speed_level=cfg.speed_level,
     )
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_report(report, out / "report.csv")
-    if args.svg:
-        write_profiles_svg(_thin_for_plot(limit_series), out / "profiles_limit.svg",
-                           title="limit equation")
-        for eps, reduced in zip(report.epsilons, reduced_series):
-            write_profiles_svg(_thin_for_plot([(r.time, r.p) for r in reduced]),
-                               out / f"profiles_eps_{eps:g}.svg",
-                               title=f"system, eps = {eps:g}")
+    with staged_output(out) as staging:
+        write_report(report, staging.path("report.csv"))
+        if args.svg:
+            write_profiles_svg(_thin(limit_series), staging.path("profiles_limit.svg"),
+                               title="limit equation")
+            for eps, reduced in zip(report.epsilons, reduced_series):
+                write_profiles_svg(_thin([(r.time, r.p) for r in reduced]),
+                                   staging.path(f"profiles_eps_{eps:g}.svg"),
+                                   title=f"system, eps = {eps:g}")
     for eps, ep, em, reduced in zip(report.epsilons, report.err_p, report.err_m,
                                     reduced_series):
         grad = gradient_l2(reduced[-1].p)
@@ -171,6 +179,9 @@ def cli_dispatch(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # simulate and converge need --out to run, not to show the config
+        if getattr(args, "out", "") is None and not args.show_config:
+            parser.error("the following arguments are required: --out")
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -161,23 +161,40 @@ def make_initial_data(model: ScaledModel, spec: InitialDataSpec,
 
 
 def frequency_run(model: ScaledModel, spec: InitialDataSpec, config: SolverConfig,
-                  equation: str = "system") -> tuple[list, list | None]:
+                  equation: str = "system", *,
+                  on_frame: Callable[[float, Field, PopulationState | None], None] | None = None
+                  ) -> tuple[list, list | None] | None:
     """Frequency series of one model started from the seeded bump.
 
     equation "system" runs the two-population system and reduces every frame;
     "limit" runs the scalar limit equation, which the alternative variant
     does not have.  Returns (p_series, states), where p_series holds
     (time, p Field) pairs and states is the system's raw series, or None for
-    the limit equation.
+    the limit equation.  With on_frame, each frame instead goes to
+    on_frame(time, p, state) as soon as it settles, with state None for the
+    limit equation, and the run keeps none and returns None.
     """
     if equation not in ("system", "limit"):
         raise ValueError(f"equation must be 'system' or 'limit', got {equation!r}")
+    if on_frame is None:
+        p_series, states = [], []
+
+        def keep(t, p, state):
+            p_series.append((t, p))
+            states.append(state)
+
+        frequency_run(model, spec, config, equation, on_frame=keep)
+        return p_series, (states if equation == "system" else None)
     state0, p_init = make_initial_data(model, spec, config.grid)
     if equation == "limit":
         require_reducible(model, "the limit equation")
-        return run_scalar(lambda v: limit_reaction(model, v), p_init, config), None
-    states = run_system([model], [state0], config)[0]
-    return [(s.time, to_reduced(model, s).p) for s in states], states
+        run_scalar(lambda v: limit_reaction(model, v), p_init, config,
+                   on_frame=lambda frame: on_frame(*frame, None))
+    else:
+        run_system([model], [state0], config,
+                   on_frame=lambda frame: on_frame(frame[0].time,
+                                                   to_reduced(model, frame[0]).p, frame[0]))
+    return None
 
 
 # ---------------------------------------------------------------------------

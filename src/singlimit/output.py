@@ -1,17 +1,22 @@
 """On-disk result formats: CSV snapshots, manifests, sweep reports, SVG plots.
 
 All floats are serialized with 17 significant digits so files round-trip
-bit-exactly; files are written atomically (temp file + rename) with LF line
-endings.
+bit-exactly, with LF line endings; each file is written atomically (temp
+file + rename).  A command publishes its run through `staged_output`: the
+files go into a private staging directory next to the output directory as
+they are produced, and appear there only once the run has succeeded, so a
+run that fails leaves the output directory as it was.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
+import shutil
 import tempfile
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -19,6 +24,7 @@ from .experiments import ConvergenceReport
 from .solver import Field
 
 __all__ = [
+    "staged_output",
     "write_snapshot",
     "read_snapshot",
     "write_manifest",
@@ -45,6 +51,60 @@ def _atomic_write(path: str | Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+class _Staging:
+    """The staging directory of one run, made on first use."""
+
+    def __init__(self, out: Path):
+        self.out = out
+        self._dir: Path | None = None
+
+    def path(self, name: str) -> Path:
+        """Where the run writes its file `name`."""
+        if self._dir is None:
+            self.out.parent.mkdir(parents=True, exist_ok=True)
+            stage = self.out.parent / f".{self.out.name}.{os.urandom(6).hex()}.staging"
+            stage.mkdir()
+            self._dir = stage
+        return self._dir / name
+
+    def publish(self) -> None:
+        if self._dir is None:
+            return
+        if self.out.exists():
+            for name in os.listdir(self._dir):
+                os.replace(self._dir / name, self.out / name)
+            self._dir.rmdir()
+        else:
+            os.rename(self._dir, self.out)
+        self._dir = None
+
+    def discard(self) -> None:
+        if self._dir is not None:
+            shutil.rmtree(self._dir, ignore_errors=True)
+            self._dir = None
+
+
+@contextlib.contextmanager
+def staged_output(out: str | Path) -> Iterator[_Staging]:
+    """Publish the files of one run into the directory `out` all at once.
+
+    The block writes each file to `staging.path(name)`.  The first call
+    makes a private staging directory next to `out`, so a block that fails
+    before it touches no file.  When the block succeeds, the staging
+    directory is renamed onto `out` if `out` does not exist, one atomic
+    rename for the whole run; otherwise each file is moved into `out` with
+    os.replace, and files of `out` the run did not write stay.  When the
+    block raises, the staging directory is removed and `out` is left as it
+    was.
+    """
+    staging = _Staging(Path(out))
+    try:
+        yield staging
+        staging.publish()
+    finally:
+        staging.discard()
 
 
 @functools.lru_cache(maxsize=8)

@@ -257,6 +257,12 @@ class SolverConfig:
     def n_steps(self) -> int:
         return round(self.t_end / self.dt)
 
+    @property
+    def n_frames(self) -> int:
+        """Frames a run hands over: step 0, every output_every steps and the
+        final step."""
+        return -(-self.n_steps // int(self.output_every)) + 1
+
 
 @dataclass(frozen=True)
 class TridiagonalSystem:
@@ -467,7 +473,9 @@ def check_reaction_step(model: ScaledModel, dt: float) -> None:
 
 
 def run_system(models: Sequence[ScaledModel], states: Sequence[PopulationState],
-               config: SolverConfig) -> list[list[PopulationState]]:
+               config: SolverConfig, *,
+               on_frame: Callable[[list[PopulationState]], None] | None = None
+               ) -> list[list[PopulationState]] | None:
     """Integrate the two-population system of every rung to t_end.
 
     Rung k is models[k] started from states[k]; all rungs share the grid, the
@@ -478,7 +486,9 @@ def run_system(models: Sequence[ScaledModel], states: Sequence[PopulationState],
     into the two halves of a fresh right-hand side and adds the densities.
     Returns one series per rung: snapshots at step 0, every output_every
     steps, and the final step, with times measured from the common initial
-    time.  A failure names the rung by its eps and the step.
+    time.  With on_frame, each snapshot instead goes to on_frame as the list
+    of the K rung states as soon as its step settles, none is kept, and the
+    run returns None.  A failure names the rung by its eps and the step.
     """
     models, states = list(models), list(states)
     if not models:
@@ -508,20 +518,24 @@ def run_system(models: Sequence[ScaledModel], states: Sequence[PopulationState],
         return rhs
 
     block = np.array([s.ni.values for s in states] + [s.nu.values for s in states]).T
-    frames = _integrate(config, block, explicit_step,
-                        lambda values: _settle_density(values, rungs))
-    series: list[list[PopulationState]] = [[] for _ in models]
-    for step, v in frames:
-        t = t0 + step * dt
-        for j, rung_series in enumerate(series):
-            rung_series.append(PopulationState(Field(v[:, j], grid), Field(v[:, k + j], grid), t))
-    return series
+    frames = ([PopulationState(Field(v[:, j], grid), Field(v[:, k + j], grid), t0 + step * dt)
+               for j in range(k)]
+              for step, v in _integrate(config, block, explicit_step,
+                                        lambda values: _settle_density(values, rungs)))
+    if on_frame is None:
+        return [list(rung_series) for rung_series in zip(*frames)]
+    for frame in frames:
+        on_frame(frame)
+    return None
 
 
 def run_scalar(reaction: Callable[[np.ndarray], np.ndarray], p0: Field,
-               config: SolverConfig) -> list[tuple[float, Field]]:
+               config: SolverConfig, *,
+               on_frame: Callable[[tuple[float, Field]], None] | None = None
+               ) -> list[tuple[float, Field]] | None:
     """Integrate the scalar frequency equation to t_end; snapshot cadence as
-    in run_system.  Returns (time, field) pairs.
+    in run_system.  Returns (time, field) pairs, or, with on_frame, hands
+    each pair to on_frame as soon as its step settles and returns None.
 
     Round-off excursions of p outside [0, 1] (up to FREQUENCY_TOL), p0's
     included, are clamped; larger excursions abort the run.
@@ -529,9 +543,15 @@ def run_scalar(reaction: Callable[[np.ndarray], np.ndarray], p0: Field,
     if p0.grid != config.grid:
         raise ValueError("initial field lives on a different grid")
     dt = config.dt
-    frames = _integrate(config, _settle_frequency(p0.values),
-                        lambda values: values + dt * reaction(values), _settle_frequency)
-    return [(step * dt, Field(v, config.grid)) for step, v in frames]
+    frames = ((step * dt, Field(v, config.grid))
+              for step, v in _integrate(config, _settle_frequency(p0.values),
+                                        lambda values: values + dt * reaction(values),
+                                        _settle_frequency))
+    if on_frame is None:
+        return list(frames)
+    for frame in frames:
+        on_frame(frame)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import singlimit.cli
+import singlimit.solver
 from singlimit.cli import cli_dispatch
 from singlimit.output import read_snapshot
 
@@ -157,6 +159,8 @@ def test_solver_failure_is_runtime_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("solver error: eps=0.1: step 5: infected density fell to -1.297e-01")
     assert not out_dir.exists()
+    # the frames written before the failure went to a staging directory that is gone
+    assert [p.name for p in tmp_path.iterdir()] == ["alt.cfg"]
 
 
 def test_check_caps_samples(capsys):
@@ -181,6 +185,62 @@ def test_show_config_does_not_run(tmp_path, capsys, quick_cfg):
     text = capsys.readouterr().out
     assert "model.fu = 1.12" in text
     assert "# choice" in text
+
+
+@pytest.mark.parametrize("command", ["simulate", "converge"])
+def test_show_config_needs_no_out(capsys, command):
+    assert cli_dispatch([command, "--show-config"]) == 0
+    assert "time.t_end = " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["simulate", "converge"])
+def test_run_without_out_is_validation_error(tmp_path, capsys, quick_cfg, command):
+    assert cli_dispatch([command, "--config", str(quick_cfg)]) == 1
+    assert "required: --out" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["quick.cfg"]
+
+
+def test_simulate_writes_each_frame_before_the_next_step(tmp_path, quick_cfg, monkeypatch):
+    # 100 steps, frames at steps 0, 30, 60, 90 and 100
+    quick_cfg.write_text(QUICK.replace("time.output_every = 50", "time.output_every = 30"))
+    solves, writes = [0], []
+
+    def counting_solve(*args, **kwargs):
+        solves[0] += 1
+        return solve(*args, **kwargs)
+
+    def recording_write(field, path):
+        writes.append((Path(path).name, solves[0]))
+        write(field, path)
+
+    solve, write = singlimit.solver.solve_banded, singlimit.cli.write_snapshot
+    monkeypatch.setattr(singlimit.solver, "solve_banded", counting_solve)
+    monkeypatch.setattr(singlimit.cli, "write_snapshot", recording_write)
+    assert cli_dispatch(["simulate", "--config", str(quick_cfg), "--model", "system",
+                         "--out", str(tmp_path / "run")]) == 0
+    assert solves[0] == 100
+    expected = [(f"{tag}_{k:04d}.csv", min(30 * k, 100))
+                for k in range(5) for tag in ("p", "ni", "nu")]
+    assert writes == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "system", "--svg"],
+    ["simulate", "--model", "limit", "--svg"],
+    ["converge", "--svg"],
+])
+def test_rerun_into_existing_out_matches_fresh_run(tmp_path, quick_cfg, capsys, argv):
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    reused.mkdir()
+    (reused / "stale.txt").write_text("kept")
+    for out in (fresh, reused, reused):
+        assert cli_dispatch(argv + ["--config", str(quick_cfg), "--out", str(out)]) == 0
+    written = sorted(p.name for p in fresh.iterdir())
+    assert sorted(p.name for p in reused.iterdir()) == sorted(written + ["stale.txt"])
+    for name in written:
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+    assert (reused / "stale.txt").read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "quick.cfg", "reused"]
 
 
 def test_simulate_limit_writes_snapshots(tmp_path, quick_cfg, capsys):

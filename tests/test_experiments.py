@@ -156,6 +156,27 @@ def test_frequency_run_matches_direct_runs(fig1_params, coarse_grid):
         sl.frequency_run(model, spec, config, equation="both")
 
 
+@pytest.mark.parametrize("equation", ["system", "limit"])
+def test_frequency_run_streams_the_series_it_returns(fig1_params, coarse_grid, equation):
+    model = sl.ScaledModel(fig1_params, 0.1)
+    spec = sl.InitialDataSpec()
+    config = quick_config(coarse_grid)
+    frames = []
+    assert sl.frequency_run(model, spec, config, equation,
+                            on_frame=lambda *frame: frames.append(frame)) is None
+    p_series, states = sl.frequency_run(model, spec, config, equation)
+    assert len(frames) == len(p_series) == config.n_frames
+    for k, (t, p, state) in enumerate(frames):
+        assert t == p_series[k][0]
+        assert np.array_equal(p.values, p_series[k][1].values)
+        if equation == "limit":
+            assert state is None and states is None
+        else:
+            assert state.time == t
+            assert np.array_equal(state.ni.values, states[k].ni.values)
+            assert np.array_equal(state.nu.values, states[k].nu.values)
+
+
 # ---------------------------------------------------------------------------
 # extinction check
 

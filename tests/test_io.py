@@ -7,6 +7,7 @@ import pytest
 import singlimit as sl
 from singlimit.output import (
     read_snapshot,
+    staged_output,
     write_manifest,
     write_profiles_svg,
     write_report,
@@ -141,3 +142,53 @@ def test_svg_plot(grid, tmp_path):
     assert text.startswith("<svg")
     assert text.count("<polyline") == 3
     assert "t = 5" in text
+
+
+def test_staged_output_publishes_a_new_directory_in_one_rename(tmp_path):
+    out = tmp_path / "nested" / "out"
+    with staged_output(out) as staging:
+        staging.path("a.txt").write_text("a")
+        staging.path("b.txt").write_text("b")
+        stage = staging.path("a.txt").parent
+        assert stage.parent == out.parent and not out.exists()
+    assert sorted(p.name for p in out.iterdir()) == ["a.txt", "b.txt"]
+    assert not stage.exists()
+    assert [p.name for p in out.parent.iterdir()] == ["out"]
+
+
+def test_staged_output_moves_files_into_an_existing_directory(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "a.txt").write_text("old")
+    (out / "keep.txt").write_text("keep")
+    with staged_output(out) as staging:
+        staging.path("a.txt").write_text("new")
+    assert (out / "a.txt").read_text() == "new"
+    assert (out / "keep.txt").read_text() == "keep"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_staged_output_leaves_out_as_it_was_on_failure(tmp_path, existing):
+    out = tmp_path / "out"
+    if existing:
+        out.mkdir()
+        (out / "a.txt").write_text("old")
+    with pytest.raises(RuntimeError, match="boom"):
+        with staged_output(out) as staging:
+            staging.path("a.txt").write_text("new")
+            raise RuntimeError("boom")
+    if existing:
+        assert [p.name for p in out.iterdir()] == ["a.txt"]
+        assert (out / "a.txt").read_text() == "old"
+    assert [p.name for p in tmp_path.iterdir()] == (["out"] if existing else [])
+
+
+def test_staged_output_touches_nothing_before_the_first_file(tmp_path):
+    out = tmp_path / "missing" / "out"
+    with pytest.raises(ValueError):
+        with staged_output(out):
+            raise ValueError("rejected before the run")
+    with staged_output(out):
+        pass
+    assert list(tmp_path.iterdir()) == []

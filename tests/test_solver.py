@@ -579,6 +579,49 @@ def test_run_snapshot_cadence(fig1_params, grid601):
     assert times == pytest.approx([0.0, 7 * 0.005, 14 * 0.005, 0.1])
 
 
+@pytest.mark.parametrize("output_every", [1, 7, 20, 25, 1000])
+def test_n_frames_counts_the_frames_of_a_run(grid601, output_every):
+    config = sl.SolverConfig(grid601, dt=0.005, t_end=0.1, diffusivity=0.1,
+                             output_every=output_every)
+    p0 = sl.Field(0.5 * np.exp(-grid601.x ** 2), grid601)
+    assert config.n_frames == len(sl.run_scalar(lambda v: np.zeros_like(v), p0, config))
+
+
+@pytest.mark.parametrize("bc", list(sl.BoundaryCondition))
+def test_run_system_streams_the_frames_it_returns(fig1_params, grid601, bc):
+    config = sl.SolverConfig(grid601, dt=0.005, t_end=0.5, diffusivity=0.1,
+                             output_every=30, bc=bc)
+    models = [sl.ScaledModel(fig1_params, eps) for eps in (0.3, 0.1, 0.05)]
+    states = [sl.make_initial_data(m, sl.InitialDataSpec(), grid601)[0] for m in models]
+    frames = []
+    assert sl.run_system(models, states, config, on_frame=frames.append) is None
+    ladder = sl.run_system(models, states, config)
+    assert len(frames) == config.n_frames == len(ladder[0])
+    for k, frame in enumerate(frames):
+        assert len(frame) == 3
+        for streamed, series in zip(frame, ladder):
+            kept = series[k]
+            assert streamed.time == kept.time
+            assert np.array_equal(streamed.ni.values, kept.ni.values)
+            assert np.array_equal(streamed.nu.values, kept.nu.values)
+
+
+def test_run_scalar_streams_the_frames_it_returns(fig1_params, grid601):
+    model = sl.ScaledModel(fig1_params, 0.1)
+    config = sl.SolverConfig(grid601, dt=0.005, t_end=0.5, diffusivity=0.1, output_every=30)
+    _, p0 = sl.make_initial_data(model, sl.InitialDataSpec(), grid601)
+    def reaction(v):
+        return sl.limit_reaction(model, v)
+
+    frames = []
+    assert sl.run_scalar(reaction, p0, config, on_frame=frames.append) is None
+    kept = sl.run_scalar(reaction, p0, config)
+    assert len(frames) == config.n_frames == len(kept)
+    for (t, field), (t_kept, field_kept) in zip(frames, kept):
+        assert t == t_kept
+        assert np.array_equal(field.values, field_kept.values)
+
+
 def test_mass_conservation_without_reaction(grid601):
     config = sl.SolverConfig(grid601, dt=0.01, t_end=10.0, diffusivity=0.1,
                              output_every=1000)
