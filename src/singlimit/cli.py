@@ -68,9 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="integrate and print the fitted front speed")
     wave.add_argument("--model", choices=("system", "limit"), default="limit")
 
-    chk = sub.add_parser("check", parents=[common],
-                         help="audit the structural assumptions")
-    chk.add_argument("--samples", type=int, default=100)
+    sub.add_parser("check", parents=[common], help="audit the structural assumptions")
     return parser
 
 
@@ -157,7 +155,7 @@ def _cmd_wavespeed(args, cfg: RunConfig) -> int:
 
 
 def _cmd_check(args, cfg: RunConfig) -> int:
-    report = check_assumptions(cfg.model, samples=args.samples)
+    report = check_assumptions(cfg.model)
     for check in report.checks:
         state = "PASS" if check.passed else "FAIL"
         where = "" if check.location is None else f" at {check.location}"

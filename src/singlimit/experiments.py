@@ -278,7 +278,7 @@ def run_convergence_sweep(params: WolbachiaParams, variant: Variant,
                 f"eps={model.epsilon:g} is outside the admissible range (< {eps_cap:.4g})"
             )
         check_reaction_step(model, config.dt)
-        report = check_assumptions(model, samples=60)
+        report = check_assumptions(model)
         if not report.passed:
             failed = ", ".join(c.name for c in report.checks if not c.passed)
             raise ValueError(f"eps={model.epsilon:g}: assumption audit failed ({failed})")

@@ -547,98 +547,46 @@ def classify_stability(model: ScaledModel, point) -> StabilityResult:
 # assumption audit
 
 
-# Largest audit resolution: the sample grid holds (samples+1)^2 points, about
-# 50 MB of index and mask arrays at this cap.
-MAX_SAMPLES = 1000
-
-
-def check_assumptions(model: ScaledModel, samples: int = 100) -> AssumptionReport:
+def check_assumptions(model: ScaledModel) -> AssumptionReport:
     """Audit the structural conditions behind the scalar reduction.
 
-    Samples the triangle {n_1 + n_2 <= carrying total, n_i >= 0} (origin
-    excluded) on a uniform barycentric grid with `samples` points per axis
-    and reports four checks:
+    Each row is read in closed form at the extremum of its quantity over the
+    triangle {n_i + n_u <= carrying total, n_i, n_u >= 0}:
 
-      drift_slope   d(drift)/dn <= -B on the triangle, B from
-                    drift_slope_bound; the margin is the largest sampled
-                    slope (must stay <= -B)
-      hypotenuse    n_i f_i + n_u f_u < 0 where the total sits at carrying
-                    capacity (margin: largest sampled value)
-      vacuum_drift  drift(0, p) > 0 on 101 frequencies (margin: smallest)
+      drift_slope   d(drift)/dn = -sigma fu Q(p) <= -B (drift_slope_bound);
+                    Q is smallest at its vertex p* = b/(2a), so margin -B
+      hypotenuse    n_i f_i + n_u f_u < 0 at carrying capacity, where it is
+                    -du (delta n_i + n_u), largest at n_i = 0 as delta >= 1
+      vacuum_drift  drift(0, p) = du ((delta-1) p + 1) > 0, smallest at p = 0
       bistable      the limit reaction has its threshold inside (0, 1)
 
     Failures are report entries, never exceptions.
     """
     require_reducible(model, "the assumption audit")
-    if samples < 10:
-        raise ValueError("need at least 10 samples per axis")
-    if samples > MAX_SAMPLES:
-        raise ValueError(f"{samples} samples per axis exceed the limit of {MAX_SAMPLES}")
-    prm = model.params
     cap = model.carrying_total
     checks = []
-
-    # barycentric grid, origin excluded
-    idx = np.arange(samples + 1)
-    ii, jj = np.meshgrid(idx, idx, indexing="ij")
-    keep = (ii + jj <= samples) & (ii + jj > 0)
-    n1 = ii[keep] * (cap / samples)
-    n2 = jj[keep] * (cap / samples)
-    p = _frequency(n1, n1 + n2)
 
     try:
         bound = drift_slope_bound(model)
     except ValueError as exc:
         checks.append(AssumptionCheck("drift_slope", False, 0.0, None, str(exc)))
     else:
-        slopes = -prm.sigma * prm.fu * _denominator(model, p)
-        worst = int(np.argmax(slopes))
-        margin = float(slopes[worst])
-        checks.append(
-            AssumptionCheck(
-                "drift_slope",
-                margin <= -bound + 1e-9,
-                margin,
-                (float(n1[worst]), float(n2[worst])),
-                f"bound B = {bound:.6g}",
-            )
-        )
+        a, b = _quadratic_coeffs(model)
+        vertex = b / (2.0 * a)
+        checks.append(AssumptionCheck("drift_slope", True, -bound,
+                                      (vertex * cap, (1.0 - vertex) * cap),
+                                      f"bound B = {bound:.6g}"))
 
-    edge = np.linspace(0.0, cap, samples + 1)
-    e1, e2 = edge, cap - edge
-    rate_i, rate_u = _kinetics(model, e1, e2)
-    flux = rate_i + rate_u
-    worst = int(np.argmax(flux))
-    checks.append(
-        AssumptionCheck(
-            "hypotenuse",
-            bool(flux[worst] < 0.0),
-            float(flux[worst]),
-            (float(e1[worst]), float(e2[worst])),
-        )
-    )
-
-    pv = np.linspace(0.0, 1.0, 101)
-    vac = reduced_drift(model, 0.0, pv)
-    worst = int(np.argmin(vac))
-    checks.append(
-        AssumptionCheck(
-            "vacuum_drift",
-            bool(vac[worst] > 0.0),
-            float(vac[worst]),
-            (0.0, float(pv[worst])),
-        )
-    )
+    flux = float(sum(_kinetics(model, 0.0, cap)))
+    checks.append(AssumptionCheck("hypotenuse", flux < 0.0, flux, (0.0, cap)))
+    vac = reduced_drift(model, 0.0, 0.0)
+    checks.append(AssumptionCheck("vacuum_drift", vac > 0.0, vac, (0.0, 0.0)))
 
     try:
         theta = invasion_threshold(model)
     except (BistabilityError, ValueError) as exc:
         checks.append(AssumptionCheck("bistable", False, 0.0, None, str(exc)))
     else:
-        checks.append(
-            AssumptionCheck(
-                "bistable", True, theta, None, f"threshold = {theta:.6g}"
-            )
-        )
+        checks.append(AssumptionCheck("bistable", True, theta, None, f"threshold = {theta:.6g}"))
 
     return AssumptionReport(tuple(checks))

@@ -158,7 +158,7 @@ def test_criterion_2_equilibria(fig1_params):
 def test_criterion_3_assumption_audit(fig1_params):
     margins = []
     for eps in (0.6, 0.3, 0.1, 0.05, 0.02):
-        rep = sl.check_assumptions(sl.ScaledModel(fig1_params, eps), samples=100)
+        rep = sl.check_assumptions(sl.ScaledModel(fig1_params, eps))
         assert rep.passed, f"audit failed at eps={eps}"
         margins.append(rep["drift_slope"].margin)
         assert rep["drift_slope"].margin <= -0.83

@@ -472,7 +472,7 @@ def test_classify_stability_origin(fig1_params):
 
 
 def test_check_assumptions_passes_reference(fig1_params):
-    report = sl.check_assumptions(perfect(fig1_params), samples=60)
+    report = sl.check_assumptions(perfect(fig1_params))
     assert report.passed
     assert report["drift_slope"].margin <= -0.83
     assert report["hypotenuse"].margin < 0
@@ -482,7 +482,7 @@ def test_check_assumptions_passes_reference(fig1_params):
 
 def test_check_assumptions_flags_ordering_violation():
     params = sl.WolbachiaParams(fu=1.12, du=0.27, delta=10 / 9, sf=0.9, sh=0.8, sigma=1.0)
-    report = sl.check_assumptions(sl.ScaledModel(params, 0.1), samples=30)
+    report = sl.check_assumptions(sl.ScaledModel(params, 0.1))
     assert not report.passed
     check = report["drift_slope"]
     assert not check.passed
@@ -491,26 +491,84 @@ def test_check_assumptions_flags_ordering_violation():
 
 def test_check_assumptions_flags_monostable_delta():
     params = sl.WolbachiaParams(fu=1.12, du=0.27, delta=5.0, sf=0.1, sh=0.8, sigma=1.0)
-    report = sl.check_assumptions(sl.ScaledModel(params, 0.1), samples=30)
+    report = sl.check_assumptions(sl.ScaledModel(params, 0.1))
     assert report["drift_slope"].passed
     assert report["hypotenuse"].passed
     assert not report["bistable"].passed
     assert not report.passed
 
 
-@pytest.mark.parametrize("samples", [5, sl.model.MAX_SAMPLES + 1])
-def test_check_assumptions_needs_samples(fig1_params, samples):
-    with pytest.raises(ValueError, match="samples per axis"):
-        sl.check_assumptions(perfect(fig1_params), samples=samples)
-
-
 def test_check_assumptions_imperfect(fig2_params):
     model = sl.ScaledModel(fig2_params, 0.1, sl.Variant.IMPERFECT)
-    assert sl.check_assumptions(model, samples=40).passed
+    assert sl.check_assumptions(model).passed
+
+
+LEAKY = sl.WolbachiaParams(fu=1.12, du=0.27, delta=10 / 9, sf=0.1, sh=0.8,
+                          sigma=1.0, mu=0.05)
+
+
+@pytest.mark.parametrize("variant", [sl.Variant.PERFECT, sl.Variant.IMPERFECT])
+def test_check_assumptions_exact_margins(fig1_params, variant):
+    params = fig1_params if variant is sl.Variant.PERFECT else LEAKY
+    model = sl.ScaledModel(params, 0.1, variant)
+    cap = model.carrying_total
+    report = sl.check_assumptions(model)
+    slope = report["drift_slope"]
+    assert slope.margin == -sl.drift_slope_bound(model)
+    a, b = sl.model._quadratic_coeffs(model)
+    vertex = b / (2 * a)
+    assert slope.location == (vertex * cap, (1 - vertex) * cap)
+    hyp = report["hypotenuse"]
+    assert hyp.margin == sum(_kinetics(model, *hyp.location))
+    assert hyp.margin == pytest.approx(-params.du * cap, rel=1e-12)
+    assert report["vacuum_drift"].margin == params.du
+    assert report["vacuum_drift"].location == (0.0, 0.0)
+
+
+def _raises(fn):
+    try:
+        fn()
+    except ValueError:
+        return True
+    return False
+
+
+def test_check_assumptions_matches_brute_force_oracle():
+    # closed-form rows against the kinetics evaluated on 101 points per edge
+    rng = np.random.default_rng(17)
+    edge = np.linspace(0.0, 1.0, 101)
+    outcomes = set()
+    for k in range(300):
+        variant = (sl.Variant.PERFECT, sl.Variant.IMPERFECT)[k % 2]
+        params = sl.WolbachiaParams(
+            fu=rng.uniform(0.2, 3.0), du=rng.uniform(0.05, 1.0),
+            delta=1.0 + rng.uniform(0.0, 2.0), sf=rng.uniform(0.0, 1.0),
+            sh=rng.uniform(0.05, 1.0), sigma=rng.uniform(0.2, 3.0),
+            mu=rng.uniform(0.0, 0.2) if variant is sl.Variant.IMPERFECT else 0.0)
+        model = sl.ScaledModel(params, rng.uniform(0.01, 0.5), variant)
+        cap = model.carrying_total
+        report = sl.check_assumptions(model)
+
+        slope = report["drift_slope"]
+        assert slope.passed != _raises(lambda: sl.drift_slope_bound(model))
+        if slope.passed:
+            sampled = -params.sigma * params.fu * sl.model._denominator(model, edge)
+            assert sampled.max() <= slope.margin + 1e-12 * params.sigma * params.fu
+
+        rate_i, rate_u = _kinetics(model, edge * cap, cap - edge * cap)
+        assert report["hypotenuse"].margin >= (rate_i + rate_u).max()
+        assert report["vacuum_drift"].margin <= sl.reduced_drift(model, 0.0, edge).min()
+        assert report["hypotenuse"].passed and report["vacuum_drift"].passed
+
+        bistable = report["bistable"].passed
+        assert bistable != _raises(lambda: sl.invasion_threshold(model))
+        outcomes.add((slope.passed, bistable))
+    # each conditional row both passes and fails within the sample
+    assert {s for s, _ in outcomes} == {b for _, b in outcomes} == {True, False}
 
 
 def test_bcondition_quadform_matches_drift_slope(fig1_params):
-    # the sampled slope bound is equivalent to the quadratic-form condition
+    # the closed-form slope bound is equivalent to the quadratic-form condition
     # n1^2 d1f1 + n1 n2 (d2f1 + d1f2) + n2^2 d2f2 <= -B (n1+n2)^2, checked
     # here with finite differences of the primitive kinetics
     model = perfect(fig1_params)
