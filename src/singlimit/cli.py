@@ -148,7 +148,9 @@ def _cmd_wavespeed(args, cfg: RunConfig) -> int:
             f"time.t_end = {cfg.solver.t_end:g} does not cover the speed window "
             f"ending at {cfg.speed_window[1]:g}"
         )
-    p_series, _ = frequency_run(cfg.model, cfg.spec, cfg.solver, args.model)
+    p_series = []
+    frequency_run(cfg.model, cfg.spec, cfg.solver, args.model,
+                  on_frame=lambda t, p, _: p_series.append((t, p)))
     speed = estimate_wave_speed(p_series, cfg.speed_window, cfg.speed_level)
     print(f"speed {speed:.10g}")
     return EXIT_OK

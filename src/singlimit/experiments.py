@@ -8,16 +8,17 @@ bounds that do not depend on eps.
 
 frequency_run is the one path from a model to its frequency series: it
 seeds the bump and runs either the system or the limit equation.  The
-convergence sweep integrates the scalar limit equation once and the
+convergence sweep runs the scalar limit equation once through it and the
 two-population system for the whole eps ladder as one stacked run on the
-shared grid and cadence, then tabulates the space-time errors |p_eps - p0|
-and |m| per eps.  Wave speeds are least-squares slopes of tracked
-level-crossing positions.
+shared grid and cadence, reducing each rung's frame as it settles, then
+tabulates the space-time errors |p_eps - p0| and |m| per eps.  Wave speeds
+are least-squares slopes of tracked level-crossing positions.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -162,29 +163,17 @@ def make_initial_data(model: ScaledModel, spec: InitialDataSpec,
 
 def frequency_run(model: ScaledModel, spec: InitialDataSpec, config: SolverConfig,
                   equation: str = "system", *,
-                  on_frame: Callable[[float, Field, PopulationState | None], None] | None = None
-                  ) -> tuple[list, list | None] | None:
+                  on_frame: Callable[[float, Field, PopulationState | None], None]) -> None:
     """Frequency series of one model started from the seeded bump.
 
     equation "system" runs the two-population system and reduces every frame;
     "limit" runs the scalar limit equation, which the alternative variant
-    does not have.  Returns (p_series, states), where p_series holds
-    (time, p Field) pairs and states is the system's raw series, or None for
-    the limit equation.  With on_frame, each frame instead goes to
-    on_frame(time, p, state) as soon as it settles, with state None for the
-    limit equation, and the run keeps none and returns None.
+    does not have.  Each frame goes to on_frame(time, p, state) as soon as it
+    settles, with p the frequency Field and state the system's raw state, or
+    None for the limit equation; the run keeps none of them.
     """
     if equation not in ("system", "limit"):
         raise ValueError(f"equation must be 'system' or 'limit', got {equation!r}")
-    if on_frame is None:
-        p_series, states = [], []
-
-        def keep(t, p, state):
-            p_series.append((t, p))
-            states.append(state)
-
-        frequency_run(model, spec, config, equation, on_frame=keep)
-        return p_series, (states if equation == "system" else None)
     state0, p_init = make_initial_data(model, spec, config.grid)
     if equation == "limit":
         require_reducible(model, "the limit equation")
@@ -194,7 +183,6 @@ def frequency_run(model: ScaledModel, spec: InitialDataSpec, config: SolverConfi
         run_system([model], [state0], config,
                    on_frame=lambda frame: on_frame(frame[0].time,
                                                    to_reduced(model, frame[0]).p, frame[0]))
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +246,8 @@ def run_convergence_sweep(params: WolbachiaParams, variant: Variant,
                           speed_level: float = 0.5
                           ) -> tuple[ConvergenceReport, list, list[list[ReducedFields]]]:
     """Solve the limit equation once and the system for the whole ladder in
-    one stacked run; tabulate errors per eps.
+    one stacked run, keeping each frame's reduced fields only; tabulate
+    errors per eps.
 
     The variant must be perfect or imperfect, and the eps ladder strictly
     decreasing and admissible: below the range where the resident state
@@ -283,17 +272,23 @@ def run_convergence_sweep(params: WolbachiaParams, variant: Variant,
             failed = ", ".join(c.name for c in report.checks if not c.passed)
             raise ValueError(f"eps={model.epsilon:g}: assumption audit failed ({failed})")
 
-    initial = [make_initial_data(model, spec, config.grid) for model in models]
-    p_init = initial[0][1]
-    limit_series = run_scalar(lambda v: limit_reaction(models[0], v), p_init, config)
+    states = [make_initial_data(model, spec, config.grid)[0] for model in models]
+    limit_series = []
+    frequency_run(models[0], spec, config, "limit",
+                  on_frame=lambda t, p, _: limit_series.append((t, p)))
     limit_speed = math.nan
     if speed_window is not None:
         limit_speed = estimate_wave_speed(limit_series, speed_window, speed_level)
 
-    rows, reduced_series = [], []
-    for model, series in zip(models, run_system(models, [s for s, _ in initial], config)):
-        reduced = [to_reduced(model, s) for s in series]
-        reduced_series.append(reduced)
+    reduced_series = [[] for _ in models]
+
+    def reduce(frame):
+        for model, state, reduced in zip(models, frame, reduced_series):
+            reduced.append(to_reduced(model, state))
+
+    run_system(models, states, config, on_frame=reduce)
+    rows = []
+    for reduced in reduced_series:
         speed = math.nan
         if speed_window is not None:
             speed = estimate_wave_speed([(r.time, r.p) for r in reduced],
@@ -322,7 +317,9 @@ def extinction_check(model: ScaledModel, spec: InitialDataSpec, config: SolverCo
     Extinct when the frequency peaks below 0.1 everywhere; invaded when it
     exceeds 0.9 across the initial bump support; undecided otherwise.
     """
-    final = frequency_run(model, spec, config, equation)[0][-1][1].values
+    last = deque(maxlen=1)
+    frequency_run(model, spec, config, equation, on_frame=lambda t, p, _: last.append(p))
+    final = last[0].values
     if final.max() < EXTINCT_BELOW:
         return Verdict.EXTINCT
     support = spec.profile(config.grid.x) > 0.0

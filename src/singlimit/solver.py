@@ -459,23 +459,28 @@ def check_reaction_step(model: ScaledModel, dt: float) -> None:
 
     Near the slow manifold the reduced population relaxes at the rate
     fu*Q(p)/eps with max Q = Q(0) = 1, so explicit Euler stays stable only
-    while dt < 2*eps/fu.  The alternative scaling's logistic factor is O(1)
-    and sets no eps-dependent limit.
+    while dt < 2*eps/fu.  The alternative scaling's logistic factor is O(1):
+    linearised at its resident state the total relaxes at the rate fu - du,
+    whatever eps, so there dt must stay below 2/(fu - du); with fu <= du
+    there is no resident state and no bound.
     """
-    if model.variant is Variant.ALTERNATIVE:
+    prm = model.params
+    if model.variant is not Variant.ALTERNATIVE:
+        dt_max, bound = 2.0 * model.epsilon / prm.fu, "2*eps/fu"
+    elif prm.fu > prm.du:
+        dt_max, bound = 2.0 / (prm.fu - prm.du), "2/(fu - du)"
+    else:
         return
-    dt_max = 2.0 * model.epsilon / model.params.fu
     if dt >= dt_max:
         raise ValueError(
             f"eps={model.epsilon:g}: dt={dt:g} makes the explicit reaction step unstable; "
-            f"dt must stay below 2*eps/fu = {dt_max:.6g}"
+            f"dt must stay below {bound} = {dt_max:.6g}"
         )
 
 
 def run_system(models: Sequence[ScaledModel], states: Sequence[PopulationState],
                config: SolverConfig, *,
-               on_frame: Callable[[list[PopulationState]], None] | None = None
-               ) -> list[list[PopulationState]] | None:
+               on_frame: Callable[[list[PopulationState]], None]) -> None:
     """Integrate the two-population system of every rung to t_end.
 
     Rung k is models[k] started from states[k]; all rungs share the grid, the
@@ -484,11 +489,10 @@ def run_system(models: Sequence[ScaledModel], states: Sequence[PopulationState],
     with one kinetics call and one solve per step; the rungs must therefore
     differ in eps only.  Each step writes dt*rate_i and dt*rate_u straight
     into the two halves of a fresh right-hand side and adds the densities.
-    Returns one series per rung: snapshots at step 0, every output_every
-    steps, and the final step, with times measured from the common initial
-    time.  With on_frame, each snapshot instead goes to on_frame as the list
-    of the K rung states as soon as its step settles, none is kept, and the
-    run returns None.  A failure names the rung by its eps and the step.
+    At step 0, every output_every steps and the final step, on_frame receives
+    the list of the K rung states as soon as that step settles, with times
+    measured from the common initial time; the run keeps none of them.  A
+    failure names the rung by its eps and the step.
     """
     models, states = list(models), list(states)
     if not models:
@@ -518,24 +522,18 @@ def run_system(models: Sequence[ScaledModel], states: Sequence[PopulationState],
         return rhs
 
     block = np.array([s.ni.values for s in states] + [s.nu.values for s in states]).T
-    frames = ([PopulationState(Field(v[:, j], grid), Field(v[:, k + j], grid), t0 + step * dt)
-               for j in range(k)]
-              for step, v in _integrate(config, block, explicit_step,
-                                        lambda values: _settle_density(values, rungs)))
-    if on_frame is None:
-        return [list(rung_series) for rung_series in zip(*frames)]
-    for frame in frames:
-        on_frame(frame)
-    return None
+    for step, v in _integrate(config, block, explicit_step,
+                              lambda values: _settle_density(values, rungs)):
+        on_frame([PopulationState(Field(v[:, j], grid), Field(v[:, k + j], grid),
+                                  t0 + step * dt) for j in range(k)])
 
 
 def run_scalar(reaction: Callable[[np.ndarray], np.ndarray], p0: Field,
                config: SolverConfig, *,
-               on_frame: Callable[[tuple[float, Field]], None] | None = None
-               ) -> list[tuple[float, Field]] | None:
-    """Integrate the scalar frequency equation to t_end; snapshot cadence as
-    in run_system.  Returns (time, field) pairs, or, with on_frame, hands
-    each pair to on_frame as soon as its step settles and returns None.
+               on_frame: Callable[[tuple[float, Field]], None]) -> None:
+    """Integrate the scalar frequency equation to t_end, handing each
+    (time, field) pair to on_frame as soon as its step settles, at the
+    cadence of run_system.
 
     Round-off excursions of p outside [0, 1] (up to FREQUENCY_TOL), p0's
     included, are clamped; larger excursions abort the run.
@@ -543,15 +541,10 @@ def run_scalar(reaction: Callable[[np.ndarray], np.ndarray], p0: Field,
     if p0.grid != config.grid:
         raise ValueError("initial field lives on a different grid")
     dt = config.dt
-    frames = ((step * dt, Field(v, config.grid))
-              for step, v in _integrate(config, _settle_frequency(p0.values),
-                                        lambda values: values + dt * reaction(values),
-                                        _settle_frequency))
-    if on_frame is None:
-        return list(frames)
-    for frame in frames:
-        on_frame(frame)
-    return None
+    for step, v in _integrate(config, _settle_frequency(p0.values),
+                              lambda values: values + dt * reaction(values),
+                              _settle_frequency):
+        on_frame((step * dt, Field(v, config.grid)))
 
 
 # ---------------------------------------------------------------------------

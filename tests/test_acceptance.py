@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import singlimit as sl
+from streams import rung_series
 
 WINDOW = (75.0, 125.0)
 EPS_LADDER = (0.3, 0.1, 0.05, 0.02)
@@ -61,14 +62,17 @@ def sweep_result(fig1_params, spec_default, cfg25):
 def limit125(fig1_params, spec_default, cfg125, grid601):
     model = sl.ScaledModel(fig1_params, 0.1)
     _, p_init = sl.make_initial_data(model, spec_default, grid601)
-    return sl.run_scalar(lambda v: sl.limit_reaction(model, v), p_init, cfg125)
+    series = []
+    sl.run_scalar(lambda v: sl.limit_reaction(model, v), p_init, cfg125,
+                  on_frame=series.append)
+    return series
 
 
 def ladder_runs(params, variant, epsilons, spec, config, grid):
     """(model, series) per eps, from one stacked run_system call."""
     models = [sl.ScaledModel(params, eps, variant) for eps in epsilons]
     states = [sl.make_initial_data(m, spec, grid)[0] for m in models]
-    return list(zip(models, sl.run_system(models, states, config)))
+    return list(zip(models, rung_series(models, states, config)))
 
 
 @pytest.fixture(scope="session")
@@ -104,7 +108,10 @@ def mu_model(fig2_params):
 def mu_limit125(mu_model, cfg125, grid601):
     spec = sl.InitialDataSpec(amplitude=0.35, radius=1.6, smoothing=0.5)
     _, p_init = sl.make_initial_data(mu_model, spec, grid601)
-    return p_init, sl.run_scalar(lambda v: sl.limit_reaction(mu_model, v), p_init, cfg125)
+    series = []
+    sl.run_scalar(lambda v: sl.limit_reaction(mu_model, v), p_init, cfg125,
+                  on_frame=series.append)
+    return p_init, series
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +179,9 @@ def test_criterion_4_solver_verification():
         config = sl.SolverConfig(grid, dt=2.0 * dx * dx, t_end=1.0, diffusivity=0.1,
                                  output_every=10 ** 9)
         start = sl.Field(np.exp(-grid.x ** 2 / 2.0), grid)
-        tf, pf = sl.run_scalar(lambda v: np.zeros_like(v), start, config)[-1]
+        frames = []
+        sl.run_scalar(lambda v: np.zeros_like(v), start, config, on_frame=frames.append)
+        tf, pf = frames[-1]
         var = 1.0 + 0.2 * tf
         exact = np.sqrt(1.0 / var) * np.exp(-grid.x ** 2 / (2.0 * var))
         return float(np.max(np.abs(pf.values - exact)))

@@ -152,19 +152,44 @@ def test_alternative_variant_is_selected_by_config_only(tmp_path, capsys):
     assert (out_dir / "ni_0000.csv").exists() and (out_dir / "nu_0000.csv").exists()
 
 
-def test_solver_failure_is_runtime_error(tmp_path, capsys):
-    # dt = 5 is far past the explicit step bound of the alternative kinetics
-    cfg = tmp_path / "alt.cfg"
-    cfg.write_text("model.variant = alternative\ntime.dt = 5\ntime.t_end = 50\n"
-                   "time.output_every = 1\n")
+def test_solver_failure_is_runtime_error(tmp_path, capsys, monkeypatch):
+    # the solve hands back a NaN from step 5 on, which the density settle rejects
+    real = singlimit.solver.solve_banded
+    calls = []
+
+    def failing_solve(factors, rhs):
+        x = real(factors, rhs)
+        calls.append(1)
+        if len(calls) >= 5:
+            x[0] = float("nan")
+        return x
+
+    monkeypatch.setattr("singlimit.solver.solve_banded", failing_solve)
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("time.dt = 0.1\ntime.t_end = 1\ntime.output_every = 1\n")
     out_dir = tmp_path / "out"
     assert cli_dispatch(["simulate", "--model", "system", "--config", str(cfg),
                          "--out", str(out_dir)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("solver error: eps=0.1: step 5: infected density fell to -1.297e-01")
+    assert err.startswith("solver error: eps=0.1: step 5: infected density became non-finite")
     assert not out_dir.exists()
     # the frames written before the failure went to a staging directory that is gone
-    assert [p.name for p in tmp_path.iterdir()] == ["alt.cfg"]
+    assert [p.name for p in tmp_path.iterdir()] == ["short.cfg"]
+
+
+@pytest.mark.parametrize("dt, code", [(2.3, 0), (2.4, 1)])
+def test_alternative_step_bound(tmp_path, capsys, dt, code):
+    # linearised at the resident state the alternative kinetics relax at the
+    # rate fu - du = 0.85, so explicit Euler needs dt < 2/0.85 = 2.35294
+    cfg = tmp_path / "alt.cfg"
+    cfg.write_text(f"model.variant = alternative\ngrid.dx = 0.25\ntime.dt = {dt}\n"
+                   f"time.t_end = {2 * dt}\ntime.output_every = 1\n")
+    out_dir = tmp_path / "out"
+    assert cli_dispatch(["simulate", "--model", "system", "--config", str(cfg),
+                         "--out", str(out_dir)]) == code
+    if code:
+        assert "dt must stay below 2/(fu - du) = 2.35294" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 def test_missing_config_file_is_runtime_error(capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import singlimit as sl
+from streams import rung_series
 
 
 def quick_config(grid, t_end=2.0):
@@ -135,46 +136,30 @@ def test_frequency_run_matches_direct_runs(fig1_params, coarse_grid):
     config = quick_config(coarse_grid)
     state0, p_init = sl.make_initial_data(model, spec, coarse_grid)
 
-    p_series, states = sl.frequency_run(model, spec, config)
-    direct = sl.run_system([model], [state0], config)[0]
-    assert len(p_series) == len(states) == len(direct)
-    for (t, p), state, ref in zip(p_series, states, direct):
+    frames = []
+    sl.frequency_run(model, spec, config, on_frame=lambda *frame: frames.append(frame))
+    direct = rung_series([model], [state0], config)[0]
+    assert len(frames) == len(direct) == config.n_frames
+    for (t, p, state), ref in zip(frames, direct):
         assert t == ref.time == state.time
         assert np.array_equal(p.values, sl.to_reduced(model, ref).p.values)
         assert np.array_equal(state.ni.values, ref.ni.values)
         assert np.array_equal(state.nu.values, ref.nu.values)
 
-    p_series, states = sl.frequency_run(model, spec, config, equation="limit")
-    assert states is None
-    direct = sl.run_scalar(lambda v: sl.limit_reaction(model, v), p_init, config)
-    assert len(p_series) == len(direct)
-    for (t, p), (t_ref, p_ref) in zip(p_series, direct):
+    frames = []
+    sl.frequency_run(model, spec, config, equation="limit",
+                     on_frame=lambda *frame: frames.append(frame))
+    direct = []
+    sl.run_scalar(lambda v: sl.limit_reaction(model, v), p_init, config,
+                  on_frame=direct.append)
+    assert len(frames) == len(direct) == config.n_frames
+    for (t, p, state), (t_ref, p_ref) in zip(frames, direct):
+        assert state is None
         assert t == t_ref
         assert np.array_equal(p.values, p_ref.values)
 
     with pytest.raises(ValueError, match="equation must be"):
-        sl.frequency_run(model, spec, config, equation="both")
-
-
-@pytest.mark.parametrize("equation", ["system", "limit"])
-def test_frequency_run_streams_the_series_it_returns(fig1_params, coarse_grid, equation):
-    model = sl.ScaledModel(fig1_params, 0.1)
-    spec = sl.InitialDataSpec()
-    config = quick_config(coarse_grid)
-    frames = []
-    assert sl.frequency_run(model, spec, config, equation,
-                            on_frame=lambda *frame: frames.append(frame)) is None
-    p_series, states = sl.frequency_run(model, spec, config, equation)
-    assert len(frames) == len(p_series) == config.n_frames
-    for k, (t, p, state) in enumerate(frames):
-        assert t == p_series[k][0]
-        assert np.array_equal(p.values, p_series[k][1].values)
-        if equation == "limit":
-            assert state is None and states is None
-        else:
-            assert state.time == t
-            assert np.array_equal(state.ni.values, states[k].ni.values)
-            assert np.array_equal(state.nu.values, states[k].nu.values)
+        sl.frequency_run(model, spec, config, equation="both", on_frame=lambda *frame: None)
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +211,12 @@ def test_single_eps_sweep_equals_direct_composition(fig1_params, coarse_grid):
                                              spec, config)
     first = sl.ScaledModel(fig1_params, ladder[0])
     _, p_init = sl.make_initial_data(first, spec, coarse_grid)
-    limit = sl.run_scalar(lambda v: sl.limit_reaction(first, v), p_init, config)
+    limit = []
+    sl.run_scalar(lambda v: sl.limit_reaction(first, v), p_init, config, on_frame=limit.append)
     for k, eps in enumerate(ladder):
         model = sl.ScaledModel(fig1_params, eps)
         state0, _ = sl.make_initial_data(model, spec, coarse_grid)
-        reduced = [sl.to_reduced(model, s)
-                   for s in sl.run_system([model], [state0], config)[0]]
+        reduced = [sl.to_reduced(model, s) for s in rung_series([model], [state0], config)[0]]
         err_p, err_m = sl.error_norms(reduced, limit)
         assert report.err_p[k] == err_p
         assert report.err_m[k] == err_m
@@ -280,7 +265,7 @@ def test_sweep_eps_cap_does_not_depend_on_sigma(fig1_params, coarse_grid, sigma,
 def test_sweep_rejects_unstable_ladder_before_integrating(fig1_params, coarse_grid,
                                                           monkeypatch):
     # at dt = 0.005 the explicit reaction step needs eps > 0.005*fu/2 = 0.0028
-    def no_integration(*args):
+    def no_integration(*args, **kwargs):
         raise AssertionError("the sweep integrated before validating its ladder")
 
     monkeypatch.setattr("singlimit.experiments.run_scalar", no_integration)
@@ -322,6 +307,32 @@ def test_sweep_returns_series(fig1_params, coarse_grid):
     for reduced in reduced_series:
         assert len(reduced) == len(limit)
         assert all(isinstance(r, sl.ReducedFields) for r in reduced)
+
+
+def test_sweep_reduces_each_frame_as_it_settles(fig1_params, coarse_grid, monkeypatch):
+    # frame k of every rung is reduced once min(k*output_every, n_steps) system
+    # steps have been solved, not after the run: no raw state outlives its frame
+    solves, reduced_at = [], []
+    real_solve, real_reduce = sl.solver.solve_banded, sl.experiments.to_reduced
+
+    def counting_solve(*args):
+        solves.append(1)
+        return real_solve(*args)
+
+    def recording_reduce(*args):
+        reduced_at.append(len(solves))
+        return real_reduce(*args)
+
+    monkeypatch.setattr("singlimit.solver.solve_banded", counting_solve)
+    monkeypatch.setattr("singlimit.experiments.to_reduced", recording_reduce)
+    config = quick_config(coarse_grid, t_end=2.1)  # 105 steps, frames every 25
+    sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, [0.3, 0.1],
+                             sl.InitialDataSpec(), config)
+    start = reduced_at[0]  # the limit run's solves come first
+    assert [n - start for n in reduced_at] == [
+        min(k * config.output_every, config.n_steps)
+        for k in range(config.n_frames) for _ in range(2)]
+    assert len(solves) == start + config.n_steps
 
 
 def test_sweep_speeds_approach_the_limit_speed(fig1_params, grid601):

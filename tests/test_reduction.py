@@ -33,6 +33,15 @@ def test_vacuum_convention(fig1_params, grid601):
     assert np.array_equal(reduced.n.values, np.full(grid601.nx, 10.0))
 
 
+def test_round_off_negative_density_reduces_to_zero_frequency(fig1_params, grid601):
+    # densities within round-off of zero are valid states, but their ratio
+    # need not be a frequency: n_i = -1e-13 over the total 1e-13 gives -1,
+    # which to_reduced clips to 0
+    model = sl.ScaledModel(fig1_params, 0.1)
+    reduced = sl.to_reduced(model, uniform_state(grid601, -1e-13, 2e-13))
+    assert np.array_equal(reduced.p.values, np.zeros(grid601.nx))
+
+
 def test_all_equilibria_sit_on_manifold(fig1_params, grid601):
     model = sl.ScaledModel(fig1_params, 0.1)
     for eq in sl.equilibria(model)[:3]:

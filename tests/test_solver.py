@@ -9,6 +9,7 @@ from scipy.linalg import solve_banded, solveh_banded
 
 import singlimit as sl
 from singlimit.solver import _DENSITY_NAMES, _factor, _settle_density, solve_banded as lapack_solve
+from streams import rung_series
 
 
 def small_grid(nx=11, span=1.0):
@@ -257,7 +258,7 @@ def test_uniform_equilibrium_is_preserved(fig1_params, grid601):
     ext = sl.equilibria(model)[0]
     state = sl.PopulationState(sl.Field.constant(ext.ni, grid601),
                                sl.Field.constant(ext.nu, grid601))
-    stepped = sl.run_system([model], [state], one_step(config))[0][-1]
+    stepped = rung_series([model], [state], one_step(config))[0][-1]
     assert np.max(np.abs(stepped.ni.values - ext.ni)) < 1e-12
     assert np.max(np.abs(stepped.nu.values - ext.nu)) < 1e-12
 
@@ -267,7 +268,7 @@ def test_vacuum_stays_vacuum(fig1_params, grid601):
     config = sl.SolverConfig(grid601, dt=0.005, t_end=1.0, diffusivity=0.1)
     state = sl.PopulationState(sl.Field.constant(0.0, grid601),
                                sl.Field.constant(0.0, grid601))
-    stepped = sl.run_system([model], [state], one_step(config))[0][-1]
+    stepped = rung_series([model], [state], one_step(config))[0][-1]
     assert np.array_equal(stepped.ni.values, np.zeros(grid601.nx))
     assert np.array_equal(stepped.nu.values, np.zeros(grid601.nx))
 
@@ -280,7 +281,7 @@ def test_uniform_step_matches_forward_euler_ode(fig1_params):
     config = sl.SolverConfig(grid, dt=0.005, t_end=1.0, diffusivity=1e-12)
     ni0, nu0 = 1.3, 2.4
     state = sl.PopulationState(sl.Field.constant(ni0, grid), sl.Field.constant(nu0, grid))
-    stepped = sl.run_system([model], [state], one_step(config))[0][-1]
+    stepped = rung_series([model], [state], one_step(config))[0][-1]
     rate_i, rate_u = sl.reaction_rates(model, ni0, nu0)
     assert np.max(np.abs(stepped.ni.values - (ni0 + 0.005 * rate_i))) < 1e-10
     assert np.max(np.abs(stepped.nu.values - (nu0 + 0.005 * rate_u))) < 1e-10
@@ -292,7 +293,8 @@ def test_run_system_rejects_unstable_reaction_step(fig1_params, grid601):
     state = sl.PopulationState(sl.Field.constant(1.0, grid601),
                                sl.Field.constant(1.0, grid601))
     with pytest.raises(ValueError, match=r"eps=0\.0027: dt=0\.005 .* 0\.00482143"):
-        sl.run_system([sl.ScaledModel(fig1_params, 0.0027)], [state], config)
+        sl.run_system([sl.ScaledModel(fig1_params, 0.0027)], [state], config,
+                      on_frame=lambda frame: None)
     sl.check_reaction_step(sl.ScaledModel(fig1_params, 0.0029), 0.005)
     sl.check_reaction_step(
         sl.ScaledModel(fig1_params, 0.0027, sl.Variant.ALTERNATIVE), 0.005)
@@ -306,10 +308,15 @@ def test_stacked_rungs_equal_one_rung_runs(fig1_params, grid601, bc):
                              output_every=30, bc=bc)
     models = [sl.ScaledModel(fig1_params, eps) for eps in (0.3, 0.1, 0.05)]
     states = [sl.make_initial_data(m, sl.InitialDataSpec(), grid601)[0] for m in models]
-    ladder = sl.run_system(models, states, config)
-    assert len(ladder) == 3
+    frames = []
+    sl.run_system(models, states, config, on_frame=frames.append)
+    assert len(frames) == config.n_frames
+    for frame in frames:
+        assert len(frame) == 3
+        assert len({state.time for state in frame}) == 1
+    ladder = [list(series) for series in zip(*frames)]
     for model, state, stacked in zip(models, states, ladder):
-        alone = sl.run_system([model], [state], config)[0]
+        alone = rung_series([model], [state], config)[0]
         assert [s.time for s in stacked] == [s.time for s in alone]
         for a, b in zip(stacked, alone):
             assert np.array_equal(a.ni.values, b.ni.values)
@@ -342,7 +349,7 @@ def test_run_system_rejects_malformed_rungs(fig1_params, grid601, monkeypatch, c
         "variant": ([model, other_variant], [state, state], "one parameter set and variant"),
     }[case]
     with pytest.raises(ValueError, match=reason):
-        sl.run_system(models, states, config)
+        sl.run_system(models, states, config, on_frame=lambda frame: None)
 
 
 def test_one_kinetics_call_one_solve_per_step(fig1_params, grid601, monkeypatch):
@@ -363,11 +370,11 @@ def test_one_kinetics_call_one_solve_per_step(fig1_params, grid601, monkeypatch)
     config = sl.SolverConfig(grid601, dt=0.005, t_end=0.1, diffusivity=0.1, output_every=7)
     models = [sl.ScaledModel(fig1_params, eps) for eps in (0.3, 0.1, 0.05)]
     states = [sl.make_initial_data(m, sl.InitialDataSpec(), grid601)[0] for m in models]
-    sl.run_system(models, states, config)
+    sl.run_system(models, states, config, on_frame=lambda frame: None)
     assert counts == {"reaction_rates": 20, "solve_banded": 20, "dpttrf": 1}
     counts.update(dict.fromkeys(counts, 0))
     sl.run_scalar(lambda v: sl.limit_reaction(models[0], v),
-                  sl.Field.constant(0.5, grid601), config)
+                  sl.Field.constant(0.5, grid601), config, on_frame=lambda frame: None)
     assert counts == {"reaction_rates": 0, "solve_banded": 20, "dpttrf": 1}
 
 
@@ -375,23 +382,25 @@ def test_scalar_rest_states_exact(fig1_params, grid601):
     model = sl.ScaledModel(fig1_params, 0.1)
     config = one_step(sl.SolverConfig(grid601, dt=0.005, t_end=1.0, diffusivity=0.1))
     reaction = lambda v: sl.limit_reaction(model, v)
+
+    def stepped(p):
+        frames = []
+        sl.run_scalar(reaction, sl.Field.constant(p, grid601), config, on_frame=frames.append)
+        return frames[-1][1]
+
     # vacuum is exact (round-off negatives clamp to 0); the invaded state
     # survives to solver round-off, which the clamp only trims from above
-    p0 = sl.Field.constant(0.0, grid601)
-    assert np.array_equal(sl.run_scalar(reaction, p0, config)[-1][1].values,
-                          np.zeros(grid601.nx))
-    p1 = sl.Field.constant(1.0, grid601)
-    assert np.max(np.abs(sl.run_scalar(reaction, p1, config)[-1][1].values - 1.0)) < 1e-13
+    assert np.array_equal(stepped(0.0).values, np.zeros(grid601.nx))
+    assert np.max(np.abs(stepped(1.0).values - 1.0)) < 1e-13
     theta = sl.invasion_threshold(model)
-    _, stepped = sl.run_scalar(reaction, sl.Field.constant(theta, grid601), config)[-1]
-    assert np.max(np.abs(stepped.values - theta)) < 1e-12
+    assert np.max(np.abs(stepped(theta).values - theta)) < 1e-12
 
 
 def test_scalar_step_flags_large_excursion(grid601):
     config = one_step(sl.SolverConfig(grid601, dt=0.005, t_end=1.0, diffusivity=0.1))
     p = sl.Field.constant(0.5, grid601)
     with pytest.raises(sl.SolverError, match="step 1"):
-        sl.run_scalar(lambda v: -np.full_like(v, 200.0), p, config)
+        sl.run_scalar(lambda v: -np.full_like(v, 200.0), p, config, on_frame=lambda frame: None)
 
 
 def test_scalar_run_clamps_round_off_initial_field(fig1_params, grid601):
@@ -399,7 +408,8 @@ def test_scalar_run_clamps_round_off_initial_field(fig1_params, grid601):
     model = sl.ScaledModel(fig1_params, 0.1)
     config = sl.SolverConfig(grid601, dt=0.005, t_end=0.05, diffusivity=0.1, output_every=2)
     p0 = sl.Field.constant(1.0 + 5e-13, grid601)
-    series = sl.run_scalar(lambda v: sl.limit_reaction(model, v), p0, config)
+    series = []
+    sl.run_scalar(lambda v: sl.limit_reaction(model, v), p0, config, on_frame=series.append)
     assert len(series) == 6
     assert np.all(series[0][1].values == 1.0)
     for _, f in series:
@@ -409,7 +419,8 @@ def test_scalar_run_clamps_round_off_initial_field(fig1_params, grid601):
 def test_scalar_step_rejects_out_of_range_input(grid601):
     config = one_step(sl.SolverConfig(grid601, dt=0.005, t_end=1.0, diffusivity=0.1))
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        sl.run_scalar(lambda v: np.zeros_like(v), sl.Field.constant(1.5, grid601), config)
+        sl.run_scalar(lambda v: np.zeros_like(v), sl.Field.constant(1.5, grid601), config,
+                      on_frame=lambda frame: None)
 
 
 def test_settle_density_clamps_or_raises():
@@ -515,7 +526,7 @@ def test_block_stepper_is_bit_identical_to_reference(fig1_params, fig2_params, g
         states.append(sl.PopulationState(sl.Field(p * total, grid601),
                                          sl.Field((1.0 - p) * total, grid601)))
         assert np.any(total > model.carrying_total) and np.any(total == 0.0)
-    ladder = sl.run_system(models, states, config)
+    ladder = rung_series(models, states, config)
     for model, state, series in zip(models, states, ladder):
         want = _reference_run(model, state, config)
         assert len(series) == len(want) == 51
@@ -532,7 +543,7 @@ def test_system_run_rejects_negative_overshoot(fig1_params, grid601):
                                sl.Field.constant(100.0 / eps, grid601))
     config = sl.SolverConfig(grid601, dt=0.005, t_end=0.01, diffusivity=0.1, output_every=1)
     with pytest.raises(sl.SolverError) as info:
-        sl.run_system([model], [state], config)
+        sl.run_system([model], [state], config, on_frame=lambda frame: None)
     assert info.value.step == 1
     assert re.fullmatch(r"eps=0\.1: step 1: uninfected density fell to -\S+, beyond round-off",
                         str(info.value))
@@ -542,7 +553,8 @@ def test_dirichlet_pins_boundary_values(grid601):
     config = sl.SolverConfig(grid601, dt=0.005, t_end=0.5, diffusivity=0.1,
                              bc=sl.BoundaryCondition.DIRICHLET, output_every=50)
     p0 = sl.Field(0.8 * np.exp(-grid601.x ** 2), grid601)
-    series = sl.run_scalar(lambda v: np.zeros_like(v), p0, config)
+    series = []
+    sl.run_scalar(lambda v: np.zeros_like(v), p0, config, on_frame=series.append)
     for _, f in series:
         assert f.values[0] == p0.values[0]
         assert f.values[-1] == p0.values[-1]
@@ -559,7 +571,7 @@ def test_dirichlet_ladder_keeps_boundary_values(fig1_params, grid601):
     states = [sl.PopulationState(sl.Field(k + 1.0 + np.sin(x), grid601),
                                  sl.Field(2.0 + np.cos(0.5 * x), grid601))
               for k in range(3)]
-    ladder = sl.run_system(models, states, config)
+    ladder = rung_series(models, states, config)
     ends = [0, -1]
     for state, series in zip(states, ladder):
         assert len(series) == 6
@@ -574,7 +586,7 @@ def test_run_snapshot_cadence(fig1_params, grid601):
     model = sl.ScaledModel(fig1_params, 0.1)
     config = sl.SolverConfig(grid601, dt=0.005, t_end=0.1, diffusivity=0.1, output_every=7)
     state0, _ = sl.make_initial_data(model, sl.InitialDataSpec(), grid601)
-    series = sl.run_system([model], [state0], config)[0]
+    series = rung_series([model], [state0], config)[0]
     times = [s.time for s in series]
     assert times == pytest.approx([0.0, 7 * 0.005, 14 * 0.005, 0.1])
 
@@ -584,49 +596,45 @@ def test_n_frames_counts_the_frames_of_a_run(grid601, output_every):
     config = sl.SolverConfig(grid601, dt=0.005, t_end=0.1, diffusivity=0.1,
                              output_every=output_every)
     p0 = sl.Field(0.5 * np.exp(-grid601.x ** 2), grid601)
-    assert config.n_frames == len(sl.run_scalar(lambda v: np.zeros_like(v), p0, config))
+    frames = []
+    sl.run_scalar(lambda v: np.zeros_like(v), p0, config, on_frame=frames.append)
+    assert config.n_frames == len(frames)
 
 
+@pytest.mark.parametrize("run", ["system", "scalar"])
 @pytest.mark.parametrize("bc", list(sl.BoundaryCondition))
-def test_run_system_streams_the_frames_it_returns(fig1_params, grid601, bc):
-    config = sl.SolverConfig(grid601, dt=0.005, t_end=0.5, diffusivity=0.1,
-                             output_every=30, bc=bc)
-    models = [sl.ScaledModel(fig1_params, eps) for eps in (0.3, 0.1, 0.05)]
-    states = [sl.make_initial_data(m, sl.InitialDataSpec(), grid601)[0] for m in models]
-    frames = []
-    assert sl.run_system(models, states, config, on_frame=frames.append) is None
-    ladder = sl.run_system(models, states, config)
-    assert len(frames) == config.n_frames == len(ladder[0])
-    for k, frame in enumerate(frames):
-        assert len(frame) == 3
-        for streamed, series in zip(frame, ladder):
-            kept = series[k]
-            assert streamed.time == kept.time
-            assert np.array_equal(streamed.ni.values, kept.ni.values)
-            assert np.array_equal(streamed.nu.values, kept.nu.values)
+def test_runs_hand_each_frame_over_as_it_settles(fig1_params, grid601, monkeypatch, run, bc):
+    # frame k reaches on_frame after exactly min(k*output_every, n_steps)
+    # solves, not after the run, and the run itself returns nothing
+    solves, handed_at = [], []
+    real_solve = sl.solver.solve_banded
 
+    def counting_solve(*args):
+        solves.append(1)
+        return real_solve(*args)
 
-def test_run_scalar_streams_the_frames_it_returns(fig1_params, grid601):
+    monkeypatch.setattr("singlimit.solver.solve_banded", counting_solve)
+    config = sl.SolverConfig(grid601, dt=0.005, t_end=0.1, diffusivity=0.1,
+                             output_every=7, bc=bc)
     model = sl.ScaledModel(fig1_params, 0.1)
-    config = sl.SolverConfig(grid601, dt=0.005, t_end=0.5, diffusivity=0.1, output_every=30)
-    _, p0 = sl.make_initial_data(model, sl.InitialDataSpec(), grid601)
-    def reaction(v):
-        return sl.limit_reaction(model, v)
-
-    frames = []
-    assert sl.run_scalar(reaction, p0, config, on_frame=frames.append) is None
-    kept = sl.run_scalar(reaction, p0, config)
-    assert len(frames) == config.n_frames == len(kept)
-    for (t, field), (t_kept, field_kept) in zip(frames, kept):
-        assert t == t_kept
-        assert np.array_equal(field.values, field_kept.values)
+    state0, p0 = sl.make_initial_data(model, sl.InitialDataSpec(), grid601)
+    on_frame = lambda frame: handed_at.append(len(solves))
+    if run == "system":
+        assert sl.run_system([model], [state0], config, on_frame=on_frame) is None
+    else:
+        assert sl.run_scalar(lambda v: sl.limit_reaction(model, v), p0, config,
+                             on_frame=on_frame) is None
+    assert handed_at == [min(k * config.output_every, config.n_steps)
+                         for k in range(config.n_frames)]
+    assert len(solves) == config.n_steps
 
 
 def test_mass_conservation_without_reaction(grid601):
     config = sl.SolverConfig(grid601, dt=0.01, t_end=10.0, diffusivity=0.1,
                              output_every=1000)
     p0 = sl.Field(np.exp(-grid601.x ** 2), grid601)
-    series = sl.run_scalar(lambda v: np.zeros_like(v), p0, config)
+    series = []
+    sl.run_scalar(lambda v: np.zeros_like(v), p0, config, on_frame=series.append)
 
     def trapz_mass(f):
         v = f.values
@@ -644,7 +652,9 @@ def test_heat_kernel_accuracy():
     config = sl.SolverConfig(grid, dt=0.005, t_end=1.0, diffusivity=0.1,
                              output_every=10 ** 9)
     p0 = sl.Field(np.exp(-grid.x ** 2 / 2.0), grid)
-    tf, pf = sl.run_scalar(lambda v: np.zeros_like(v), p0, config)[-1]
+    frames = []
+    sl.run_scalar(lambda v: np.zeros_like(v), p0, config, on_frame=frames.append)
+    tf, pf = frames[-1]
     var = 1.0 + 2 * 0.1 * tf
     exact = np.sqrt(1.0 / var) * np.exp(-grid.x ** 2 / (2 * var))
     assert np.max(np.abs(pf.values - exact)) <= 2e-4
@@ -655,7 +665,7 @@ def test_system_positivity_on_short_run(fig1_params, grid601):
     config = sl.SolverConfig(grid601, dt=0.005, t_end=2.0, diffusivity=0.1,
                              output_every=40)
     state0, _ = sl.make_initial_data(model, sl.InitialDataSpec(), grid601)
-    for s in sl.run_system([model], [state0], config)[0]:
+    for s in rung_series([model], [state0], config)[0]:
         assert s.ni.values.min() >= -1e-12
         assert s.nu.values.min() >= -1e-12
 
