@@ -8,11 +8,11 @@ bounds that do not depend on eps.
 
 frequency_run is the one path from a model to its frequency series: it
 seeds the bump and runs either the system or the limit equation.  The
-convergence sweep runs the scalar limit equation once through it and the
-two-population system for the whole eps ladder as one stacked run on the
-shared grid and cadence, reducing each rung's frame as it settles, then
-tabulates the space-time errors |p_eps - p0| and |m| per eps.  Wave speeds
-are least-squares slopes of tracked level-crossing positions.
+convergence sweep first runs the two-population system for the whole eps
+ladder as one stacked run, reducing each rung's frame as it settles, then
+the scalar limit equation once through frequency_run on the shared grid and
+cadence, and tabulates the space-time errors |p_eps - p0| and |m| per eps.
+Wave speeds are least-squares slopes of tracked level-crossing positions.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ from .model import (
     slow_manifold_max,
 )
 from .reduction import ReducedFields, error_norms, to_reduced
-from .solver import (Field, Grid1D, PopulationState, SolverConfig, check_reaction_step,
-                     run_scalar, run_system)
+from .solver import Field, Grid1D, PopulationState, SolverConfig, run_scalar, run_system
 
 __all__ = [
     "InitialDataSpec",
@@ -203,18 +202,16 @@ def track_front(series: Sequence[tuple[float, Field]], level: float = 0.5,
         if window is not None and not (window[0] - 1e-9 <= t <= window[1] + 1e-9):
             continue
         v = field.values
-        signs = (v[:-1] - level) * (v[1:] - level)
+        # signs, not differences: a product of two tiny differences can underflow to 0
+        signs = np.sign(v[:-1] - level) * np.sign(v[1:] - level)
         hits = np.nonzero(signs <= 0.0)[0]
         hits = hits[(v[hits] != level) | (v[hits + 1] != level)]
         if len(hits) == 0:
             raise ValueError(f"snapshot {k} (t={t:g}) has no {level:g}-level crossing")
         i = int(hits[-1])
-        x = field.grid.x
-        if v[i + 1] == v[i]:
-            pos = x[i]
-        else:
-            pos = x[i] + (level - v[i]) / (v[i + 1] - v[i]) * field.grid.dx
         dx = field.grid.dx
+        # equal neighbours both sit at the level, which the filter above drops
+        pos = field.grid.x[i] + (level - v[i]) / (v[i + 1] - v[i]) * dx
         if pos < field.grid.xmin + 2.0 * dx or pos > field.grid.xmax - 2.0 * dx:
             raise ValueError(
                 f"snapshot {k} (t={t:g}): crossing at x={pos:.4g} is within 2*dx of a boundary"
@@ -245,8 +242,8 @@ def run_convergence_sweep(params: WolbachiaParams, variant: Variant,
                           speed_window: tuple[float, float] | None = None,
                           speed_level: float = 0.5
                           ) -> tuple[ConvergenceReport, list, list[list[ReducedFields]]]:
-    """Solve the limit equation once and the system for the whole ladder in
-    one stacked run, keeping each frame's reduced fields only; tabulate
+    """Solve the system for the whole ladder in one stacked run, keeping
+    each frame's reduced fields only, then the limit equation once; tabulate
     errors per eps.
 
     The variant must be perfect or imperfect, and the eps ladder strictly
@@ -266,20 +263,19 @@ def run_convergence_sweep(params: WolbachiaParams, variant: Variant,
             raise ValueError(
                 f"eps={model.epsilon:g} is outside the admissible range (< {eps_cap:.4g})"
             )
-        check_reaction_step(model, config.dt)
         report = check_assumptions(model)
         if not report.passed:
             failed = ", ".join(c.name for c in report.checks if not c.passed)
             raise ValueError(f"eps={model.epsilon:g}: assumption audit failed ({failed})")
 
-    states = [make_initial_data(model, spec, config.grid)[0] for model in models]
-    limit_series = []
-    frequency_run(models[0], spec, config, "limit",
-                  on_frame=lambda t, p, _: limit_series.append((t, p)))
-    limit_speed = math.nan
-    if speed_window is not None:
-        limit_speed = estimate_wave_speed(limit_series, speed_window, speed_level)
+    def speed(series):
+        if speed_window is None:
+            return math.nan
+        return estimate_wave_speed(series, speed_window, speed_level)
 
+    # run_system checks every rung's reaction step before its first solve,
+    # so the ladder runs first and a bad rung fails before any step
+    states = [make_initial_data(model, spec, config.grid)[0] for model in models]
     reduced_series = [[] for _ in models]
 
     def reduce(frame):
@@ -287,21 +283,17 @@ def run_convergence_sweep(params: WolbachiaParams, variant: Variant,
             reduced.append(to_reduced(model, state))
 
     run_system(models, states, config, on_frame=reduce)
-    rows = []
-    for reduced in reduced_series:
-        speed = math.nan
-        if speed_window is not None:
-            speed = estimate_wave_speed([(r.time, r.p) for r in reduced],
-                                        speed_window, speed_level)
-        rows.append((*error_norms(reduced, limit_series), speed))
-    err_p, err_m, speeds = zip(*rows)
+    limit_series = []
+    frequency_run(models[0], spec, config, "limit",
+                  on_frame=lambda t, p, _: limit_series.append((t, p)))
+    err_p, err_m = zip(*(error_norms(reduced, limit_series) for reduced in reduced_series))
 
     report = ConvergenceReport(
         epsilons=tuple(epsilons),
         err_p=err_p,
         err_m=err_m,
-        speeds=speeds,
-        limit_speed=limit_speed,
+        speeds=tuple(speed([(r.time, r.p) for r in reduced]) for reduced in reduced_series),
+        limit_speed=speed(limit_series),
     )
     return report, limit_series, reduced_series
 

@@ -142,10 +142,6 @@ class ScaledModel:
                 f"variant {self.variant.value!r} forces mu = 0")
 
     @property
-    def mu(self) -> float:
-        return self.params.mu if self.variant is Variant.IMPERFECT else 0.0
-
-    @property
     def clipped(self) -> bool:
         """Whether the logistic factor is clipped at zero: only the imperfect
         variant's printed form clips it."""
@@ -244,7 +240,7 @@ def _kinetics(model: ScaledModel, ni, nu, epsilon=None):
     """
     prm = model.params
     eps = model.epsilon if epsilon is None else epsilon
-    mu = model.mu
+    mu = prm.mu
     total = np.add(ni, nu)  # a numpy scalar, with .min(), for float inputs
     p = ni / total if total.min() > 0.0 else _frequency(ni, total)
     if model.variant is Variant.ALTERNATIVE:
@@ -311,7 +307,7 @@ def require_reducible(model: ScaledModel, what: str) -> None:
 def _quadratic_coeffs(model: ScaledModel) -> tuple[float, float]:
     """Coefficients (a, b) of Q(p) = a p^2 - b p + 1 in the drift."""
     prm = model.params
-    m = model.mu * (1.0 - prm.sf)
+    m = prm.mu * (1.0 - prm.sf)
     return prm.sh + m, prm.sf + prm.sh + m
 
 
@@ -415,7 +411,7 @@ def limit_reaction(model: ScaledModel, p):
     p = _check_frequency(p)
     prm = model.params
     den = _denominator(model, p)
-    if model.mu == 0.0:
+    if prm.mu == 0.0:
         theta = _theta_formula(model)
         value = prm.delta * prm.du * prm.sh * p * (1.0 - p) * (p - theta) / den
     else:
@@ -433,9 +429,8 @@ def _bistable_roots(model: ScaledModel) -> tuple[float, float]:
     roots of the growth balance -a p^2 + b p - c, a concave quadratic with the
     sign of limit_reaction/p, positive strictly between them.
     """
-    require_reducible(model, "the bistable roots")
     prm = model.params
-    if model.mu == 0.0:
+    if prm.mu == 0.0:
         theta = _theta_formula(model)
         if not 0.0 < theta < 1.0:
             raise BistabilityError(
@@ -456,11 +451,13 @@ def _bistable_roots(model: ScaledModel) -> tuple[float, float]:
 def invasion_threshold(model: ScaledModel) -> float:
     """Unstable interior root of the limit reaction: frequencies below it
     die out, above it invade."""
+    require_reducible(model, "the invasion threshold")
     return _bistable_roots(model)[0]
 
 
 def invasion_frequency(model: ScaledModel) -> float:
     """Stable high frequency reached after invasion (1 when mu = 0)."""
+    require_reducible(model, "the invasion frequency")
     return _bistable_roots(model)[1]
 
 
@@ -475,19 +472,22 @@ def equilibria(model: ScaledModel) -> list[Equilibrium]:
     BistabilityError when the interior structure degenerates (threshold
     outside (0,1) or the leaked-transmission quadratic loses its roots) and
     ValueError when eps is so large that a steady state would leave the
-    non-negative quadrant.
+    non-negative quadrant.  The alternative variant's logistic factor is eps
+    times the others', so its states are the perfect variant's with each
+    deficit below the carrying total divided by eps.
     """
-    require_reducible(model, "equilibria")
     prm = model.params
     theta, p_high = _bistable_roots(model)
     total_cap = model.carrying_total
+    scale = model.epsilon if model.variant is Variant.ALTERNATIVE else 1.0
 
     # both interior states sit at the density where infected growth stalls;
-    # for mu = 0 this is h(1) = h(theta), and p_high = 1
+    # for mu = 0 this is h(1) = h(theta), and p_high = 1.  The extinction
+    # state sits at h(0) = du/(sigma fu).
     n_star = prm.delta * prm.du / (prm.sigma * prm.fu * (1.0 - prm.mu) * (1.0 - prm.sf))
-    inv_total = total_cap - n_star
+    inv_total = total_cap - n_star / scale
     coords = [
-        (0.0, total_cap - slow_manifold(model, 0.0), EquilibriumKind.EXTINCTION),
+        (0.0, total_cap - prm.du / (prm.sigma * prm.fu) / scale, EquilibriumKind.EXTINCTION),
         (p_high * inv_total, (1.0 - p_high) * inv_total, EquilibriumKind.INVASION),
         (theta * inv_total, (1.0 - theta) * inv_total, EquilibriumKind.COEXISTENCE),
         (0.0, 0.0, EquilibriumKind.ORIGIN),
@@ -509,7 +509,7 @@ MARGINAL_EIGENVALUE = 1e-8
 
 
 def classify_stability(model: ScaledModel, point) -> StabilityResult:
-    """Linear stability of a kinetic steady state.
+    """Linear stability of the kinetic steady state point = (n_i, n_u).
 
     The 2x2 Jacobian is taken by central finite differences with step
     1e-6 * max(1, |n_i|+|n_u|); stable means both eigenvalues have real part
@@ -517,10 +517,7 @@ def classify_stability(model: ScaledModel, point) -> StabilityResult:
     unstable with the marginal flag set.  Points that do not zero the
     kinetics (to 1e-8 relative to the density scale) are rejected.
     """
-    if isinstance(point, Equilibrium):
-        ni, nu = point.ni, point.nu
-    else:
-        ni, nu = float(point[0]), float(point[1])
+    ni, nu = float(point[0]), float(point[1])
     scale = max(1.0, ni + nu)
     rate_i, rate_u = _kinetics(model, ni, nu)
     if max(abs(rate_i), abs(rate_u)) > 1e-8 * scale:
@@ -584,7 +581,7 @@ def check_assumptions(model: ScaledModel) -> AssumptionReport:
 
     try:
         theta = invasion_threshold(model)
-    except (BistabilityError, ValueError) as exc:
+    except ValueError as exc:
         checks.append(AssumptionCheck("bistable", False, 0.0, None, str(exc)))
     else:
         checks.append(AssumptionCheck("bistable", True, theta, None, f"threshold = {theta:.6g}"))

@@ -16,7 +16,7 @@ import os
 import shutil
 import tempfile
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -169,11 +169,10 @@ def _px(x, lo, hi, size, invert=False):
     return _MARGIN + frac * (size - 2 * _MARGIN)
 
 
-def write_profiles_svg(series: Iterable[tuple[float, Field]], path: str | Path,
+def write_profiles_svg(series: Sequence[tuple[float, Field]], path: str | Path,
                        title: str) -> None:
     """One polyline per snapshot of a frequency profile, labeled with its
     time, under `title`; the frequency axis is fixed at [0, 1]."""
-    series = list(series)
     if not series:
         raise ValueError("nothing to plot")
     grid = series[0][1].grid

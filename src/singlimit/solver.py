@@ -494,7 +494,6 @@ def run_system(models: Sequence[ScaledModel], states: Sequence[PopulationState],
     measured from the common initial time; the run keeps none of them.  A
     failure names the rung by its eps and the step.
     """
-    models, states = list(models), list(states)
     if not models:
         raise ValueError("need at least one rung")
     if len(models) != len(states):

@@ -127,7 +127,6 @@ def test_converge_eps_cap_does_not_depend_on_sigma(tmp_path, capsys, sigma, eps,
     (["simulate", "--model", "limit"], "the limit equation"),
     (["wavespeed", "--model", "limit"], "the limit equation"),
     (["converge"], "the convergence sweep"),
-    (["equilibria"], "equilibria"),
     (["check"], "the assumption audit"),
 ])
 def test_alternative_variant_has_no_limit_run(tmp_path, capsys, argv, what):
@@ -138,6 +137,39 @@ def test_alternative_variant_has_no_limit_run(tmp_path, capsys, argv, what):
         argv = argv + ["--out", str(out_dir)]
     assert cli_dispatch(argv + ["--config", str(cfg)]) == 1
     assert capsys.readouterr().err == f"error: {what} needs the perfect or imperfect variant\n"
+    assert not out_dir.exists()
+
+
+def test_equilibria_serves_the_alternative_variant(tmp_path, capsys):
+    cfg = tmp_path / "alt.cfg"
+    cfg.write_text("model.variant = alternative\n")
+    assert cli_dispatch(["equilibria", "--config", str(cfg)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rows == [
+        ["extinction", "0.000000", "7.589286", "0.000000", "stable"],
+        ["invasion", "7.023810", "0.000000", "1.000000", "stable"],
+        ["coexistence", "1.668155", "5.355655", "0.237500", "unstable"],
+        ["origin", "0.000000", "0.000000", "0.000000", "unstable"],
+    ]
+
+
+@pytest.mark.parametrize("command, text, message", [
+    (["converge"], "model.delta = 5\n", "eps=0.3: assumption audit failed (bistable)"),
+    (["simulate"], "model.epsilon = 5\n",
+     "eps=5 exceeds the resident-equilibrium range eps < fu/du"),
+    (["simulate"], "model.variant = alternative\nmodel.du = 1.2\n",
+     "resident equilibrium needs du < fu"),
+    (["wavespeed"], "time.t_end = 1\nexperiment.speed_window = 0.9, 0.95\n",
+     "window contains fewer than two usable snapshots"),
+])
+def test_rejected_run_is_validation_error(tmp_path, capsys, command, text, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out_dir = tmp_path / "out"
+    if command[0] != "wavespeed":
+        command = command + ["--out", str(out_dir)]
+    assert cli_dispatch(command + ["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out_dir.exists()
 
 

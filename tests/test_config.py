@@ -74,7 +74,7 @@ def test_mu_requires_imperfect_variant():
     with pytest.raises(ConfigError, match="forces mu"):
         parse_config("model.mu = 0.04\n")
     cfg = parse_config("model.mu = 0.04\nmodel.variant = imperfect\n")
-    assert cfg.model.mu == 0.04
+    assert cfg.model.params.mu == 0.04
 
 
 def test_epsilon_ladder_must_decrease():

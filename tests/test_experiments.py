@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,15 @@ def test_initial_reduced_population_uniform(fig1_params, grid601):
     assert np.max(np.abs(fields[0] - fields[1])) < 1e-10
 
 
+def test_unsmoothed_bump_is_a_step():
+    spec = sl.InitialDataSpec(0.4, 1.6, 0.0)
+    x = np.array([-3.0, -1.7, -1.6, 0.0, 1.6, 1.6000001, 15.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        profile = spec.profile(x)
+    assert profile.tolist() == [0.0, 0.0, 0.4, 0.4, 0.4, 0.0, 0.0]
+
+
 def test_initial_data_must_fit_domain(fig1_params):
     grid = sl.Grid1D.from_spacing(-3.0, 3.0, 0.1)
     model = sl.ScaledModel(fig1_params, 0.1)
@@ -116,6 +126,25 @@ def test_speed_estimator_boundary_contamination(grid601):
         series.append((t, sl.Field(values, grid601)))
     with pytest.raises(ValueError, match="boundary"):
         sl.estimate_wave_speed(series, window=(0.0, 2.0))
+
+
+def test_track_front_drops_pairs_at_the_level(grid601):
+    # equal neighbours pass the sign test only when both sit at the level,
+    # and those pairs are dropped: the crossing leaves a flat stretch at 0.5
+    # from its last node
+    values = np.zeros(grid601.nx)
+    values[:280], values[280:321] = 1.0, 0.5
+    _, positions = sl.track_front([(0.0, sl.Field(values, grid601))], 0.5)
+    assert positions.tolist() == [grid601.x[320]] == [1.0]
+    flat = [(0.0, sl.Field.constant(0.5, grid601))]
+    with pytest.raises(ValueError, match="has no 0.5-level crossing"):
+        sl.track_front(flat, 0.5)
+    # a tiny level: the products of the two differences would underflow to 0
+    # on the flat stretch at 2e-200 right of the crossing
+    values = np.zeros(grid601.nx)
+    values[:300], values[340:] = 1.0, 2e-200
+    _, positions = sl.track_front([(0.0, sl.Field(values, grid601))], 1e-200)
+    assert positions == pytest.approx([grid601.x[339] + 0.5 * grid601.dx], abs=1e-12)
 
 
 def test_track_front_positions(grid601):
@@ -269,7 +298,7 @@ def test_sweep_rejects_unstable_ladder_before_integrating(fig1_params, coarse_gr
         raise AssertionError("the sweep integrated before validating its ladder")
 
     monkeypatch.setattr("singlimit.experiments.run_scalar", no_integration)
-    monkeypatch.setattr("singlimit.experiments.run_system", no_integration)
+    monkeypatch.setattr("singlimit.solver.solve_banded", no_integration)
     config = sl.SolverConfig(coarse_grid, dt=0.005, t_end=0.05, diffusivity=0.1)
     with pytest.raises(ValueError, match=r"eps=0\.0027: dt=0\.005"):
         sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, [0.3, 0.0027],
@@ -328,11 +357,10 @@ def test_sweep_reduces_each_frame_as_it_settles(fig1_params, coarse_grid, monkey
     config = quick_config(coarse_grid, t_end=2.1)  # 105 steps, frames every 25
     sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, [0.3, 0.1],
                              sl.InitialDataSpec(), config)
-    start = reduced_at[0]  # the limit run's solves come first
-    assert [n - start for n in reduced_at] == [
+    assert reduced_at == [
         min(k * config.output_every, config.n_steps)
         for k in range(config.n_frames) for _ in range(2)]
-    assert len(solves) == start + config.n_steps
+    assert len(solves) == 2 * config.n_steps  # the limit run's solves come last
 
 
 def test_sweep_speeds_approach_the_limit_speed(fig1_params, grid601):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -369,7 +370,6 @@ def test_alternative_scaling_has_no_reduced_objects(fig1_params):
     for fn in (lambda: sl.slow_manifold(model, 0.5),
                lambda: sl.limit_reaction(model, 0.5),
                lambda: sl.invasion_threshold(model),
-               lambda: sl.equilibria(model),
                lambda: sl.check_assumptions(model)):
         with pytest.raises(ValueError):
             fn()
@@ -444,6 +444,34 @@ def test_mu_equilibria(fig2_params):
     for eq in eqs:
         rate_i, rate_u = sl.reaction_rates(model, eq.ni, eq.nu)
         assert max(abs(rate_i), abs(rate_u)) < 1e-9 * max(1.0, eq.ni + eq.nu)
+
+
+def test_alternative_equilibria(fig1_params, grid601):
+    # the alternative's logistic factor is eps times the perfect one's, so each
+    # deficit below the carrying total 1/(sigma eps) is the perfect one over eps
+    model = sl.ScaledModel(fig1_params, 0.1, sl.Variant.ALTERNATIVE)
+    eqs = sl.equilibria(model)
+    assert [e.kind for e in eqs] == [sl.EquilibriumKind.EXTINCTION, sl.EquilibriumKind.INVASION,
+                                     sl.EquilibriumKind.COEXISTENCE, sl.EquilibriumKind.ORIGIN]
+    assert [e.stability for e in eqs] == [sl.Stability.STABLE, sl.Stability.STABLE,
+                                          sl.Stability.UNSTABLE, sl.Stability.UNSTABLE]
+    ext, inv, coex, origin = eqs
+    assert (ext.ni, ext.nu) == (0.0, pytest.approx(7.589286, abs=1e-6))
+    assert (inv.ni, inv.nu) == (pytest.approx(7.023810, abs=1e-6), 0.0)
+    assert (coex.ni, coex.nu) == (pytest.approx(1.668155, abs=1e-6),
+                                  pytest.approx(5.355655, abs=1e-6))
+    assert (origin.ni, origin.nu) == (0.0, 0.0)
+    theta = (0.1 + 10 / 9 - 1) / (10 / 9 * 0.8)
+    assert coex.ni / (coex.ni + coex.nu) == pytest.approx(theta, abs=1e-12)
+    for eq in eqs:
+        rate_i, rate_u = sl.reaction_rates(model, eq.ni, eq.nu)
+        assert max(abs(rate_i), abs(rate_u)) <= 1e-14
+    # the extinction state is the resident state the introductions start from
+    resident = sl.make_initial_data(model, sl.InitialDataSpec(), grid601)[0].nu.values[0]
+    assert abs(ext.nu - resident) <= math.ulp(resident)
+    for fn in (sl.invasion_threshold, sl.invasion_frequency):
+        with pytest.raises(ValueError, match="needs the perfect or imperfect variant"):
+            fn(model)
 
 
 def test_equilibria_reject_oversized_eps(fig1_params):

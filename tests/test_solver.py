@@ -474,7 +474,7 @@ def test_settle_density_clamps_block_in_place():
 def _reference_kinetics(model, ni, nu):
     # the kinetics written as plain expressions: masked frequency divide,
     # leakage term always added
-    prm, eps, mu = model.params, model.epsilon, model.mu
+    prm, eps, mu = model.params, model.epsilon, model.params.mu
     total = ni + nu
     p = np.divide(ni, total, out=np.zeros_like(total), where=total != 0.0)
     if model.variant is sl.Variant.ALTERNATIVE:
