@@ -2,9 +2,9 @@
 
 The initial condition is a local introduction into a resident population at
 equilibrium: a plateau bump of frequency p_init (flat top, linear ramps,
-compact support), converted to densities through phi = p_init/(1 - p_init)
-so that the reduced population starts exactly on h(0) at every node, with
-bounds that do not depend on eps.
+compact support) splits the resident total N = model.resident_total into
+n_i = p_init N and n_u = N - n_i at every node, so the reduced population
+starts on h(0) everywhere, with bounds that do not depend on eps.
 
 frequency_run is the one path from a model to its frequency series: it
 seeds the bump and runs either the system or the limit equation.  The
@@ -33,7 +33,6 @@ from .model import (
     limit_reaction,
     require,
     require_reducible,
-    slow_manifold,
     slow_manifold_max,
 )
 from .reduction import ReducedFields, error_norms, to_reduced
@@ -57,11 +56,14 @@ INVADED_ABOVE = 0.9
 
 def require_eps_ladder(epsilons: Sequence[float]) -> None:
     """Raise FieldError("epsilons", ...) unless the ladder is non-empty,
-    positive and strictly decreasing."""
+    positive and strictly decreasing, with distinct %g labels (they name
+    the rung in output files and messages)."""
     require(len(epsilons) > 0, "epsilons", "empty eps ladder")
     require(all(e > 0 for e in epsilons), "epsilons", "eps values must be positive")
     require(all(b < a for a, b in zip(epsilons, epsilons[1:])), "epsilons",
             "eps ladder must be strictly decreasing")
+    require(len({f"{e:g}" for e in epsilons}) == len(epsilons), "epsilons",
+            "eps values must differ in their first 6 significant digits")
 
 
 def require_speed_level(level: float) -> None:
@@ -133,29 +135,16 @@ def make_initial_data(model: ScaledModel, spec: InitialDataSpec,
                       grid: Grid1D) -> tuple[PopulationState, Field]:
     """Initial densities for a local introduction, plus the frequency bump.
 
-    Outside the bump the state is the resident-only equilibrium; inside, the
-    total is partitioned so the derived frequency equals the bump exactly and
-    the reduced population is spatially uniform.
+    Every node splits the resident total N = model.resident_total as
+    n_i = p N and n_u = N - n_i, p the bump: outside it the state is the
+    resident-only equilibrium, inside it the derived frequency is the bump
+    and the reduced population is uniform, both up to round-off.
     """
     spec.check_inside(grid)
     p_init = spec.profile(grid.x)
-    prm = model.params
-
-    if model.variant is Variant.ALTERNATIVE:
-        if prm.du >= prm.fu:
-            raise ValueError("resident equilibrium needs du < fu")
-        total = np.full(grid.nx, (1.0 - prm.du / prm.fu) / (model.epsilon * prm.sigma))
-        ni = p_init * total
-        nu = total - ni
-    else:
-        resident = model.carrying_total - slow_manifold(model, 0.0)
-        if resident <= 0.0:
-            raise ValueError(
-                f"eps={model.epsilon:g} exceeds the resident-equilibrium range eps < fu/du"
-            )
-        phi = p_init / (1.0 - p_init)
-        nu = resident / (1.0 + phi)
-        ni = phi * nu
+    resident = model.resident_total
+    ni = p_init * resident
+    nu = resident - ni
     state = PopulationState(Field(ni, grid), Field(nu, grid), 0.0)
     return state, Field(p_init, grid)
 
@@ -247,8 +236,8 @@ def run_convergence_sweep(params: WolbachiaParams, variant: Variant,
     errors per eps.
 
     The variant must be perfect or imperfect, and the eps ladder strictly
-    decreasing and admissible: below the range where the resident state
-    exists and the structural assumptions all audit clean.  Returns (report,
+    decreasing and admissible: below the cap where the slow manifold stays
+    under the carrying total, with a clean assumption audit.  Returns (report,
     limit_series, reduced_series), with one reduced series per rung in ladder
     order.
     """
@@ -256,17 +245,16 @@ def run_convergence_sweep(params: WolbachiaParams, variant: Variant,
     require_eps_ladder(epsilons)
     models = [ScaledModel(params, eps, variant) for eps in epsilons]
     require_reducible(models[0], "the convergence sweep")
-    # the resident state needs carrying_total = 1/(sigma*eps) > max h
+    # carrying_total = 1/(sigma*eps) > max h keeps the slow manifold below
+    # the carrying total; the ladder decreases and no audit verdict depends
+    # on eps, so the first rung admits them all
     eps_cap = 1.0 / (params.sigma * slow_manifold_max(models[0]))
-    for model in models:
-        if model.epsilon >= eps_cap:
-            raise ValueError(
-                f"eps={model.epsilon:g} is outside the admissible range (< {eps_cap:.4g})"
-            )
-        report = check_assumptions(model)
-        if not report.passed:
-            failed = ", ".join(c.name for c in report.checks if not c.passed)
-            raise ValueError(f"eps={model.epsilon:g}: assumption audit failed ({failed})")
+    if epsilons[0] >= eps_cap:
+        raise ValueError(f"eps={epsilons[0]:g} is outside the admissible range (< {eps_cap:.4g})")
+    report = check_assumptions(models[0])
+    if not report.passed:
+        failed = ", ".join(c.name for c in report.checks if not c.passed)
+        raise ValueError(f"eps={epsilons[0]:g}: assumption audit failed ({failed})")
 
     def speed(series):
         if speed_window is None:

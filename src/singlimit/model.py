@@ -152,6 +152,19 @@ class ScaledModel:
         """Total density at which the logistic factor vanishes."""
         return 1.0 / (self.params.sigma * self.epsilon)
 
+    @property
+    def resident_total(self) -> float:
+        """Total density of the infection-free steady state that every
+        introduction starts from; raises where that state does not exist."""
+        prm = self.params
+        if self.variant is Variant.ALTERNATIVE:
+            require(prm.du < prm.fu, "du", "resident equilibrium needs du < fu")
+            return (1.0 - prm.du / prm.fu) / (self.epsilon * prm.sigma)
+        total = self.carrying_total - slow_manifold(self, 0.0)
+        require(total > 0.0, "epsilon",
+                f"eps={self.epsilon:g} exceeds the resident-equilibrium range eps < fu/du")
+        return total
+
 
 class EquilibriumKind(Enum):
     INVASION = "invasion"
@@ -471,25 +484,24 @@ def equilibria(model: ScaledModel) -> list[Equilibrium]:
     Reported in the order extinction, invasion, coexistence, origin.  Raises
     BistabilityError when the interior structure degenerates (threshold
     outside (0,1) or the leaked-transmission quadratic loses its roots) and
-    ValueError when eps is so large that a steady state would leave the
+    ValueError when the resident state does not exist (model.resident_total)
+    or eps is so large that another steady state would leave the
     non-negative quadrant.  The alternative variant's logistic factor is eps
-    times the others', so its states are the perfect variant's with each
-    deficit below the carrying total divided by eps.
+    times the others', so its interior states are the perfect variant's with
+    each deficit below the carrying total divided by eps.
     """
     prm = model.params
     theta, p_high = _bistable_roots(model)
-    total_cap = model.carrying_total
     scale = model.epsilon if model.variant is Variant.ALTERNATIVE else 1.0
 
     # both interior states sit at the density where infected growth stalls;
-    # for mu = 0 this is h(1) = h(theta), and p_high = 1.  The extinction
-    # state sits at h(0) = du/(sigma fu).
+    # for mu = 0 this is h(1) = h(theta), and p_high = 1
     n_star = prm.delta * prm.du / (prm.sigma * prm.fu * (1.0 - prm.mu) * (1.0 - prm.sf))
-    inv_total = total_cap - n_star / scale
+    inv_total = model.carrying_total - n_star / scale
     coords = [
-        (0.0, total_cap - prm.du / (prm.sigma * prm.fu) / scale, EquilibriumKind.EXTINCTION),
-        (p_high * inv_total, (1.0 - p_high) * inv_total, EquilibriumKind.INVASION),
-        (theta * inv_total, (1.0 - theta) * inv_total, EquilibriumKind.COEXISTENCE),
+        (0.0, model.resident_total, EquilibriumKind.EXTINCTION),
+        (p_high * inv_total, inv_total - p_high * inv_total, EquilibriumKind.INVASION),
+        (theta * inv_total, inv_total - theta * inv_total, EquilibriumKind.COEXISTENCE),
         (0.0, 0.0, EquilibriumKind.ORIGIN),
     ]
 

@@ -46,27 +46,25 @@ def to_reduced(model: ScaledModel, state: PopulationState) -> ReducedFields:
     """Map a primitive state to its reduced variables."""
     ni, nu = state.ni.values, state.nu.values
     total = ni + nu
-    prm = model.params
     grid = state.grid
 
     p_field = Field(np.clip(_frequency(ni, total), 0.0, 1.0), grid)
 
     if model.variant is Variant.ALTERNATIVE:
-        n = model.epsilon * prm.sigma * total
+        n = model.epsilon * model.params.sigma * total
         m_field = None
     else:
-        n = 1.0 / (prm.sigma * model.epsilon) - total
+        n = model.carrying_total - total
         m_field = Field(n - slow_manifold(model, p_field.values), grid)
     return ReducedFields(Field(n, grid), p_field, m_field, state.time)
 
 
 def reduced_to_state(model: ScaledModel, reduced: ReducedFields) -> PopulationState:
     """Exact algebraic inverse of to_reduced (vacuum nodes map to (0, 0))."""
-    prm = model.params
     if model.variant is Variant.ALTERNATIVE:
-        total = reduced.n.values / (model.epsilon * prm.sigma)
+        total = reduced.n.values / (model.epsilon * model.params.sigma)
     else:
-        total = 1.0 / (prm.sigma * model.epsilon) - reduced.n.values
+        total = model.carrying_total - reduced.n.values
     if total.min() < -NEGATIVE_TOL:
         raise ValueError("reduced population exceeds the carrying total")
     total = np.maximum(total, 0.0)

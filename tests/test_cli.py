@@ -159,6 +159,12 @@ def test_equilibria_serves_the_alternative_variant(tmp_path, capsys):
      "eps=5 exceeds the resident-equilibrium range eps < fu/du"),
     (["simulate"], "model.variant = alternative\nmodel.du = 1.2\n",
      "resident equilibrium needs du < fu"),
+    (["equilibria"], "model.variant = alternative\nmodel.du = 1.2\n",
+     "resident equilibrium needs du < fu"),
+    (["equilibria"], "model.epsilon = 5\n",
+     "eps=5 exceeds the resident-equilibrium range eps < fu/du"),
+    (["converge"], "experiment.epsilons = 0.1000001, 0.1\n",
+     "line 1: experiment.epsilons: eps values must differ in their first 6 significant digits"),
     (["wavespeed"], "time.t_end = 1\nexperiment.speed_window = 0.9, 0.95\n",
      "window contains fewer than two usable snapshots"),
 ])
@@ -166,7 +172,7 @@ def test_rejected_run_is_validation_error(tmp_path, capsys, command, text, messa
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     out_dir = tmp_path / "out"
-    if command[0] != "wavespeed":
+    if command[0] in ("simulate", "converge"):
         command = command + ["--out", str(out_dir)]
     assert cli_dispatch(command + ["--config", str(cfg)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"

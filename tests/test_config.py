@@ -126,6 +126,7 @@ def test_show_config_round_trips():
     ("model.delta = 1/0", "model.delta: not a number: '1/0'"),
     ("time.t_end = inf", "time.t_end: not a finite number: 'inf'"),
     ("model.fu = nan", "model.fu: not a finite number: 'nan'"),
+    ("model.fu =", "model.fu: empty value"),
     ("grid.xmax = -inf", "grid.xmax: not a finite number: '-inf'"),
     pytest.param(f"model.delta = {10**400}/3",
                  f"model.delta: not a finite number: '{10**400}/3'", id="overflowing-ratio"),
@@ -164,6 +165,8 @@ RULE_CASES = [
     ("init.radius = 14.5", "bump support must sit strictly inside the domain"),
     ("init.smoothing = -0.5", "smoothing must be non-negative"),
     ("experiment.epsilons = 0.1, -0.1", "eps values must be positive"),
+    ("experiment.epsilons = 0.1000001, 0.1",
+     "eps values must differ in their first 6 significant digits"),
     ("experiment.speed_level = 1", "speed_level must lie in (0, 1)"),
     ("experiment.speed_window = 10, 5", "speed_window must be an increasing pair of times"),
 ]

@@ -81,6 +81,24 @@ def test_initial_data_must_fit_domain(fig1_params):
         sl.make_initial_data(model, sl.InitialDataSpec(0.4, 2.8, 0.5), grid)
 
 
+@pytest.mark.parametrize("eps", [0.3, 0.1, 0.02])
+@pytest.mark.parametrize("variant", list(sl.Variant))
+def test_initial_data_is_the_reduced_split(fig1_params, grid601, variant, eps):
+    # the introduction is the state whose reduced population is the resident
+    # one, h(0) or 1 - du/fu, and whose frequency is the bump, bit for bit
+    mu = 0.05 if variant is sl.Variant.IMPERFECT else 0.0
+    model = sl.ScaledModel(dataclasses.replace(fig1_params, mu=mu), eps, variant)
+    state, p_init = sl.make_initial_data(model, sl.InitialDataSpec(), grid601)
+    if variant is sl.Variant.ALTERNATIVE:
+        n_res = 1.0 - fig1_params.du / fig1_params.fu
+    else:
+        n_res = sl.slow_manifold(model, 0.0)
+    reduced = sl.ReducedFields(sl.Field.constant(n_res, grid601), p_init, None, 0.0)
+    expected = sl.reduced_to_state(model, reduced)
+    assert np.array_equal(state.ni.values, expected.ni.values)
+    assert np.array_equal(state.nu.values, expected.nu.values)
+
+
 def test_initial_data_alternative_scaling(fig1_params, grid601):
     model = sl.ScaledModel(fig1_params, 0.1, sl.Variant.ALTERNATIVE)
     state, p_init = sl.make_initial_data(model, sl.InitialDataSpec(), grid601)
@@ -269,7 +287,9 @@ def test_sweep_rejects_bad_ladders(fig1_params, coarse_grid):
     config = quick_config(coarse_grid)
     for ladder, message in (([0.1, 0.3], "eps ladder must be strictly decreasing"),
                             ([], "empty eps ladder"),
-                            ([0.1, -0.1], "eps values must be positive")):
+                            ([0.1, -0.1], "eps values must be positive"),
+                            ([0.1000001, 0.1],
+                             "eps values must differ in their first 6 significant digits")):
         with pytest.raises(ValueError, match=message):
             sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, ladder, spec, config)
     # eps beyond the admissible range (resident state requires eps < 1/(sigma max h))
@@ -289,6 +309,21 @@ def test_sweep_eps_cap_does_not_depend_on_sigma(fig1_params, coarse_grid, sigma,
         with pytest.raises(ValueError, match=r"eps=3\.5 is outside the admissible range "
                                              r"\(< 2\.908\)"):
             sl.run_convergence_sweep(*args)
+
+
+def test_sweep_audits_its_ladder_once(fig1_params, coarse_grid, monkeypatch):
+    # no audit verdict depends on eps, so the first rung admits the ladder
+    calls = []
+    real = sl.experiments.check_assumptions
+
+    def counting(model):
+        calls.append(model.epsilon)
+        return real(model)
+
+    monkeypatch.setattr("singlimit.experiments.check_assumptions", counting)
+    sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, [0.3, 0.1, 0.05],
+                             sl.InitialDataSpec(), quick_config(coarse_grid, t_end=0.5))
+    assert calls == [0.3]
 
 
 def test_sweep_rejects_unstable_ladder_before_integrating(fig1_params, coarse_grid,

@@ -84,6 +84,16 @@ def test_snapshot_overwrite_leaves_no_temp_files(grid, tmp_path):
     assert np.array_equal(read_snapshot(path)[1], np.full(grid.nx, 0.75))
 
 
+def test_failed_rename_leaves_no_temp_file(grid, tmp_path, monkeypatch):
+    def failing_replace(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr("singlimit.output.os.replace", failing_replace)
+    with pytest.raises(OSError, match="rename refused"):
+        write_snapshot(sl.Field.constant(0.25, grid), tmp_path / "snap.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("text", [
     "a,b\n1,2\n",
     "x,value\n",
@@ -132,6 +142,8 @@ def test_report_rejects_misaligned_columns():
         sl.ConvergenceReport((0.3, 0.1), (0.1,), (0.1, 0.2), (1.0, 1.0), 1.0)
     with pytest.raises(ValueError, match="eps ladder must be strictly decreasing"):
         sl.ConvergenceReport((0.1, 0.3), (0.1, 0.2), (0.1, 0.2), (1.0, 1.0), 1.0)
+    with pytest.raises(ValueError, match="differ in their first 6 significant digits"):
+        sl.ConvergenceReport((0.1000001, 0.1), (0.1, 0.2), (0.1, 0.2), (1.0, 1.0), 1.0)
 
 
 def test_svg_plot(grid, tmp_path):
@@ -142,6 +154,8 @@ def test_svg_plot(grid, tmp_path):
     assert text.startswith("<svg")
     assert text.count("<polyline") == 3
     assert "t = 5" in text
+    with pytest.raises(ValueError, match="nothing to plot"):
+        write_profiles_svg([], tmp_path / "empty.svg", title="empty")
 
 
 def test_staged_output_publishes_a_new_directory_in_one_rename(tmp_path):

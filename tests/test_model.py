@@ -1,5 +1,5 @@
 import dataclasses
-import math
+import re
 
 import numpy as np
 import pytest
@@ -468,7 +468,7 @@ def test_alternative_equilibria(fig1_params, grid601):
         assert max(abs(rate_i), abs(rate_u)) <= 1e-14
     # the extinction state is the resident state the introductions start from
     resident = sl.make_initial_data(model, sl.InitialDataSpec(), grid601)[0].nu.values[0]
-    assert abs(ext.nu - resident) <= math.ulp(resident)
+    assert ext.nu == resident
     for fn in (sl.invasion_threshold, sl.invasion_frequency):
         with pytest.raises(ValueError, match="needs the perfect or imperfect variant"):
             fn(model)
@@ -478,6 +478,19 @@ def test_equilibria_reject_oversized_eps(fig1_params):
     # at eps = 4 the resident equilibrium would need negative density
     with pytest.raises(ValueError):
         sl.equilibria(perfect(fig1_params, 4.0))
+
+
+@pytest.mark.parametrize("model, message", [
+    (sl.ScaledModel(sl.WolbachiaParams(1.12, 0.27, 10 / 9, 0.1, 0.8, 1.0), 5.0),
+     "eps=5 exceeds the resident-equilibrium range eps < fu/du"),
+    (sl.ScaledModel(sl.WolbachiaParams(1.12, 1.2, 10 / 9, 0.1, 0.8, 1.0), 0.1,
+                    sl.Variant.ALTERNATIVE), "resident equilibrium needs du < fu"),
+], ids=["perfect", "alternative"])
+def test_resident_total_owns_the_existence_rule(model, message):
+    # the extinction row and every introduction read the one resident state
+    for fn in (lambda: model.resident_total, lambda: sl.equilibria(model)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fn()
 
 
 def test_classify_stability_rejects_non_equilibrium(fig1_params):
@@ -524,6 +537,32 @@ def test_check_assumptions_flags_monostable_delta():
     assert report["hypotenuse"].passed
     assert not report["bistable"].passed
     assert not report.passed
+
+
+def test_check_assumptions_verdicts_do_not_depend_on_eps():
+    # slope and bistability are eps-free, the hypotenuse margin is -du*cap < 0
+    # and the vacuum margin du > 0, so one rung's audit speaks for a ladder
+    rng = np.random.default_rng(23)
+    seen = set()
+    for k in range(200):
+        variant = (sl.Variant.PERFECT, sl.Variant.IMPERFECT)[k % 2]
+        params = sl.WolbachiaParams(
+            fu=rng.uniform(0.2, 3.0), du=rng.uniform(0.05, 1.0),
+            delta=1.0 + rng.uniform(0.0, 2.0), sf=rng.uniform(0.0, 1.0),
+            sh=rng.uniform(0.05, 1.0), sigma=rng.uniform(0.2, 3.0),
+            mu=rng.uniform(0.0, 0.2) if variant is sl.Variant.IMPERFECT else 0.0)
+        audits = [sl.check_assumptions(sl.ScaledModel(params, eps, variant))
+                  for eps in np.geomspace(1e-6, 10.0, 15)]
+        verdicts = {tuple(c.passed for c in audit.checks) for audit in audits}
+        assert len(verdicts) == 1
+        seen |= verdicts
+    # the sample holds both clean and failing audits
+    assert len(seen) > 1
+
+
+def test_assumption_report_rejects_unknown_row(fig1_params):
+    with pytest.raises(KeyError):
+        sl.check_assumptions(perfect(fig1_params))["nope"]
 
 
 def test_check_assumptions_imperfect(fig2_params):

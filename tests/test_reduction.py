@@ -61,6 +61,14 @@ def test_round_trip_is_exact_algebra(fig1_params):
     assert np.max(np.abs(back.nu.values - nu) / np.maximum(nu, 1e-3)) < 1e-12
 
 
+def test_reduced_population_above_the_carrying_total_is_rejected(fig1_params, grid601):
+    model = sl.ScaledModel(fig1_params, 0.1)
+    reduced = sl.ReducedFields(sl.Field.constant(10.5, grid601),
+                               sl.Field.constant(0.5, grid601), None, 0.0)
+    with pytest.raises(ValueError, match="reduced population exceeds the carrying total"):
+        sl.reduced_to_state(model, reduced)
+
+
 def test_alternative_scaling_reduction(fig1_params, grid601):
     model = sl.ScaledModel(fig1_params, 0.1, sl.Variant.ALTERNATIVE)
     reduced = sl.to_reduced(model, uniform_state(grid601, 2.0, 3.0))

@@ -298,6 +298,9 @@ def test_run_system_rejects_unstable_reaction_step(fig1_params, grid601):
     sl.check_reaction_step(sl.ScaledModel(fig1_params, 0.0029), 0.005)
     sl.check_reaction_step(
         sl.ScaledModel(fig1_params, 0.0027, sl.Variant.ALTERNATIVE), 0.005)
+    # with fu <= du the alternative variant has no resident state and no bound
+    sl.check_reaction_step(sl.ScaledModel(dataclasses.replace(fig1_params, du=1.2), 0.1,
+                                          sl.Variant.ALTERNATIVE), 1e3)
 
 
 @pytest.mark.parametrize("bc", list(sl.BoundaryCondition))
@@ -414,6 +417,14 @@ def test_scalar_run_clamps_round_off_initial_field(fig1_params, grid601):
     assert np.all(series[0][1].values == 1.0)
     for _, f in series:
         assert f.values.min() >= 0.0 and f.values.max() <= 1.0
+
+
+def test_scalar_run_rejects_field_on_another_grid(grid601):
+    config = one_step(sl.SolverConfig(grid601, dt=0.005, t_end=1.0, diffusivity=0.1))
+    other = sl.Grid1D(grid601.xmin, grid601.xmax, grid601.nx - 2)
+    with pytest.raises(ValueError, match="initial field lives on a different grid"):
+        sl.run_scalar(lambda v: np.zeros_like(v), sl.Field.constant(0.5, other), config,
+                      on_frame=lambda frame: None)
 
 
 def test_scalar_step_rejects_out_of_range_input(grid601):
