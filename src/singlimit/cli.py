@@ -8,6 +8,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
 
@@ -32,10 +33,6 @@ def _plot_indices(n: int) -> list[int]:
     if n <= MAX_PLOT_CURVES:
         return list(range(n))
     return sorted({round(k * (n - 1) / (MAX_PLOT_CURVES - 1)) for k in range(MAX_PLOT_CURVES)})
-
-
-def _thin(series: list) -> list:
-    return [series[i] for i in _plot_indices(len(series))]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,23 +105,29 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
 
 def _cmd_converge(args, cfg: RunConfig) -> int:
     window = cfg.speed_window if cfg.solver.t_end >= cfg.speed_window[1] else None
-    report, limit_series, reduced_series = run_convergence_sweep(
+    plot_at, frame_index, plotted = _plot_indices(cfg.solver.n_frames), itertools.count(), []
+
+    def keep(reduced):
+        if next(frame_index) in plot_at:
+            plotted.append(reduced)
+
+    report, limit_series = run_convergence_sweep(
         cfg.model.params, cfg.model.variant, cfg.epsilons, cfg.spec, cfg.solver,
-        speed_window=window, speed_level=cfg.speed_level,
+        on_frame=keep, speed_window=window, speed_level=cfg.speed_level,
     )
+    rungs = list(zip(*plotted))  # the plotted frames per rung, the last one included
     out = Path(args.out)
     with staged_output(out) as staging:
         write_report(report, staging.path("report.csv"))
         if args.svg:
-            write_profiles_svg(_thin(limit_series), staging.path("profiles_limit.svg"),
-                               title="limit equation")
-            for eps, reduced in zip(report.epsilons, reduced_series):
-                write_profiles_svg(_thin([(r.time, r.p) for r in reduced]),
+            write_profiles_svg([limit_series[i] for i in plot_at],
+                               staging.path("profiles_limit.svg"), title="limit equation")
+            for eps, rung in zip(report.epsilons, rungs):
+                write_profiles_svg([(r.time, r.p) for r in rung],
                                    staging.path(f"profiles_eps_{eps:g}.svg"),
                                    title=f"system, eps = {eps:g}")
-    for eps, ep, em, reduced in zip(report.epsilons, report.err_p, report.err_m,
-                                    reduced_series):
-        grad = gradient_l2(reduced[-1].p)
+    for eps, ep, em, rung in zip(report.epsilons, report.err_p, report.err_m, rungs):
+        grad = gradient_l2(rung[-1].p)
         print(f"eps={eps:<8g} err_p={ep:.6e} err_m={em:.6e} "
               f"grad_p_final={grad:.4e} (informational)")
     print(f"report written to {out / 'report.csv'}")

@@ -55,9 +55,11 @@ def _int(text: str) -> int:
 
 
 def _floats(text: str) -> tuple[float, ...]:
-    parts = [p for p in (s.strip() for s in text.split(",")) if p]
-    if not parts:
+    parts = [s.strip() for s in text.split(",")]
+    if not any(parts):
         raise ValueError("empty list")
+    if not all(parts):
+        raise ValueError("empty list entry")
     return tuple(_float(p) for p in parts)
 
 

@@ -8,10 +8,10 @@ starts on h(0) everywhere, with bounds that do not depend on eps.
 
 frequency_run is the one path from a model to its frequency series: it
 seeds the bump and runs either the system or the limit equation.  The
-convergence sweep first runs the two-population system for the whole eps
-ladder as one stacked run, reducing each rung's frame as it settles, then
-the scalar limit equation once through frequency_run on the shared grid and
-cadence, and tabulates the space-time errors |p_eps - p0| and |m| per eps.
+convergence sweep first runs the limit equation once through frequency_run
+as the reference, then the whole eps ladder as one stacked system run on the
+shared grid and cadence, measuring each rung's frame against the reference
+as it settles, and tabulates the space-time errors |p_eps - p0| and |m|.
 Wave speeds are least-squares slopes of tracked level-crossing positions.
 """
 
@@ -36,7 +36,8 @@ from .model import (
     slow_manifold_max,
 )
 from .reduction import ReducedFields, error_norms, to_reduced
-from .solver import Field, Grid1D, PopulationState, SolverConfig, run_scalar, run_system
+from .solver import (Field, Grid1D, PopulationState, SolverConfig, check_reaction_step,
+                     l2_spacetime, run_scalar, run_system)
 
 __all__ = [
     "InitialDataSpec",
@@ -228,18 +229,19 @@ def estimate_wave_speed(series: Sequence[tuple[float, Field]],
 def run_convergence_sweep(params: WolbachiaParams, variant: Variant,
                           epsilons: Sequence[float], spec: InitialDataSpec,
                           config: SolverConfig, *,
+                          on_frame: Callable[[list[ReducedFields]], None],
                           speed_window: tuple[float, float] | None = None,
                           speed_level: float = 0.5
-                          ) -> tuple[ConvergenceReport, list, list[list[ReducedFields]]]:
-    """Solve the system for the whole ladder in one stacked run, keeping
-    each frame's reduced fields only, then the limit equation once; tabulate
-    errors per eps.
+                          ) -> tuple[ConvergenceReport, list[tuple[float, Field]]]:
+    """Solve the limit equation once, then the system for the whole ladder in
+    one stacked run, measuring each frame against the limit as it settles;
+    tabulate errors per eps.
 
     The variant must be perfect or imperfect, and the eps ladder strictly
     decreasing and admissible: below the cap where the slow manifold stays
-    under the carrying total, with a clean assumption audit.  Returns (report,
-    limit_series, reduced_series), with one reduced series per rung in ladder
-    order.
+    under the carrying total, with a clean assumption audit.  Each frame's
+    K reduced rungs go to on_frame; the sweep keeps of them two norms per
+    rung, and p only for a speed window.  Returns (report, limit_series).
     """
     epsilons = [float(e) for e in epsilons]
     require_eps_ladder(epsilons)
@@ -255,35 +257,42 @@ def run_convergence_sweep(params: WolbachiaParams, variant: Variant,
     if not report.passed:
         failed = ", ".join(c.name for c in report.checks if not c.passed)
         raise ValueError(f"eps={epsilons[0]:g}: assumption audit failed ({failed})")
+    # 2*eps/fu shrinks with eps: the last rung admits the step before either run
+    check_reaction_step(models[-1], config.dt)
 
-    def speed(series):
+    def speed(label, series):
         if speed_window is None:
             return math.nan
-        return estimate_wave_speed(series, speed_window, speed_level)
+        try:
+            return estimate_wave_speed(series, speed_window, speed_level)
+        except ValueError as exc:
+            raise ValueError(f"{label}: {exc}") from None
 
-    # run_system checks every rung's reaction step before its first solve,
-    # so the ladder runs first and a bad rung fails before any step
-    states = [make_initial_data(model, spec, config.grid)[0] for model in models]
-    reduced_series = [[] for _ in models]
-
-    def reduce(frame):
-        for model, state, reduced in zip(models, frame, reduced_series):
-            reduced.append(to_reduced(model, state))
-
-    run_system(models, states, config, on_frame=reduce)
     limit_series = []
     frequency_run(models[0], spec, config, "limit",
                   on_frame=lambda t, p, _: limit_series.append((t, p)))
-    err_p, err_m = zip(*(error_norms(reduced, limit_series) for reduced in reduced_series))
+    limit_speed = speed("limit equation", limit_series)
+    norms, fronts = [[] for _ in models], [[] for _ in models]  # (t, |p - p0|, |m|), (t, p)
 
+    def measure(frame):
+        reduced = [to_reduced(model, state) for model, state in zip(models, frame)]
+        limit = limit_series[len(norms[0])]
+        for r, rung, front in zip(reduced, norms, fronts):
+            rung.append((limit[0], *error_norms(r, limit)))
+            if speed_window is not None:
+                front.append((r.time, r.p))
+        on_frame(reduced)
+
+    states = [make_initial_data(model, spec, config.grid)[0] for model in models]
+    run_system(models, states, config, on_frame=measure)
     report = ConvergenceReport(
         epsilons=tuple(epsilons),
-        err_p=err_p,
-        err_m=err_m,
-        speeds=tuple(speed([(r.time, r.p) for r in reduced]) for reduced in reduced_series),
-        limit_speed=speed(limit_series),
+        err_p=tuple(l2_spacetime([(t, e) for t, e, _ in rung], config.t_end) for rung in norms),
+        err_m=tuple(l2_spacetime([(t, e) for t, _, e in rung], config.t_end) for rung in norms),
+        speeds=tuple(speed(f"eps={eps:g}", front) for eps, front in zip(epsilons, fronts)),
+        limit_speed=limit_speed,
     )
-    return report, limit_series, reduced_series
+    return report, limit_series
 
 
 # ---------------------------------------------------------------------------

@@ -11,18 +11,18 @@ A primitive state (n_i, n_u) maps to
 
 and the convergence of a family of system runs toward the scalar limit is
 measured by space-time L2 norms of p - p0 and of m on a shared grid and
-shared output times; no interpolation is ever applied.
+shared output times: error_norms takes one frame's spatial norms, which
+l2_spacetime integrates in time.  No interpolation is ever applied.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .model import NEGATIVE_TOL, ScaledModel, Variant, _check_frequency, _frequency, slow_manifold
-from .solver import Field, PopulationState, l2_spacetime
+from .solver import Field, PopulationState, l2_space
 
 __all__ = ["ReducedFields", "to_reduced", "reduced_to_state", "error_norms"]
 
@@ -73,32 +73,20 @@ def reduced_to_state(model: ScaledModel, reduced: ReducedFields) -> PopulationSt
     return PopulationState(Field(ni, grid), Field(total - ni, grid), reduced.time)
 
 
-def error_norms(reduced_series: Sequence[ReducedFields],
-                limit_series: Sequence[tuple[float, Field]]) -> tuple[float, float]:
-    """Space-time L2 distances (|p - p0|, |m|) between a system run and the
-    scalar limit run.
+def error_norms(reduced: ReducedFields, limit: tuple[float, Field]) -> tuple[float, float]:
+    """Spatial L2 norms (|p - p0|, |m|) of one system frame against the
+    limit frame limit = (t, p0) at the same output time.
 
-    Both series must live on the identical grid with identical output times;
+    The frame and the limit must share the identical grid and time;
     mismatches are rejected rather than interpolated.
     """
-    if len(reduced_series) != len(limit_series):
+    t_lim, p_lim = limit
+    if reduced.n.grid != p_lim.grid:
+        raise ValueError("grids differ; no interpolation permitted")
+    if abs(reduced.time - t_lim) > 1e-9 * max(1.0, abs(t_lim)):
         raise ValueError(
-            f"series lengths differ: {len(reduced_series)} vs {len(limit_series)}"
+            f"output times differ ({reduced.time} vs {t_lim}); no interpolation permitted"
         )
-    if not reduced_series:
-        raise ValueError("empty series")
-    grid = reduced_series[0].n.grid
-    diffs, residuals = [], []
-    for red, (t_lim, p_lim) in zip(reduced_series, limit_series):
-        if red.n.grid != grid or p_lim.grid != grid:
-            raise ValueError("series grids differ; no interpolation permitted")
-        if abs(red.time - t_lim) > 1e-9 * max(1.0, abs(t_lim)):
-            raise ValueError(
-                f"output times differ ({red.time} vs {t_lim}); no interpolation permitted"
-            )
-        if red.m is None:
-            raise ValueError("manifold residual undefined for this model variant")
-        diffs.append((t_lim, Field(red.p.values - p_lim.values, grid)))
-        residuals.append((t_lim, red.m))
-    t_end = diffs[-1][0]
-    return l2_spacetime(diffs, t_end), l2_spacetime(residuals, t_end)
+    if reduced.m is None:
+        raise ValueError("manifold residual undefined for this model variant")
+    return l2_space(Field(reduced.p.values - p_lim.values, p_lim.grid)), l2_space(reduced.m)

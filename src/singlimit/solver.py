@@ -566,9 +566,10 @@ def gradient_l2(field: Field) -> float:
     return l2_space(Field(np.gradient(field.values, field.grid.dx), field.grid))
 
 
-def l2_spacetime(series: Sequence[tuple[float, Field]], t_end: float) -> float:
+def l2_spacetime(series: Sequence[tuple[float, float]], t_end: float) -> float:
     """Rectangle rule in time over squared spatial norms, then sqrt.
 
+    The series holds one (time, spatial L2 norm) pair per snapshot.
     Rectangles take their value at the right endpoint, so the quadrature
     samples (0, t_end]: the initial snapshot anchors the first interval but
     does not contribute its own value.  (With left endpoints, an initial
@@ -584,5 +585,5 @@ def l2_spacetime(series: Sequence[tuple[float, Field]], t_end: float) -> float:
     tol = 1e-9 * max(1.0, abs(t_end))
     if abs(times[0]) > tol or abs(times[-1] - t_end) > tol:
         raise ValueError(f"series must cover [0, {t_end}]")
-    squares = np.array([l2_space(f) ** 2 for _, f in series])
+    squares = np.array([norm ** 2 for _, norm in series])
     return math.sqrt(float(np.sum(np.diff(times) * squares[1:])))

@@ -1,7 +1,8 @@
 """Regrouping of streamed frames for the tests.
 
-run_system hands each frame to on_frame as the list of its K rung states;
-tests that compare whole runs want one time series per rung instead.
+run_system and run_convergence_sweep hand each frame to on_frame as the list
+of its K rungs; tests that compare whole runs want one time series per rung
+instead.
 """
 
 import singlimit as sl
@@ -12,3 +13,11 @@ def rung_series(models, states, config):
     frames = []
     sl.run_system(models, states, config, on_frame=frames.append)
     return [list(series) for series in zip(*frames)]
+
+
+def sweep_series(*args, **kw):
+    """run_convergence_sweep's (report, limit_series), plus its reduced
+    frames kept and regrouped as one series per rung."""
+    frames = []
+    report, limit = sl.run_convergence_sweep(*args, on_frame=frames.append, **kw)
+    return report, limit, [list(series) for series in zip(*frames)]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import singlimit as sl
-from streams import rung_series
+from streams import rung_series, sweep_series
 
 WINDOW = (75.0, 125.0)
 EPS_LADDER = (0.3, 0.1, 0.05, 0.02)
@@ -53,7 +53,7 @@ def cfg125(grid601):
 
 @pytest.fixture(scope="session")
 def sweep_result(fig1_params, spec_default, cfg25):
-    rep, _, reduced_series = sl.run_convergence_sweep(
+    rep, _, reduced_series = sweep_series(
         fig1_params, sl.Variant.PERFECT, EPS_LADDER, spec_default, cfg25)
     return rep, reduced_series
 

@@ -167,6 +167,8 @@ def test_equilibria_serves_the_alternative_variant(tmp_path, capsys):
      "line 1: experiment.epsilons: eps values must differ in their first 6 significant digits"),
     (["wavespeed"], "time.t_end = 1\nexperiment.speed_window = 0.9, 0.95\n",
      "window contains fewer than two usable snapshots"),
+    (["converge"], "time.t_end = 1\nexperiment.speed_window = 0, 1\n",
+     "limit equation: snapshot 0 (t=0) has no 0.5-level crossing"),
 ])
 def test_rejected_run_is_validation_error(tmp_path, capsys, command, text, message):
     cfg = tmp_path / "run.cfg"

@@ -121,6 +121,9 @@ def test_show_config_round_trips():
     ("diffusion.bc = periodic",
      "diffusion.bc: expected one of neumann, dirichlet; got 'periodic'"),
     ("experiment.epsilons = ,", "experiment.epsilons: empty list"),
+    ("experiment.epsilons = 0.3,,0.1", "experiment.epsilons: empty list entry"),
+    ("experiment.epsilons = 0.3, 0.1,", "experiment.epsilons: empty list entry"),
+    ("experiment.speed_window = 75,,125", "experiment.speed_window: empty list entry"),
     ("experiment.speed_window = 75", "experiment.speed_window: need exactly two times"),
     ("diffusion.a = -15:0.1, 0.2", "diffusion.a: profile entries are x:value pairs"),
     ("model.delta = 1/0", "model.delta: not a number: '1/0'"),

@@ -1,11 +1,12 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import singlimit as sl
-from streams import rung_series
+from streams import rung_series, sweep_series
 
 
 def quick_config(grid, t_end=2.0):
@@ -254,27 +255,31 @@ def test_single_eps_sweep_equals_direct_composition(fig1_params, coarse_grid):
     # every rung is computed on its own: row k equals the direct composition
     # for its eps, bit for bit, whatever else is on the ladder
     ladder = [0.3, 0.1]
-    report, _, _ = sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, ladder,
-                                             spec, config)
+    report, limit_series, _ = sweep_series(fig1_params, sl.Variant.PERFECT, ladder,
+                                           spec, config)
     first = sl.ScaledModel(fig1_params, ladder[0])
     _, p_init = sl.make_initial_data(first, spec, coarse_grid)
     limit = []
     sl.run_scalar(lambda v: sl.limit_reaction(first, v), p_init, config, on_frame=limit.append)
+    assert [t for t, _ in limit_series] == [t for t, _ in limit]
+    assert all(np.array_equal(a.values, b.values) for (_, a), (_, b) in zip(limit_series, limit))
     for k, eps in enumerate(ladder):
         model = sl.ScaledModel(fig1_params, eps)
         state0, _ = sl.make_initial_data(model, spec, coarse_grid)
-        reduced = [sl.to_reduced(model, s) for s in rung_series([model], [state0], config)[0]]
-        err_p, err_m = sl.error_norms(reduced, limit)
-        assert report.err_p[k] == err_p
-        assert report.err_m[k] == err_m
+        frames = rung_series([model], [state0], config)[0]
+        assert len(frames) == len(limit) == config.n_frames
+        norms = [(t, *sl.error_norms(sl.to_reduced(model, s), (t, p0)))
+                 for s, (t, p0) in zip(frames, limit)]
+        assert report.err_p[k] == sl.l2_spacetime([(t, e) for t, e, _ in norms], config.t_end)
+        assert report.err_m[k] == sl.l2_spacetime([(t, e) for t, _, e in norms], config.t_end)
 
 
 def test_sweep_is_deterministic(fig1_params, coarse_grid):
     spec = sl.InitialDataSpec()
     config = quick_config(coarse_grid)
-    a, _, _ = sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, [0.3, 0.1], spec,
+    a, _, _ = sweep_series(fig1_params, sl.Variant.PERFECT, [0.3, 0.1], spec,
                                        config)
-    b, _, _ = sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, [0.3, 0.1], spec,
+    b, _, _ = sweep_series(fig1_params, sl.Variant.PERFECT, [0.3, 0.1], spec,
                                        config)
     assert a.epsilons == b.epsilons
     assert a.err_p == b.err_p
@@ -291,10 +296,10 @@ def test_sweep_rejects_bad_ladders(fig1_params, coarse_grid):
                             ([0.1000001, 0.1],
                              "eps values must differ in their first 6 significant digits")):
         with pytest.raises(ValueError, match=message):
-            sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, ladder, spec, config)
+            sweep_series(fig1_params, sl.Variant.PERFECT, ladder, spec, config)
     # eps beyond the admissible range (resident state requires eps < 1/(sigma max h))
     with pytest.raises(ValueError, match="admissible"):
-        sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, [3.5], spec, config)
+        sweep_series(fig1_params, sl.Variant.PERFECT, [3.5], spec, config)
 
 
 @pytest.mark.parametrize("sigma, eps, admissible", [(2.0, 3.5, False), (0.5, 2.0, True)])
@@ -304,11 +309,11 @@ def test_sweep_eps_cap_does_not_depend_on_sigma(fig1_params, coarse_grid, sigma,
     params = dataclasses.replace(fig1_params, sigma=sigma)
     args = (params, sl.Variant.PERFECT, [eps], sl.InitialDataSpec(), quick_config(coarse_grid))
     if admissible:
-        assert np.isfinite(sl.run_convergence_sweep(*args)[0].err_p[0])
+        assert np.isfinite(sweep_series(*args)[0].err_p[0])
     else:
         with pytest.raises(ValueError, match=r"eps=3\.5 is outside the admissible range "
                                              r"\(< 2\.908\)"):
-            sl.run_convergence_sweep(*args)
+            sweep_series(*args)
 
 
 def test_sweep_audits_its_ladder_once(fig1_params, coarse_grid, monkeypatch):
@@ -321,7 +326,7 @@ def test_sweep_audits_its_ladder_once(fig1_params, coarse_grid, monkeypatch):
         return real(model)
 
     monkeypatch.setattr("singlimit.experiments.check_assumptions", counting)
-    sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, [0.3, 0.1, 0.05],
+    sweep_series(fig1_params, sl.Variant.PERFECT, [0.3, 0.1, 0.05],
                              sl.InitialDataSpec(), quick_config(coarse_grid, t_end=0.5))
     assert calls == [0.3]
 
@@ -336,7 +341,7 @@ def test_sweep_rejects_unstable_ladder_before_integrating(fig1_params, coarse_gr
     monkeypatch.setattr("singlimit.solver.solve_banded", no_integration)
     config = sl.SolverConfig(coarse_grid, dt=0.005, t_end=0.05, diffusivity=0.1)
     with pytest.raises(ValueError, match=r"eps=0\.0027: dt=0\.005"):
-        sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, [0.3, 0.0027],
+        sweep_series(fig1_params, sl.Variant.PERFECT, [0.3, 0.0027],
                                  sl.InitialDataSpec(), config)
 
 
@@ -357,7 +362,7 @@ def test_sweep_tags_solver_failures_with_eps(fig1_params, coarse_grid, monkeypat
     monkeypatch.setattr("singlimit.solver.reaction_rates", failing_rates)
     with pytest.raises(sl.SolverError,
                        match=r"^eps=0\.1: step 7: infected density became non-finite$") as info:
-        sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, [0.3, 0.1],
+        sweep_series(fig1_params, sl.Variant.PERFECT, [0.3, 0.1],
                                  sl.InitialDataSpec(), quick_config(coarse_grid))
     assert "eps=0.3" not in str(info.value)
     assert info.value.step == 7
@@ -365,19 +370,72 @@ def test_sweep_tags_solver_failures_with_eps(fig1_params, coarse_grid, monkeypat
 
 def test_sweep_returns_series(fig1_params, coarse_grid):
     config = quick_config(coarse_grid)
-    _, limit, reduced_series = sl.run_convergence_sweep(
-        fig1_params, sl.Variant.PERFECT, [0.3, 0.1], sl.InitialDataSpec(), config)
-    assert len(reduced_series) == 2
-    for reduced in reduced_series:
-        assert len(reduced) == len(limit)
-        assert all(isinstance(r, sl.ReducedFields) for r in reduced)
+    frames = []
+    _, limit = sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, [0.3, 0.1],
+                                        sl.InitialDataSpec(), config, on_frame=frames.append)
+    assert len(frames) == len(limit) == config.n_frames
+    for frame, (t, _) in zip(frames, limit):
+        assert len(frame) == 2
+        assert all(isinstance(r, sl.ReducedFields) and r.time == t for r in frame)
+
+
+def test_sweep_memory_does_not_grow_with_its_frames(fig1_params):
+    # the sweep keeps one grid column per frame, the limit's p0, and two
+    # floats per rung frame; keeping the rungs' reduced fields would hold
+    # 3K + 1 columns per frame
+    grid = sl.Grid1D.from_spacing(-15.0, 15.0, 0.1)  # 301 nodes
+
+    def peak(output_every):
+        config = sl.SolverConfig(grid, dt=0.005, t_end=2.0, diffusivity=0.1,
+                                 output_every=output_every)
+        tracemalloc.start()
+        try:
+            sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, [0.3, 0.1, 0.05, 0.02],
+                                     sl.InitialDataSpec(), config, on_frame=lambda frame: None)
+            return tracemalloc.get_traced_memory()[1], config.n_frames
+        finally:
+            tracemalloc.stop()
+
+    few, _ = peak(400)
+    many, n_frames = peak(1)
+    assert n_frames == 401
+    assert (many - few) / (n_frames * grid.nx * 8) < 2.0
+
+
+def test_sweep_speed_failure_names_its_series(fig1_params, coarse_grid, monkeypatch):
+    # the limit's speed is fitted before the ladder runs, each rung's after it
+    args = (fig1_params, sl.Variant.PERFECT, [0.3, 0.1], sl.InitialDataSpec(),
+            quick_config(coarse_grid))
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("the ladder ran after its reference failed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("singlimit.experiments.run_system", no_integration)
+        with pytest.raises(ValueError, match=r"^limit equation: snapshot 0 \(t=0\) "
+                                             r"has no 0\.5-level crossing$"):
+            sweep_series(*args, speed_window=(0.0, 2.0))
+
+    fitted = []
+
+    def fails_after_the_limit(series, window, level):
+        fitted.append(series)
+        if len(fitted) > 1:
+            raise ValueError("window contains fewer than two usable snapshots")
+        return 0.0
+
+    monkeypatch.setattr("singlimit.experiments.estimate_wave_speed", fails_after_the_limit)
+    with pytest.raises(ValueError, match=r"^eps=0\.3: window contains fewer than two"):
+        sweep_series(*args, speed_window=(0.0, 2.0))
 
 
 def test_sweep_reduces_each_frame_as_it_settles(fig1_params, coarse_grid, monkeypatch):
-    # frame k of every rung is reduced once min(k*output_every, n_steps) system
+    # the limit run's n_steps solves come first; then frame k of every rung is
+    # reduced, measured and handed on once min(k*output_every, n_steps) system
     # steps have been solved, not after the run: no raw state outlives its frame
-    solves, reduced_at = [], []
-    real_solve, real_reduce = sl.solver.solve_banded, sl.experiments.to_reduced
+    solves, reduced_at, measured_at, handed_at = [], [], [], []
+    real_solve = sl.solver.solve_banded
+    real_reduce, real_norms = sl.experiments.to_reduced, sl.experiments.error_norms
 
     def counting_solve(*args):
         solves.append(1)
@@ -387,22 +445,29 @@ def test_sweep_reduces_each_frame_as_it_settles(fig1_params, coarse_grid, monkey
         reduced_at.append(len(solves))
         return real_reduce(*args)
 
+    def recording_norms(*args):
+        measured_at.append(len(solves))
+        return real_norms(*args)
+
     monkeypatch.setattr("singlimit.solver.solve_banded", counting_solve)
     monkeypatch.setattr("singlimit.experiments.to_reduced", recording_reduce)
+    monkeypatch.setattr("singlimit.experiments.error_norms", recording_norms)
     config = quick_config(coarse_grid, t_end=2.1)  # 105 steps, frames every 25
     sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, [0.3, 0.1],
-                             sl.InitialDataSpec(), config)
-    assert reduced_at == [
-        min(k * config.output_every, config.n_steps)
-        for k in range(config.n_frames) for _ in range(2)]
-    assert len(solves) == 2 * config.n_steps  # the limit run's solves come last
+                             sl.InitialDataSpec(), config,
+                             on_frame=lambda frame: handed_at.append(len(solves)))
+    settled = [config.n_steps + min(k * config.output_every, config.n_steps)
+               for k in range(config.n_frames)]
+    assert reduced_at == measured_at == [n for n in settled for _ in range(2)]
+    assert handed_at == settled
+    assert len(solves) == 2 * config.n_steps
 
 
 def test_sweep_speeds_approach_the_limit_speed(fig1_params, grid601):
     # a window early enough for a short run: both rungs' fronts and the
     # limit front recede at about 0.2, and the gap to the limit shrinks with eps
     config = sl.SolverConfig(grid601, dt=0.005, t_end=0.5, diffusivity=0.1, output_every=10)
-    report, _, _ = sl.run_convergence_sweep(
+    report, _, _ = sweep_series(
         fig1_params, sl.Variant.PERFECT, [0.3, 0.1], sl.InitialDataSpec(), config,
         speed_window=(0.25, 0.5), speed_level=0.3)
     assert np.all(np.isfinite(report.speeds)) and np.isfinite(report.limit_speed)

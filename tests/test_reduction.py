@@ -80,43 +80,40 @@ def test_alternative_scaling_reduction(fig1_params, grid601):
 
 def test_error_norms_identical_series(fig1_params, grid601):
     model = sl.ScaledModel(fig1_params, 0.1)
-    times = np.linspace(0.0, 2.0, 11)
-    reduced = [sl.to_reduced(model, uniform_state(grid601, 1.0, 3.0, t)) for t in times]
-    limit = [(t, r.p) for t, r in zip(times, reduced)]
-    err_p, err_m = sl.error_norms(reduced, limit)
-    assert err_p == 0.0
-    m_norm = sl.l2_spacetime([(t, r.m) for t, r in zip(times, reduced)], 2.0)
-    assert err_m == m_norm
+    for t in np.linspace(0.0, 2.0, 11):
+        reduced = sl.to_reduced(model, uniform_state(grid601, 1.0, 3.0, t))
+        err_p, err_m = sl.error_norms(reduced, (t, reduced.p))
+        assert err_p == 0.0
+        assert err_m == sl.l2_space(reduced.m) > 0.0
 
 
 def test_error_norms_constant_difference(fig1_params, grid601):
-    # p == 1 against a vanishing limit over [0, 2] integrates to sqrt(60)
+    # p == 1 against a vanishing limit: sqrt(30) per frame on [-15, 15], and
+    # sqrt(60) once integrated over [0, 2]
     model = sl.ScaledModel(fig1_params, 0.1)
-    times = np.linspace(0.0, 2.0, 21)
-    reduced = [sl.to_reduced(model, uniform_state(grid601, 2.0, 0.0, t)) for t in times]
     zero = sl.Field.constant(0.0, grid601)
-    err_p, _ = sl.error_norms(reduced, [(t, zero) for t in times])
-    assert err_p == pytest.approx(math.sqrt(60), abs=1e-10)
+    norms = [(t, sl.error_norms(sl.to_reduced(model, uniform_state(grid601, 2.0, 0.0, t)),
+                                (t, zero))[0])
+             for t in np.linspace(0.0, 2.0, 21)]
+    assert all(norm == pytest.approx(math.sqrt(30), abs=1e-10) for _, norm in norms)
+    assert sl.l2_spacetime(norms, 2.0) == pytest.approx(math.sqrt(60), abs=1e-10)
 
 
 def test_error_norms_reject_mismatch(fig1_params, grid601):
     model = sl.ScaledModel(fig1_params, 0.1)
-    times = [0.0, 1.0, 2.0]
-    reduced = [sl.to_reduced(model, uniform_state(grid601, 1.0, 1.0, t)) for t in times]
+    reduced = sl.to_reduced(model, uniform_state(grid601, 1.0, 1.0, 1.0))
     zero = sl.Field.constant(0.0, grid601)
-    with pytest.raises(ValueError):
-        sl.error_norms(reduced, [(t, zero) for t in times[:-1]])
-    with pytest.raises(ValueError):
-        sl.error_norms(reduced, [(t + 0.5, zero) for t in times])
+    with pytest.raises(ValueError, match="output times differ"):
+        sl.error_norms(reduced, (1.5, zero))
     other = sl.Grid1D(0.0, 1.0, 11)
-    with pytest.raises(ValueError):
-        sl.error_norms(reduced, [(t, sl.Field.constant(0.0, other)) for t in times])
+    with pytest.raises(ValueError, match="grids differ"):
+        sl.error_norms(reduced, (1.0, sl.Field.constant(0.0, other)))
+    # a time within round-off of the frame's is the same output time
+    assert sl.error_norms(reduced, (1.0 + 1e-12, zero)) == sl.error_norms(reduced, (1.0, zero))
 
 
 def test_error_norms_need_manifold_residual(fig1_params, grid601):
     model = sl.ScaledModel(fig1_params, 0.1, sl.Variant.ALTERNATIVE)
-    times = [0.0, 1.0]
-    reduced = [sl.to_reduced(model, uniform_state(grid601, 1.0, 1.0, t)) for t in times]
-    zero = sl.Field.constant(0.0, grid601)
-    with pytest.raises(ValueError):
-        sl.error_norms(reduced, [(t, zero) for t in times])
+    reduced = sl.to_reduced(model, uniform_state(grid601, 1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="manifold residual undefined"):
+        sl.error_norms(reduced, (1.0, sl.Field.constant(0.0, grid601)))

@@ -695,13 +695,15 @@ def test_l2_space_values():
 
 
 def test_l2_spacetime_values():
+    # the spatial norm of 1 on [-15, 15] is sqrt(30)
     grid = sl.Grid1D.from_spacing(-15.0, 15.0, 0.05)
-    zero = sl.Field.constant(0.0, grid)
-    one = sl.Field.constant(1.0, grid)
+    one = sl.l2_space(sl.Field.constant(1.0, grid))
     times = np.linspace(0.0, 2.0, 21)
-    assert sl.l2_spacetime([(t, zero) for t in times], 2.0) == 0.0
+    assert sl.l2_spacetime([(t, 0.0) for t in times], 2.0) == 0.0
     assert sl.l2_spacetime([(t, one) for t in times], 2.0) == pytest.approx(
         math.sqrt(60), abs=1e-10)
+    # right endpoints: the t = 0 norm anchors the first interval only
+    assert sl.l2_spacetime([(0.0, 7.0), (1.0, 1.0), (2.0, 2.0)], 2.0) == math.sqrt(5.0)
 
 
 def test_l2_spacetime_rejects_degenerate_series():
