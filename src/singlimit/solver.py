@@ -16,8 +16,7 @@ solution.  A system run of K rungs keeps its densities as one (nx, 2K) block
 [n_i of every rung | n_u of every rung], and each step writes u* into a
 fresh block of that layout.  Under Dirichlet boundaries the couplings of the
 two pinned rows are folded into the right-hand side first, which leaves a
-symmetric positive-definite matrix; `tridiagonal_solve` provides the plain
-Thomas elimination for verification and small systems.
+symmetric positive-definite matrix.
 
 dpttrf and dpttrs are the f2py wrappers of scipy's `linalg/_flapack`
 extension, loaded from that file without running `scipy.linalg`'s package
@@ -53,13 +52,11 @@ __all__ = [
     "PopulationState",
     "BoundaryCondition",
     "SolverConfig",
-    "TridiagonalSystem",
     "SolverError",
     "MAX_NODES",
     "MAX_STEPS",
     "check_reaction_step",
     "assemble_diffusion",
-    "tridiagonal_solve",
     "run_system",
     "run_scalar",
     "l2_space",
@@ -264,40 +261,9 @@ class SolverConfig:
         return -(-self.n_steps // int(self.output_every)) + 1
 
 
-@dataclass(frozen=True)
-class TridiagonalSystem:
-    """Tridiagonal linear system; lower/upper have one entry fewer than diag."""
-
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
-    rhs: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.diag)
-        if len(self.lower) != n - 1 or len(self.upper) != n - 1 or len(self.rhs) != n:
-            raise ValueError("inconsistent tridiagonal band lengths")
-
-    def with_rhs(self, rhs: np.ndarray) -> "TridiagonalSystem":
-        return TridiagonalSystem(self.lower, self.diag, self.upper, np.asarray(rhs, dtype=float))
-
-    def is_diagonally_dominant(self) -> bool:
-        n = len(self.diag)
-        off = np.zeros(n)
-        off[:-1] += np.abs(self.upper)
-        off[1:] += np.abs(self.lower)
-        return bool(np.all(np.abs(self.diag) >= off))
-
-    def dense(self) -> np.ndarray:
-        return (
-            np.diag(self.diag)
-            + np.diag(self.upper, 1)
-            + np.diag(self.lower, -1)
-        )
-
-
-def assemble_diffusion(config: SolverConfig) -> TridiagonalSystem:
-    """Implicit-diffusion matrix I - dt*L as a tridiagonal template (rhs 0).
+def assemble_diffusion(config: SolverConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Implicit-diffusion matrix I - dt*L as its bands (lower, diag, upper);
+    lower and upper have nx-1 entries.
 
     Face diffusivities are arithmetic means of the neighbouring nodes.  Under
     Neumann boundaries the ghost faces carry zero flux, so a boundary row is
@@ -311,8 +277,8 @@ def assemble_diffusion(config: SolverConfig) -> TridiagonalSystem:
     r = config.dt / config.grid.dx ** 2
     face = 0.5 * (a[:-1] + a[1:]) * r  # nx-1 faces
 
-    lower = -face.copy()
-    upper = -face.copy()
+    lower = -face
+    upper = -face
     diag = np.ones(nx)
     diag[:-1] += face
     diag[1:] += face
@@ -322,35 +288,7 @@ def assemble_diffusion(config: SolverConfig) -> TridiagonalSystem:
         diag[-1] = 1.0
         upper[0] = 0.0
         lower[-1] = 0.0
-    return TridiagonalSystem(lower, diag, upper, np.zeros(nx))
-
-
-def tridiagonal_solve(system: TridiagonalSystem) -> np.ndarray:
-    """Solve by Thomas forward elimination / back substitution, O(n).
-
-    A vanishing pivot raises SolverError; it cannot occur for diagonally
-    dominant assemblies.
-    """
-    lower, diag, upper, rhs = system.lower, system.diag, system.upper, system.rhs
-    n = len(diag)
-    scratch = np.empty(n - 1)
-    out = np.empty(n)
-
-    pivot = diag[0]
-    if pivot == 0.0:
-        raise SolverError("zero pivot in tridiagonal elimination at row 0")
-    scratch[0] = upper[0] / pivot
-    out[0] = rhs[0] / pivot
-    for i in range(1, n):
-        pivot = diag[i] - lower[i - 1] * scratch[i - 1]
-        if pivot == 0.0:
-            raise SolverError(f"zero pivot in tridiagonal elimination at row {i}")
-        if i < n - 1:
-            scratch[i] = upper[i] / pivot
-        out[i] = (rhs[i] - lower[i - 1] * out[i - 1]) / pivot
-    for i in range(n - 2, -1, -1):
-        out[i] -= scratch[i] * out[i + 1]
-    return out
+    return lower, diag, upper
 
 
 def _factor(config: SolverConfig) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -363,13 +301,12 @@ def _factor(config: SolverConfig) -> tuple[np.ndarray, np.ndarray, float, float]
     the rhs; moving their couplings into the rhs of rows 1 and nx-2 leaves a
     symmetric positive-definite matrix with the same solution.
     """
-    system = assemble_diffusion(config)
-    e = system.upper.copy()
+    lower, diag, upper = assemble_diffusion(config)
     c0 = c1 = 0.0
     if config.bc is BoundaryCondition.DIRICHLET:
-        c0, c1 = -system.lower[0], -system.upper[-1]
-        e[-1] = 0.0
-    d, e, info = dpttrf(system.diag, e)
+        c0, c1 = -lower[0], -upper[-1]
+        upper[-1] = 0.0
+    d, e, info = dpttrf(diag, upper)
     if info != 0:
         raise SolverError(f"implicit diffusion matrix could not be factored (dpttrf info {info})")
     return d, e, c0, c1

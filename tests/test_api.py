@@ -12,7 +12,7 @@ PUBLIC_NAMES = [
     "ConfigError", "ConvergenceReport", "Equilibrium", "EquilibriumKind", "Field",
     "FieldError", "Grid1D", "InitialDataSpec", "MAX_NODES", "MAX_STEPS",
     "PopulationState", "ReducedFields", "RunConfig", "ScaledModel", "SolverConfig",
-    "SolverError", "Stability", "StabilityResult", "TridiagonalSystem", "Variant", "Verdict",
+    "SolverError", "Stability", "StabilityResult", "Variant", "Verdict",
     "WolbachiaParams", "assemble_diffusion", "check_assumptions", "check_reaction_step",
     "classify_stability", "config", "default_config", "drift_slope_bound", "equilibria",
     "error_norms", "estimate_wave_speed", "experiments", "extinction_check",
@@ -21,7 +21,6 @@ PUBLIC_NAMES = [
     "make_initial_data", "model", "parse_config", "reaction_rates", "reduced_drift",
     "reduced_to_state", "reduction", "run_convergence_sweep", "run_scalar", "run_system",
     "slow_manifold", "slow_manifold_max", "solver", "to_reduced", "track_front",
-    "tridiagonal_solve",
 ]
 
 
@@ -40,6 +39,6 @@ def test_public_namespace_is_pinned():
 def test_exports_are_the_modules_all_lists():
     modules = (sl.model, sl.solver, sl.reduction, sl.experiments, sl.config)
     exported = [name for module in modules for name in module.__all__]
-    assert len(exported) == len(set(exported)) == 57
+    assert len(exported) == len(set(exported)) == 55
     assert all(getattr(sl, name) is getattr(module, name)
                for module in modules for name in module.__all__)

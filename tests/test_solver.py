@@ -116,85 +116,61 @@ def test_solver_config_validation():
 def test_assemble_interior_row():
     grid = small_grid(nx=11, span=1.0)  # dx = 0.1
     config = sl.SolverConfig(grid, dt=0.01, t_end=1.0, diffusivity=0.2)
-    system = sl.assemble_diffusion(config)
+    lower, diag, upper = sl.assemble_diffusion(config)
     r = 0.01 * 0.2 / 0.1 ** 2
-    assert system.diag[5] == pytest.approx(1 + 2 * r, rel=1e-14)
-    assert system.upper[5] == pytest.approx(-r, rel=1e-14)
-    assert system.lower[4] == pytest.approx(-r, rel=1e-14)
+    assert diag[5] == pytest.approx(1 + 2 * r, rel=1e-14)
+    assert upper[5] == pytest.approx(-r, rel=1e-14)
+    assert lower[4] == pytest.approx(-r, rel=1e-14)
 
 
 def test_assemble_neumann_boundary_row():
     grid = small_grid(nx=11, span=1.0)
     config = sl.SolverConfig(grid, dt=0.01, t_end=1.0, diffusivity=0.2)
-    system = sl.assemble_diffusion(config)
+    lower, diag, upper = sl.assemble_diffusion(config)
     r = 0.01 * 0.2 / 0.1 ** 2
-    assert system.diag[0] == pytest.approx(1 + r, rel=1e-14)
-    assert system.upper[0] == pytest.approx(-r, rel=1e-14)
-    assert system.diag[-1] == pytest.approx(1 + r, rel=1e-14)
-    assert system.lower[-1] == pytest.approx(-r, rel=1e-14)
-    assert system.is_diagonally_dominant()
+    assert diag[0] == pytest.approx(1 + r, rel=1e-14)
+    assert upper[0] == pytest.approx(-r, rel=1e-14)
+    assert diag[-1] == pytest.approx(1 + r, rel=1e-14)
+    assert lower[-1] == pytest.approx(-r, rel=1e-14)
+    off = np.zeros(grid.nx)
+    off[:-1] += np.abs(upper)
+    off[1:] += np.abs(lower)
+    assert np.all(np.abs(diag) >= off)
+
+
+def test_assemble_dirichlet_boundary_rows():
+    # rows 0 and nx-1 are identity rows; rows 1 and nx-2 keep their
+    # couplings to the pinned values, which _factor folds into the rhs
+    grid = small_grid(nx=11, span=1.0)
+    a = 0.2 + 0.1 * grid.x
+    config = sl.SolverConfig(grid, dt=0.01, t_end=1.0, diffusivity=a,
+                             bc=sl.BoundaryCondition.DIRICHLET)
+    lower, diag, upper = sl.assemble_diffusion(config)
+    r = 0.01 / 0.1 ** 2
+    assert diag[0] == diag[-1] == 1.0
+    assert upper[0] == lower[-1] == 0.0
+    assert lower[0] == pytest.approx(-r * 0.5 * (a[0] + a[1]), rel=1e-14)
+    assert upper[-1] == pytest.approx(-r * 0.5 * (a[-2] + a[-1]), rel=1e-14)
 
 
 def test_constants_invariant_under_neumann_solve():
     grid = small_grid(nx=41, span=2.0)
     config = sl.SolverConfig(grid, dt=0.02, t_end=1.0,
                              diffusivity=0.1 + 0.05 * np.cos(grid.x))
-    system = sl.assemble_diffusion(config)
     c = 3.7
-    out = sl.tridiagonal_solve(system.with_rhs(np.full(grid.nx, c)))
+    out = lapack_solve(_factor(config), np.full(grid.nx, c))
     assert np.max(np.abs(out - c)) < 1e-13
 
 
 # ---------------------------------------------------------------------------
-# tridiagonal solve
-
-
-def test_identity_solve():
-    rhs = np.array([2.0, -1.0, 0.5])
-    system = sl.TridiagonalSystem(np.zeros(2), np.ones(3), np.zeros(2), rhs)
-    assert np.array_equal(sl.tridiagonal_solve(system), rhs)
-
-
-def test_three_by_three_example():
-    system = sl.TridiagonalSystem(np.array([-1.0, -1.0]), np.array([2.0, 2.0, 2.0]),
-                                  np.array([-1.0, -1.0]), np.array([1.0, 0.0, 1.0]))
-    assert np.allclose(sl.tridiagonal_solve(system), [1.0, 1.0, 1.0], atol=1e-14)
-
-
-def test_random_dominant_against_dense_lu():
-    rng = np.random.default_rng(42)
-    for _ in range(20):
-        n = 50
-        lower = rng.uniform(-1, 1, n - 1)
-        upper = rng.uniform(-1, 1, n - 1)
-        diag = 2.5 + rng.uniform(0, 1, n)
-        rhs = rng.uniform(-1, 1, n)
-        system = sl.TridiagonalSystem(lower, diag, upper, rhs)
-        assert system.is_diagonally_dominant()
-        got = sl.tridiagonal_solve(system)
-        want = np.linalg.solve(system.dense(), rhs)
-        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+# banded solve
 
 
 def band_array(config):
     """The assembled system as the (3, nx) band array of scipy's solve_banded."""
-    system = sl.assemble_diffusion(config)
     ab = np.zeros((3, config.grid.nx))
-    ab[0, 1:] = system.upper
-    ab[1, :] = system.diag
-    ab[2, :-1] = system.lower
+    ab[2, :-1], ab[1, :], ab[0, 1:] = sl.assemble_diffusion(config)
     return ab
-
-
-def test_thomas_matches_banded_hot_path():
-    grid = small_grid(nx=101, span=5.0)
-    config = sl.SolverConfig(grid, dt=0.01, t_end=1.0,
-                             diffusivity=0.1 + 0.02 * np.sin(3 * grid.x))
-    rng = np.random.default_rng(5)
-    rhs = rng.uniform(-1, 1, grid.nx)
-    a = sl.tridiagonal_solve(sl.assemble_diffusion(config).with_rhs(rhs))
-    b = sl.solver.solve_banded(_factor(config), rhs.copy())
-    assert np.max(np.abs(a - b)) < 1e-13
 
 
 @pytest.mark.parametrize("bc", list(sl.BoundaryCondition))
@@ -239,13 +215,6 @@ def test_singular_factorisation_is_solver_error(grid601, monkeypatch):
     config = sl.SolverConfig(grid601, dt=0.005, t_end=1.0)
     with pytest.raises(sl.SolverError, match="dpttrf info 3"):
         _factor(config)
-
-
-def test_zero_pivot_is_hard_error():
-    system = sl.TridiagonalSystem(np.array([1.0]), np.array([0.0, 1.0]),
-                                  np.array([1.0]), np.array([1.0, 1.0]))
-    with pytest.raises(sl.SolverError):
-        sl.tridiagonal_solve(system)
 
 
 # ---------------------------------------------------------------------------
@@ -707,11 +676,9 @@ def test_l2_spacetime_values():
 
 
 def test_l2_spacetime_rejects_degenerate_series():
-    grid = sl.Grid1D.from_spacing(-15.0, 15.0, 0.05)
-    one = sl.Field.constant(1.0, grid)
-    with pytest.raises(ValueError):
-        sl.l2_spacetime([(0.0, one)], 0.0)
-    with pytest.raises(ValueError):
-        sl.l2_spacetime([(0.0, one), (0.0, one)], 2.0)
-    with pytest.raises(ValueError):
-        sl.l2_spacetime([(0.0, one), (1.0, one)], 2.0)
+    with pytest.raises(ValueError, match="need at least two snapshots"):
+        sl.l2_spacetime([(0.0, 1.0)], 0.0)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        sl.l2_spacetime([(0.0, 1.0), (0.0, 1.0)], 2.0)
+    with pytest.raises(ValueError, match="must cover"):
+        sl.l2_spacetime([(0.0, 1.0), (1.0, 1.0)], 2.0)
