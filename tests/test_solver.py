@@ -166,6 +166,50 @@ def test_constants_invariant_under_neumann_solve():
 # banded solve
 
 
+def test_identity_solve():
+    # Dirichlet rows 0 and nx-1 are identity rows: the solve hands their
+    # rhs back bit for bit, whatever the interior holds
+    grid = small_grid(nx=21, span=1.0)
+    config = sl.SolverConfig(grid, dt=0.01, t_end=1.0, diffusivity=0.3 + grid.x,
+                             bc=sl.BoundaryCondition.DIRICHLET)
+    rhs = np.random.default_rng(3).uniform(-1, 1, (grid.nx, 2))
+    got = lapack_solve(_factor(config), rhs.copy())
+    assert np.array_equal(got[[0, -1]], rhs[[0, -1]])
+
+
+def test_three_by_three_example():
+    # dx = dt = a = 1 makes r*a_face = 1: the Neumann matrix is
+    # [[2, -1, 0], [-1, 3, -1], [0, -1, 2]], and rhs (1, 0, 1) gives
+    # x = (3/4, 1/2, 3/4) by hand
+    config = sl.SolverConfig(sl.Grid1D(0.0, 2.0, 3), dt=1.0, t_end=1.0, diffusivity=1.0)
+    lower, diag, upper = sl.assemble_diffusion(config)
+    assert np.array_equal(diag, [2.0, 3.0, 2.0])
+    assert np.array_equal(lower, [-1.0, -1.0]) and np.array_equal(upper, [-1.0, -1.0])
+    got = lapack_solve(_factor(config), np.array([1.0, 0.0, 1.0]))
+    assert np.allclose(got, [0.75, 0.5, 0.75], rtol=0.0, atol=1e-15)
+
+
+def test_random_dominant_against_dense_lu():
+    # the LDL^T solve of a multi-column rhs, the block run_system steps,
+    # against dense LU of the assembled (unfolded) matrix
+    rng = np.random.default_rng(42)
+    grid = small_grid(nx=50, span=1.0)
+    bcs = list(sl.BoundaryCondition)
+    for k in range(20):
+        dt = rng.uniform(1e-3, 0.1)
+        config = sl.SolverConfig(grid, dt=dt, t_end=dt, bc=bcs[k % 2],
+                                 diffusivity=rng.uniform(0.05, 2.0, grid.nx))
+        lower, diag, upper = sl.assemble_diffusion(config)
+        off = np.zeros(grid.nx)
+        off[:-1] += np.abs(upper)
+        off[1:] += np.abs(lower)
+        assert np.all(np.abs(diag) > off)
+        rhs = rng.uniform(-1, 1, (grid.nx, 3))
+        want = np.linalg.solve(np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1), rhs)
+        got = lapack_solve(_factor(config), np.array(rhs, order="F"))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def band_array(config):
     """The assembled system as the (3, nx) band array of scipy's solve_banded."""
     ab = np.zeros((3, config.grid.nx))
@@ -214,6 +258,21 @@ def test_singular_factorisation_is_solver_error(grid601, monkeypatch):
     monkeypatch.setattr("singlimit.solver.dpttrf", singular)
     config = sl.SolverConfig(grid601, dt=0.005, t_end=1.0)
     with pytest.raises(sl.SolverError, match="dpttrf info 3"):
+        _factor(config)
+
+
+def test_zero_pivot_is_hard_error(grid601, monkeypatch):
+    # LAPACK's own dpttrf, not a stub, meets a zero pivot in row 0 of bands
+    # that are not positive definite and reports it as info 1
+    def zero_pivot(config):
+        lower, diag, upper = assemble(config)
+        diag[0] = 0.0
+        return lower, diag, upper
+
+    assemble = sl.solver.assemble_diffusion
+    monkeypatch.setattr("singlimit.solver.assemble_diffusion", zero_pivot)
+    config = sl.SolverConfig(grid601, dt=0.005, t_end=1.0)
+    with pytest.raises(sl.SolverError, match="dpttrf info 1"):
         _factor(config)
 
 
