@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, default_config, format_config, parse_config
-from .experiments import estimate_wave_speed, frequency_run, run_convergence_sweep
+from .experiments import FrontTrack, frequency_run, run_convergence_sweep
 from .model import check_assumptions, equilibria
 from .output import (staged_output, write_manifest, write_profiles_svg, write_report,
                      write_snapshot)
@@ -104,17 +104,16 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
 
 
 def _cmd_converge(args, cfg: RunConfig) -> int:
-    window = cfg.speed_window if cfg.solver.t_end >= cfg.speed_window[1] else None
     plot_at, frame_index, plotted = _plot_indices(cfg.solver.n_frames), itertools.count(), []
 
     def keep(reduced):
         if next(frame_index) in plot_at:
             plotted.append(reduced)
 
+    covered = cfg.solver.t_end >= cfg.speed_window[1]
     report, limit_series = run_convergence_sweep(
         cfg.model.params, cfg.model.variant, cfg.epsilons, cfg.spec, cfg.solver,
-        on_frame=keep, speed_window=window, speed_level=cfg.speed_level,
-    )
+        on_frame=keep, speed=(cfg.speed_window, cfg.speed_level) if covered else None)
     rungs = list(zip(*plotted))  # the plotted frames per rung, the last one included
     out = Path(args.out)
     with staged_output(out) as staging:
@@ -151,11 +150,10 @@ def _cmd_wavespeed(args, cfg: RunConfig) -> int:
             f"time.t_end = {cfg.solver.t_end:g} does not cover the speed window "
             f"ending at {cfg.speed_window[1]:g}"
         )
-    p_series = []
+    track = FrontTrack(cfg.speed_window, cfg.speed_level)
     frequency_run(cfg.model, cfg.spec, cfg.solver, args.model,
-                  on_frame=lambda t, p, _: p_series.append((t, p)))
-    speed = estimate_wave_speed(p_series, cfg.speed_window, cfg.speed_level)
-    print(f"speed {speed:.10g}")
+                  on_frame=lambda t, p, _: track.add(t, p))
+    print(f"speed {track.speed():.10g}")
     return EXIT_OK
 
 

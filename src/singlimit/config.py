@@ -5,11 +5,11 @@ wave setup.  Values are floats (a ratio like 10/9 is accepted and stored as
 the parsed double), integers, enum words, or comma-separated lists.  Unknown
 keys, duplicate keys and rule violations are rejected with the offending
 line number and key.  A rule on one value is owned by the constructor of its
-domain object, or by the experiments check of the eps ladder or speed level,
-whose FieldError names the field, reported here as its key.  parse_config
-checks each value's syntax, builds the domain objects once, then checks
-sf < sh, the ladder, the speed level and the speed window; the first error
-reported follows that order.  The RunConfig it returns holds the model,
+domain object (FrontTrack's for the speed level) or by the experiments check
+of the eps ladder, whose FieldError names the field, reported here as its
+key.  parse_config checks each value's syntax, builds the domain objects
+once, then checks sf < sh, the ladder, the speed level and the speed window;
+the first error follows that order.  The RunConfig it returns holds the model,
 solver configuration and initial bump it built, and the sweep's settings.
 """
 
@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .experiments import InitialDataSpec, require_eps_ladder, require_speed_level
+from .experiments import FrontTrack, InitialDataSpec, require_eps_ladder
 from .model import FieldError, ScaledModel, Variant, WolbachiaParams, require
 from .solver import BoundaryCondition, Grid1D, SolverConfig
 
@@ -201,7 +201,7 @@ def parse_config(text: str) -> RunConfig:
         spec.check_inside(grid)
         require(params.sf < params.sh, "sf", f"requires sf < sh (sh = {params.sh:g})")
         require_eps_ladder(v["epsilons"])
-        require_speed_level(v["speed_level"])
+        FrontTrack(v["speed_window"], v["speed_level"])  # owns the speed_level rule
         require(0 <= v["speed_window"][0] < v["speed_window"][1], "speed_window",
                 "speed_window must be an increasing pair of times")
     except FieldError as exc:

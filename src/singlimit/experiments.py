@@ -12,7 +12,7 @@ convergence sweep first runs the limit equation once through frequency_run
 as the reference, then the whole eps ladder as one stacked system run on the
 shared grid and cadence, measuring each rung's frame against the reference
 as it settles, and tabulates the space-time errors |p_eps - p0| and |m|.
-Wave speeds are least-squares slopes of tracked level-crossing positions.
+Wave speeds are least-squares slopes of level crossings tracked frame by frame.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from .model import (
     slow_manifold_max,
 )
 from .reduction import ReducedFields, error_norms, to_reduced
-from .solver import (Field, Grid1D, PopulationState, SolverConfig, check_reaction_step,
-                     l2_spacetime, run_scalar, run_system)
+from .solver import (Field, Grid1D, PopulationState, SolverConfig, SolverError,
+                     check_reaction_step, l2_spacetime, run_scalar, run_system)
 
 __all__ = [
     "InitialDataSpec",
@@ -46,7 +46,7 @@ __all__ = [
     "make_initial_data",
     "frequency_run",
     "run_convergence_sweep",
-    "track_front",
+    "FrontTrack",
     "estimate_wave_speed",
     "extinction_check",
 ]
@@ -65,11 +65,6 @@ def require_eps_ladder(epsilons: Sequence[float]) -> None:
             "eps ladder must be strictly decreasing")
     require(len({f"{e:g}" for e in epsilons}) == len(epsilons), "epsilons",
             "eps values must differ in their first 6 significant digits")
-
-
-def require_speed_level(level: float) -> None:
-    """Raise FieldError("speed_level", ...) unless the level lies in (0, 1)."""
-    require(0.0 < level < 1.0, "speed_level", "speed_level must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -178,19 +173,24 @@ def frequency_run(model: ScaledModel, spec: InitialDataSpec, config: SolverConfi
 # wave-speed estimation
 
 
-def track_front(series: Sequence[tuple[float, Field]], level: float = 0.5,
-                window: tuple[float, float] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Rightmost positions where the profile crosses `level`, per snapshot.
+class FrontTrack:
+    """Rightmost `level` crossing of each frame in the window, interpolated
+    between adjacent nodes as the frame settles.  add raises when a frame in
+    the window has no crossing or one within 2*dx of a boundary, naming the
+    frame by its index among all frames added.  The constructor owns the
+    rule on the level: FieldError("speed_level", ...) unless it lies in (0, 1)."""
 
-    Crossings are located by linear interpolation between adjacent nodes.
-    Raises when a snapshot in the window has no crossing or its crossing
-    sits within 2*dx of a boundary, naming the first bad snapshot.
-    """
-    require_speed_level(level)
-    times, positions = [], []
-    for k, (t, field) in enumerate(series):
-        if window is not None and not (window[0] - 1e-9 <= t <= window[1] + 1e-9):
-            continue
+    def __init__(self, window: tuple[float, float], level: float):
+        require(0.0 < level < 1.0, "speed_level", "speed_level must lie in (0, 1)")
+        self.window, self.level = window, level
+        self.points: list[tuple[float, float]] = []  # (t, crossing position)
+        self._frames = 0
+
+    def add(self, t: float, field: Field) -> None:
+        k, level = self._frames, self.level
+        self._frames += 1
+        if not (self.window[0] - 1e-9 <= t <= self.window[1] + 1e-9):
+            return
         v = field.values
         # signs, not differences: a product of two tiny differences can underflow to 0
         signs = np.sign(v[:-1] - level) * np.sign(v[1:] - level)
@@ -206,19 +206,17 @@ def track_front(series: Sequence[tuple[float, Field]], level: float = 0.5,
             raise ValueError(
                 f"snapshot {k} (t={t:g}): crossing at x={pos:.4g} is within 2*dx of a boundary"
             )
-        times.append(t)
-        positions.append(pos)
-    return np.array(times), np.array(positions)
+        self.points.append((t, pos))
+
+    def speed(self) -> float:
+        return estimate_wave_speed(self.points)
 
 
-def estimate_wave_speed(series: Sequence[tuple[float, Field]],
-                        window: tuple[float, float],
-                        level: float = 0.5) -> float:
-    """Front speed: least-squares slope of crossing position against time
-    over the window."""
-    times, positions = track_front(series, level, window)
-    if len(times) < 2:
+def estimate_wave_speed(points: Sequence[tuple[float, float]]) -> float:
+    """Front speed: least-squares slope of a FrontTrack's (t, position) points."""
+    if len(points) < 2:
         raise ValueError("window contains fewer than two usable snapshots")
+    times, positions = np.array(points).T
     return float(np.polyfit(times, positions, 1)[0])
 
 
@@ -230,8 +228,7 @@ def run_convergence_sweep(params: WolbachiaParams, variant: Variant,
                           epsilons: Sequence[float], spec: InitialDataSpec,
                           config: SolverConfig, *,
                           on_frame: Callable[[list[ReducedFields]], None],
-                          speed_window: tuple[float, float] | None = None,
-                          speed_level: float = 0.5
+                          speed: tuple[tuple[float, float], float] | None = None
                           ) -> tuple[ConvergenceReport, list[tuple[float, Field]]]:
     """Solve the limit equation once, then the system for the whole ladder in
     one stacked run, measuring each frame against the limit as it settles;
@@ -240,8 +237,8 @@ def run_convergence_sweep(params: WolbachiaParams, variant: Variant,
     The variant must be perfect or imperfect, and the eps ladder strictly
     decreasing and admissible: below the cap where the slow manifold stays
     under the carrying total, with a clean assumption audit.  Each frame's
-    K reduced rungs go to on_frame; the sweep keeps of them two norms per
-    rung, and p only for a speed window.  Returns (report, limit_series).
+    K reduced rungs go to on_frame; the sweep keeps two norms per rung frame
+    and, with speed = (window, level), its front crossing.  Returns (report, limit_series).
     """
     epsilons = [float(e) for e in epsilons]
     require_eps_ladder(epsilons)
@@ -260,39 +257,42 @@ def run_convergence_sweep(params: WolbachiaParams, variant: Variant,
     # 2*eps/fu shrinks with eps: the last rung admits the step before either run
     check_reaction_step(models[-1], config.dt)
 
-    def speed(label, series):
-        if speed_window is None:
-            return math.nan
+    labels = ["limit equation", *(f"eps={eps:g}" for eps in epsilons)]
+    tracks = [FrontTrack(*speed) if speed else None for _ in labels]
+
+    def follow(k, method, *args):  # a failure names the series; no track fits NaN
         try:
-            return estimate_wave_speed(series, speed_window, speed_level)
+            return getattr(tracks[k], method)(*args) if tracks[k] else math.nan
         except ValueError as exc:
-            raise ValueError(f"{label}: {exc}") from None
+            raise ValueError(f"{labels[k]}: {exc}") from None
+
+    def reference(t, p, _):
+        limit_series.append((t, p))
+        follow(0, "add", t, p)
 
     limit_series = []
-    frequency_run(models[0], spec, config, "limit",
-                  on_frame=lambda t, p, _: limit_series.append((t, p)))
-    limit_speed = speed("limit equation", limit_series)
-    norms, fronts = [[] for _ in models], [[] for _ in models]  # (t, |p - p0|, |m|), (t, p)
+    frequency_run(models[0], spec, config, "limit", on_frame=reference)
+    limit_speed = follow(0, "speed")
+    norms = [[] for _ in models]  # (t, |p - p0|, |m|) per rung frame
 
     def measure(frame):
         reduced = [to_reduced(model, state) for model, state in zip(models, frame)]
         limit = limit_series[len(norms[0])]
-        for r, rung, front in zip(reduced, norms, fronts):
+        for k, (r, rung) in enumerate(zip(reduced, norms), 1):
             rung.append((limit[0], *error_norms(r, limit)))
-            if speed_window is not None:
-                front.append((r.time, r.p))
+            follow(k, "add", r.time, r.p)
         on_frame(reduced)
 
     states = [make_initial_data(model, spec, config.grid)[0] for model in models]
     run_system(models, states, config, on_frame=measure)
-    report = ConvergenceReport(
-        epsilons=tuple(epsilons),
-        err_p=tuple(l2_spacetime([(t, e) for t, e, _ in rung], config.t_end) for rung in norms),
-        err_m=tuple(l2_spacetime([(t, e) for t, _, e in rung], config.t_end) for rung in norms),
-        speeds=tuple(speed(f"eps={eps:g}", front) for eps, front in zip(epsilons, fronts)),
-        limit_speed=limit_speed,
-    )
-    return report, limit_series
+    err_p = [l2_spacetime([(t, e) for t, e, _ in rung], config.t_end) for rung in norms]
+    err_m = [l2_spacetime([(t, e) for t, _, e in rung], config.t_end) for rung in norms]
+    for label, ep, em in zip(labels[1:], err_p, err_m):
+        if not (math.isfinite(ep) and math.isfinite(em)):
+            raise SolverError(f"error norms err_p={ep:g}, err_m={em:g} are not finite", rung=label)
+    speeds = tuple(follow(k, "speed") for k in range(1, len(labels)))
+    return ConvergenceReport(epsilons=tuple(epsilons), err_p=tuple(err_p), err_m=tuple(err_m),
+                             speeds=speeds, limit_speed=limit_speed), limit_series
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 run_system and run_convergence_sweep hand each frame to on_frame as the list
 of its K rungs; tests that compare whole runs want one time series per rung
-instead.
+instead.  A FrontTrack takes one frame at a time; tests that hold a whole
+(t, p) series feed it with front_track.
 """
 
 import singlimit as sl
@@ -21,3 +22,11 @@ def sweep_series(*args, **kw):
     frames = []
     report, limit = sl.run_convergence_sweep(*args, on_frame=frames.append, **kw)
     return report, limit, [list(series) for series in zip(*frames)]
+
+
+def front_track(series, window, level):
+    """A FrontTrack fed every (t, p) frame of series in order."""
+    track = sl.FrontTrack(window, level)
+    for t, p in series:
+        track.add(t, p)
+    return track

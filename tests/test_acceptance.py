@@ -13,7 +13,7 @@ import pytest
 
 import singlimit as sl
 from singlimit.solver import _factor, solve_banded
-from streams import rung_series, sweep_series
+from streams import front_track, rung_series, sweep_series
 
 WINDOW = (75.0, 125.0)
 EPS_LADDER = (0.3, 0.1, 0.05, 0.02)
@@ -247,15 +247,15 @@ def test_criterion_6_extinction_contrast(fig1_params, spec_default, cfg125,
 def test_criterion_7_wave_speed_ordering(limit125, sys01_125, grid601):
     model, series = sys01_125
     p_series = [(s.time, sl.to_reduced(model, s).p) for s in series]
-    speed_limit = sl.estimate_wave_speed(limit125, WINDOW)
-    speed_system = sl.estimate_wave_speed(p_series, WINDOW)
+    speed_limit = front_track(limit125, WINDOW, 0.5).speed()
+    speed_system = front_track(p_series, WINDOW, 0.5).speed()
     assert speed_limit > 0 and speed_system > 0
     assert speed_system < speed_limit
 
     times = np.arange(0.0, 31.0, 1.0)
     synthetic = [(t, sl.Field(1.0 / (1.0 + np.exp(grid601.x - 0.37 * t)), grid601))
                  for t in times]
-    synth = sl.estimate_wave_speed(synthetic, (5.0, 30.0))
+    synth = front_track(synthetic, (5.0, 30.0), 0.5).speed()
     assert synth == pytest.approx(0.37, abs=1e-3)
     report(7, f"speeds over [75,125]: system(eps=0.1) {speed_system:.6f} < limit "
               f"{speed_limit:.6f}, both positive; synthetic estimator error "

@@ -10,7 +10,7 @@ import singlimit as sl
 PUBLIC_NAMES = [
     "AssumptionCheck", "AssumptionReport", "BistabilityError", "BoundaryCondition",
     "ConfigError", "ConvergenceReport", "Equilibrium", "EquilibriumKind", "Field",
-    "FieldError", "Grid1D", "InitialDataSpec", "MAX_NODES", "MAX_STEPS",
+    "FieldError", "FrontTrack", "Grid1D", "InitialDataSpec", "MAX_NODES", "MAX_STEPS",
     "PopulationState", "ReducedFields", "RunConfig", "ScaledModel", "SolverConfig",
     "SolverError", "Stability", "StabilityResult", "Variant", "Verdict",
     "WolbachiaParams", "assemble_diffusion", "check_assumptions", "check_reaction_step",
@@ -20,7 +20,7 @@ PUBLIC_NAMES = [
     "invasion_threshold", "l2_space", "l2_spacetime", "limit_reaction",
     "make_initial_data", "model", "parse_config", "reaction_rates", "reduced_drift",
     "reduced_to_state", "reduction", "run_convergence_sweep", "run_scalar", "run_system",
-    "slow_manifold", "slow_manifold_max", "solver", "to_reduced", "track_front",
+    "slow_manifold", "slow_manifold_max", "solver", "to_reduced",
 ]
 
 

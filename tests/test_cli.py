@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -121,6 +122,22 @@ def test_converge_eps_cap_does_not_depend_on_sigma(tmp_path, capsys, sigma, eps,
         assert err == "error: eps=3.5 is outside the admissible range (< 2.908)\n"
     else:
         assert err == "" and (out_dir / "report.csv").exists()
+
+
+@pytest.mark.parametrize("sigma", ["1e-300", "1e-200"])
+def test_converge_rejects_non_finite_error_norms(tmp_path, capsys, sigma):
+    # a tiny sigma makes the manifold residual huge, and squaring it in the
+    # spatial norm overflows: the sweep fails instead of reporting err_m = nan
+    cfg = tmp_path / "tiny_sigma.cfg"
+    cfg.write_text(f"experiment.epsilons = 0.3\nmodel.sigma = {sigma}\ntime.t_end = 1\n")
+    out_dir = tmp_path / "conv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = cli_dispatch(["converge", "--config", str(cfg), "--out", str(out_dir)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "solver error: eps=0.3: error norms err_p=0.00401701, err_m=nan are not finite\n")
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("argv, what", [

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import singlimit as sl
-from streams import rung_series, sweep_series
+from streams import front_track, rung_series, sweep_series
 
 
 def quick_config(grid, t_end=2.0):
@@ -122,19 +122,19 @@ def synthetic_front(speed, grid, times, width=1.0):
 
 def test_speed_estimator_on_translating_profile(grid601):
     series = synthetic_front(0.37, grid601, np.arange(0.0, 31.0, 1.0))
-    speed = sl.estimate_wave_speed(series, window=(5.0, 30.0))
+    speed = front_track(series, (5.0, 30.0), 0.5).speed()
     assert speed == pytest.approx(0.37, abs=1e-3)
 
 
 def test_speed_estimator_stationary(grid601):
     series = synthetic_front(0.0, grid601, np.arange(0.0, 11.0, 1.0))
-    assert abs(sl.estimate_wave_speed(series, window=(0.0, 10.0))) < 1e-12
+    assert abs(front_track(series, (0.0, 10.0), 0.5).speed()) < 1e-12
 
 
 def test_speed_estimator_missing_level_set(grid601):
     low = [(t, sl.Field.constant(0.2, grid601)) for t in (0.0, 1.0, 2.0)]
     with pytest.raises(ValueError, match="snapshot 0"):
-        sl.estimate_wave_speed(low, window=(0.0, 2.0))
+        front_track(low, (0.0, 2.0), 0.5).speed()
 
 
 def test_speed_estimator_boundary_contamination(grid601):
@@ -144,7 +144,7 @@ def test_speed_estimator_boundary_contamination(grid601):
         values = 1.0 / (1.0 + np.exp((grid601.x - 14.96) / 0.02))
         series.append((t, sl.Field(values, grid601)))
     with pytest.raises(ValueError, match="boundary"):
-        sl.estimate_wave_speed(series, window=(0.0, 2.0))
+        front_track(series, (0.0, 2.0), 0.5).speed()
 
 
 def test_track_front_drops_pairs_at_the_level(grid601):
@@ -153,25 +153,27 @@ def test_track_front_drops_pairs_at_the_level(grid601):
     # from its last node
     values = np.zeros(grid601.nx)
     values[:280], values[280:321] = 1.0, 0.5
-    _, positions = sl.track_front([(0.0, sl.Field(values, grid601))], 0.5)
+    track = front_track([(0.0, sl.Field(values, grid601))], (0.0, 0.0), 0.5)
+    _, positions = np.array(track.points).T
     assert positions.tolist() == [grid601.x[320]] == [1.0]
     flat = [(0.0, sl.Field.constant(0.5, grid601))]
     with pytest.raises(ValueError, match="has no 0.5-level crossing"):
-        sl.track_front(flat, 0.5)
+        front_track(flat, (0.0, 0.0), 0.5)
     # a tiny level: the products of the two differences would underflow to 0
     # on the flat stretch at 2e-200 right of the crossing
     values = np.zeros(grid601.nx)
     values[:300], values[340:] = 1.0, 2e-200
-    _, positions = sl.track_front([(0.0, sl.Field(values, grid601))], 1e-200)
+    track = front_track([(0.0, sl.Field(values, grid601))], (0.0, 0.0), 1e-200)
+    _, positions = np.array(track.points).T
     assert positions == pytest.approx([grid601.x[339] + 0.5 * grid601.dx], abs=1e-12)
 
 
 def test_track_front_positions(grid601):
     series = synthetic_front(0.5, grid601, np.arange(0.0, 11.0, 1.0))
-    times, positions = sl.track_front(series, 0.5, (0.0, 10.0))
+    times, positions = np.array(front_track(series, (0.0, 10.0), 0.5).points).T
     assert np.allclose(positions, 0.5 * times, atol=1e-6)
     with pytest.raises(ValueError, match=r"speed_level must lie in \(0, 1\)"):
-        sl.track_front(series, 1.0)
+        front_track(series, (0.0, 10.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +381,10 @@ def test_sweep_returns_series(fig1_params, coarse_grid):
         assert all(isinstance(r, sl.ReducedFields) and r.time == t for r in frame)
 
 
-def test_sweep_memory_does_not_grow_with_its_frames(fig1_params):
-    # the sweep keeps one grid column per frame, the limit's p0, and two
-    # floats per rung frame; keeping the rungs' reduced fields would hold
-    # 3K + 1 columns per frame
+def frame_growth(run):
+    """Traced peak memory that one output frame adds to run(config), in grid
+    columns: the peak at output_every = 1 (401 frames) less the peak at 400
+    (2 frames), per frame and 301-node column."""
     grid = sl.Grid1D.from_spacing(-15.0, 15.0, 0.1)  # 301 nodes
 
     def peak(output_every):
@@ -390,8 +392,7 @@ def test_sweep_memory_does_not_grow_with_its_frames(fig1_params):
                                  output_every=output_every)
         tracemalloc.start()
         try:
-            sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, [0.3, 0.1, 0.05, 0.02],
-                                     sl.InitialDataSpec(), config, on_frame=lambda frame: None)
+            run(config)
             return tracemalloc.get_traced_memory()[1], config.n_frames
         finally:
             tracemalloc.stop()
@@ -399,7 +400,35 @@ def test_sweep_memory_does_not_grow_with_its_frames(fig1_params):
     few, _ = peak(400)
     many, n_frames = peak(1)
     assert n_frames == 401
-    assert (many - few) / (n_frames * grid.nx * 8) < 2.0
+    return (many - few) / (n_frames * grid.nx * 8)
+
+
+def test_sweep_memory_does_not_grow_with_its_frames(fig1_params):
+    # the sweep keeps one grid column per frame, the limit's p0, and two
+    # floats per rung frame and front track; keeping the rungs' reduced
+    # fields would hold 3K + 1 columns per frame, their p frames K + 1.
+    # Level 0.3 sits below the bump's amplitude 0.4: every frame of every
+    # series up to t = 2 has a crossing
+    for speed in (None, ((0.0, 2.0), 0.3)):
+        growth = frame_growth(lambda config: sl.run_convergence_sweep(
+            fig1_params, sl.Variant.PERFECT, [0.3, 0.1, 0.05, 0.02], sl.InitialDataSpec(),
+            config, on_frame=lambda frame: None, speed=speed))
+        assert growth < 2.0, speed
+
+
+@pytest.mark.parametrize("equation", ["limit", "system"])
+def test_front_track_memory_does_not_grow_with_its_frames(fig1_params, equation):
+    # wavespeed's path: each frame's crossing is recorded as it settles and
+    # the frame dropped; keeping the p series would hold one column per frame
+    model = sl.ScaledModel(fig1_params, 0.1)
+
+    def run(config):
+        track = sl.FrontTrack((0.0, 2.0), 0.3)
+        sl.frequency_run(model, sl.InitialDataSpec(), config, equation,
+                         on_frame=lambda t, p, _: track.add(t, p))
+        assert len(track.points) == config.n_frames
+
+    assert frame_growth(run) < 0.5
 
 
 def test_sweep_speed_failure_names_its_series(fig1_params, coarse_grid, monkeypatch):
@@ -414,19 +443,45 @@ def test_sweep_speed_failure_names_its_series(fig1_params, coarse_grid, monkeypa
         patch.setattr("singlimit.experiments.run_system", no_integration)
         with pytest.raises(ValueError, match=r"^limit equation: snapshot 0 \(t=0\) "
                                              r"has no 0\.5-level crossing$"):
-            sweep_series(*args, speed_window=(0.0, 2.0))
+            sweep_series(*args, speed=((0.0, 2.0), 0.5))
 
     fitted = []
 
-    def fails_after_the_limit(series, window, level):
-        fitted.append(series)
+    def fails_after_the_limit(points):
+        fitted.append(points)
         if len(fitted) > 1:
             raise ValueError("window contains fewer than two usable snapshots")
         return 0.0
 
     monkeypatch.setattr("singlimit.experiments.estimate_wave_speed", fails_after_the_limit)
     with pytest.raises(ValueError, match=r"^eps=0\.3: window contains fewer than two"):
-        sweep_series(*args, speed_window=(0.0, 2.0))
+        sweep_series(*args, speed=((0.0, 2.0), 0.3))
+
+
+@pytest.mark.parametrize("flat_from, named", [
+    ({0.3: 1.5, 0.1: 1.0}, r"eps=0\.1: snapshot 2 \(t=1\)"),
+    ({0.3: 1.0, 0.1: 1.0}, r"eps=0\.3: snapshot 2 \(t=1\)"),
+])
+def test_sweep_reports_the_earliest_missing_crossing(fig1_params, coarse_grid, monkeypatch,
+                                                     flat_from, named):
+    # each rung's p is flattened to 0 from its time in flat_from on: the
+    # first frame without a crossing fails the sweep as it settles, and of
+    # the rungs at that frame the first in ladder order is named
+    real = sl.experiments.to_reduced
+    handed = []
+
+    def flattening(model, state):
+        reduced = real(model, state)
+        if state.time >= flat_from[model.epsilon] - 1e-9:
+            return dataclasses.replace(reduced, p=sl.Field.constant(0.0, state.grid))
+        return reduced
+
+    monkeypatch.setattr("singlimit.experiments.to_reduced", flattening)
+    with pytest.raises(ValueError, match=rf"^{named} has no 0\.3-level crossing$"):
+        sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, [0.3, 0.1],
+                                 sl.InitialDataSpec(), quick_config(coarse_grid),
+                                 on_frame=handed.append, speed=((0.0, 2.0), 0.3))
+    assert [frame[0].time for frame in handed] == [0.0, 0.5]
 
 
 def test_sweep_reduces_each_frame_as_it_settles(fig1_params, coarse_grid, monkeypatch):
@@ -469,7 +524,7 @@ def test_sweep_speeds_approach_the_limit_speed(fig1_params, grid601):
     config = sl.SolverConfig(grid601, dt=0.005, t_end=0.5, diffusivity=0.1, output_every=10)
     report, _, _ = sweep_series(
         fig1_params, sl.Variant.PERFECT, [0.3, 0.1], sl.InitialDataSpec(), config,
-        speed_window=(0.25, 0.5), speed_level=0.3)
+        speed=((0.25, 0.5), 0.3))
     assert np.all(np.isfinite(report.speeds)) and np.isfinite(report.limit_speed)
     gaps = [abs(speed - report.limit_speed) for speed in report.speeds]
     assert gaps[1] < gaps[0]
