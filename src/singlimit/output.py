@@ -5,7 +5,10 @@ bit-exactly, with LF line endings; each file is written atomically (temp
 file + rename).  A command publishes its run through `staged_output`: the
 files go into a private staging directory next to the output directory as
 they are produced, and appear there only once the run has succeeded, so a
-run that fails leaves the output directory as it was.
+run that fails leaves the output directory as it was.  The run's snapshots
+are formatted and written by one writer process, forked (POSIX `fork`) at
+the first snapshot, while the caller steps on; publishing waits for it, and
+a snapshot it failed to write fails the run with an OSError.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import contextlib
 import functools
 import os
 import shutil
+import signal
 import tempfile
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -54,11 +58,13 @@ def _atomic_write(path: str | Path, text: str) -> None:
 
 
 class _Staging:
-    """The staging directory of one run, made on first use."""
+    """The staging directory of one run, made on first use, and the process
+    that writes the run's snapshots into it, forked on first use."""
 
     def __init__(self, out: Path):
         self.out = out
         self._dir: Path | None = None
+        self._writer: _Writer | None = None
 
     def path(self, name: str) -> Path:
         """Where the run writes its file `name`."""
@@ -67,9 +73,19 @@ class _Staging:
             stage = self.out.parent / f".{self.out.name}.{os.urandom(6).hex()}.staging"
             stage.mkdir()
             self._dir = stage
+            _LIVE[stage] = self
         return self._dir / name
 
+    def hand_off(self, field: Field, path: Path) -> None:
+        """Have the writer process write snapshot `field` to `path`."""
+        if self._writer is None:
+            self._writer = _Writer()
+        self._writer.put(field, path)
+
     def publish(self) -> None:
+        if self._writer is not None:
+            writer, self._writer = self._writer, None
+            writer.close()
         if self._dir is None:
             return
         if self.out.exists():
@@ -78,12 +94,96 @@ class _Staging:
             self._dir.rmdir()
         else:
             os.rename(self._dir, self.out)
+        del _LIVE[self._dir]
         self._dir = None
 
     def discard(self) -> None:
+        if self._writer is not None:
+            self._writer.stop()
+            self._writer = None
         if self._dir is not None:
+            del _LIVE[self._dir]
             shutil.rmtree(self._dir, ignore_errors=True)
             self._dir = None
+
+
+# The staging directories of the runs in progress.  write_snapshot keeps its
+# (field, path) form, so the path it is given is what finds the run.
+_LIVE: dict[Path, _Staging] = {}
+
+
+class _Writer:
+    """One forked process that formats and writes a run's snapshot files.
+
+    Fork shares the caller's loaded code, so the process imports nothing.
+    Each `put` sends one file over a pipe, whose bounded buffer holds the
+    caller back while the process lags."""
+
+    def __init__(self):
+        import multiprocessing  # here, so that commands writing no snapshot never load it
+
+        context = multiprocessing.get_context("fork")
+        self._conn, child_end = context.Pipe()
+        self._process = context.Process(target=_serve, args=(child_end, self._conn))
+        self._process.start()
+        child_end.close()
+
+    def put(self, field: Field, path: Path) -> None:
+        try:
+            self._conn.send((str(path), field.grid.x.tobytes(), field.values.tobytes()))
+        except OSError:  # the process is gone
+            raise self._reap() from None
+
+    def close(self) -> None:
+        """Wait until every file sent is written; raise the first write error."""
+        with contextlib.suppress(OSError):  # the process is gone; _reap says how
+            self._conn.send(None)
+        error = self._reap()
+        if error is not None:
+            raise error
+
+    def stop(self) -> None:
+        """End the process at once, unwritten files and all."""
+        self._process.kill()
+        self._reap()
+
+    def _reap(self) -> OSError | None:
+        """The process's answer, once it has exited: its first write error,
+        None, or an error saying it exited without answering."""
+        answered = False
+        try:
+            error, answered = self._conn.recv(), True
+        except (EOFError, OSError):
+            pass
+        finally:
+            self._conn.close()
+            self._process.join()
+        if not answered:
+            error = OSError(f"snapshot writer exited with status {self._process.exitcode}")
+        return error
+
+
+def _serve(conn, caller_end) -> None:
+    """The writer process: write each file received, in order, until None
+    arrives, then answer with the first OSError, or None.  After an error it
+    reads on but writes nothing, so the caller never blocks on a full pipe.
+    It ignores SIGINT (an interrupted caller stops it) and leaves through
+    os._exit, so no exit handler or `finally` of the forked caller runs."""
+    status = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        caller_end.close()  # so that the pipe ends when the caller does
+        error = None
+        while (job := conn.recv()) is not None:
+            if error is None:
+                try:
+                    _write_snapshot_file(*job)
+                except OSError as exc:
+                    error = exc
+        conn.send(error)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 @contextlib.contextmanager
@@ -97,7 +197,9 @@ def staged_output(out: str | Path) -> Iterator[_Staging]:
     rename for the whole run; otherwise each file is moved into `out` with
     os.replace, and files of `out` the run did not write stay.  When the
     block raises, the staging directory is removed and `out` is left as it
-    was.
+    was.  Snapshots go to the run's writer process (see write_snapshot):
+    publishing first waits for it and raises its first write error, before
+    any rename, and a block that raises stops and reaps it first.
     """
     staging = _Staging(Path(out))
     try:
@@ -117,11 +219,22 @@ def _snapshot_template(x_bytes: bytes) -> str:
     return "x,value\n" + "".join(f"{_fmt(xi)},{_FLOAT}\n" for xi in x.tolist())
 
 
+def _write_snapshot_file(path: str, x_bytes: bytes, values_bytes: bytes) -> None:
+    values = np.frombuffer(values_bytes).tolist()
+    _atomic_write(path, _snapshot_template(x_bytes) % tuple(values))
+
+
 def write_snapshot(field: Field, path: str | Path) -> None:
     """One row per grid node, header `x,value`; the snapshot's time is
-    recorded by the caller's manifest, not in the file."""
-    template = _snapshot_template(field.grid.x.tobytes())
-    _atomic_write(path, template % tuple(field.values.tolist()))
+    recorded by the caller's manifest, not in the file.  A path in the
+    staging directory of a run in progress goes to that run's writer
+    process, and the file appears when the run publishes; any other path
+    is written before this returns."""
+    staging = _LIVE.get(Path(path).parent)
+    if staging is None:
+        _write_snapshot_file(str(path), field.grid.x.tobytes(), field.values.tobytes())
+    else:
+        staging.hand_off(field, Path(path))
 
 
 def read_snapshot(path: str | Path) -> tuple[np.ndarray, np.ndarray]:

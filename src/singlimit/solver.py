@@ -487,8 +487,11 @@ def run_scalar(reaction: Callable[[np.ndarray], np.ndarray], p0: Field,
 # discrete norms
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def l2_space(field: Field) -> float:
-    """Composite-trapezoid approximation of the spatial L2 norm."""
+    """Composite-trapezoid approximation of the spatial L2 norm.  A field too
+    large to square gives inf or nan, without a warning: callers that need a
+    finite norm check for one."""
     sq = field.values ** 2
     dx = field.grid.dx
     return math.sqrt(dx * (sq.sum() - 0.5 * (sq[0] + sq[-1])))

@@ -1,4 +1,6 @@
+import errno
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -7,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import singlimit.cli
+import singlimit.output
 import singlimit.solver
 from singlimit.cli import cli_dispatch
 from singlimit.output import read_snapshot
@@ -132,12 +135,27 @@ def test_converge_rejects_non_finite_error_norms(tmp_path, capsys, sigma):
     cfg.write_text(f"experiment.epsilons = 0.3\nmodel.sigma = {sigma}\ntime.t_end = 1\n")
     out_dir = tmp_path / "conv"
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         code = cli_dispatch(["converge", "--config", str(cfg), "--out", str(out_dir)])
     assert code == 2
     assert capsys.readouterr().err == (
         "solver error: eps=0.3: error norms err_p=0.00401701, err_m=nan are not finite\n")
     assert not out_dir.exists()
+
+
+def test_converge_err_m_scales_as_one_over_sigma(tmp_path, capsys):
+    # the manifold residual is a density, of the order of the carrying total
+    # 1/(sigma eps), so err_m scales as 1/sigma and err_p does not move
+    norms = []
+    for sigma in (1, 1e-10, 1e-150):
+        cfg = tmp_path / "sigma.cfg"
+        cfg.write_text(f"experiment.epsilons = 0.3\nmodel.sigma = {sigma}\ntime.t_end = 1\n")
+        out_dir = tmp_path / f"conv_{sigma:g}"
+        assert cli_dispatch(["converge", "--config", str(cfg), "--out", str(out_dir)]) == 0
+        row = (out_dir / "report.csv").read_text().splitlines()[1].split(",")
+        norms.append((float(row[1]), float(row[2]) * sigma))
+    for got in norms[1:]:
+        assert got == pytest.approx(norms[0], rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("argv, what", [
@@ -232,6 +250,89 @@ def test_solver_failure_is_runtime_error(tmp_path, capsys, monkeypatch):
     assert not out_dir.exists()
     # the frames written before the failure went to a staging directory that is gone
     assert [p.name for p in tmp_path.iterdir()] == ["short.cfg"]
+
+
+@pytest.fixture()
+def writer_pids(monkeypatch):
+    """The process ids of the snapshot writers started during the test."""
+    pids, start = [], singlimit.output._Writer.__init__
+
+    def recording_start(self):
+        start(self)
+        pids.append(self._process.pid)
+
+    monkeypatch.setattr(singlimit.output._Writer, "__init__", recording_start)
+    return pids
+
+
+def refuse_ni_0002(monkeypatch):
+    # the writer is forked, so it runs the patched os.replace too
+    replace = os.replace
+
+    def failing_replace(src, dst):
+        if Path(dst).name == "ni_0002.csv":
+            raise OSError(errno.ENOSPC, "No space left on device", str(dst))
+        replace(src, dst)
+
+    monkeypatch.setattr("singlimit.output.os.replace", failing_replace)
+
+
+def fail_solve_at_step_60(monkeypatch):
+    solve, calls = singlimit.solver.solve_banded, []
+
+    def failing_solve(*args):
+        calls.append(1)
+        if len(calls) == 60:
+            raise singlimit.solver.SolverError("solve refused", step=60)
+        return solve(*args)
+
+    monkeypatch.setattr(singlimit.solver, "solve_banded", failing_solve)
+
+
+def kill_writer(monkeypatch):
+    monkeypatch.setattr(singlimit.output, "_serve", lambda conn, caller_end: os._exit(1))
+
+
+@pytest.mark.parametrize("patch, message", [
+    (refuse_ni_0002, r"i/o error: \[Errno 28\] No space left on device: '.*/ni_0002\.csv'\n"),
+    (fail_solve_at_step_60, r"solver error: step 60: solve refused\n"),
+    (kill_writer, r"i/o error: snapshot writer exited with status 1\n"),
+], ids=["write", "solve", "writer-exit"])
+def test_failed_simulate_reaps_its_writer(tmp_path, capfd, quick_cfg, monkeypatch,
+                                          writer_pids, patch, message):
+    # 100 steps with a frame every 10: frames 0 to 5 are handed off before step 60
+    quick_cfg.write_text(QUICK.replace("time.output_every = 50", "time.output_every = 10"))
+    patch(monkeypatch)
+    out_dir = tmp_path / "run"
+    assert cli_dispatch(["simulate", "--config", str(quick_cfg), "--model", "system",
+                         "--out", str(out_dir)]) == 2
+    # one line on the file descriptors the writer shares, so no traceback
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(message, captured.err)
+    # neither --out nor a staging directory, and no child process left
+    assert [p.name for p in tmp_path.iterdir()] == ["quick.cfg"]
+    assert len(writer_pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(writer_pids[0], os.WNOHANG)
+
+
+@pytest.mark.parametrize("argv", [
+    ["converge", "--out", "conv"],
+    ["wavespeed", "--model", "limit"],
+    ["simulate", "--model", "system", "--out", "never", "--show-config"],
+])
+def test_commands_without_snapshots_start_no_writer(tmp_path, capsys, monkeypatch, argv):
+    def no_writer(self):
+        raise AssertionError("a snapshot writer was started")
+
+    monkeypatch.setattr(singlimit.output._Writer, "__init__", no_writer)
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("grid.dx = 0.25\ntime.t_end = 1\ntime.output_every = 10\n"
+                   "experiment.epsilons = 0.3\nexperiment.speed_window = 0.5, 1\n"
+                   "experiment.speed_level = 0.3\n")
+    assert cli_dispatch(argv + ["--config", str(cfg)]) == 0
 
 
 @pytest.mark.parametrize("dt, code", [(2.3, 0), (2.4, 1)])

@@ -198,6 +198,20 @@ def test_staged_output_leaves_out_as_it_was_on_failure(tmp_path, existing):
     assert [p.name for p in tmp_path.iterdir()] == (["out"] if existing else [])
 
 
+def test_staged_snapshots_match_reference_formatter(tmp_path):
+    # snapshots into a staging directory go through the forked writer and
+    # appear at publish, with the bytes of an inline write
+    grid = sl.Grid1D(-1.0, 2.0, 14)
+    values = [np.linspace(-1, 1, grid.nx) * k / 3 for k in range(5)]
+    out = tmp_path / "out"
+    with staged_output(out) as staging:
+        for k, v in enumerate(values):
+            write_snapshot(sl.Field(v, grid), staging.path(f"p_{k}.csv"))
+    assert sorted(p.name for p in out.iterdir()) == [f"p_{k}.csv" for k in range(5)]
+    for k, v in enumerate(values):
+        assert (out / f"p_{k}.csv").read_bytes() == _reference_snapshot(grid.x, v).encode()
+
+
 def test_staged_output_touches_nothing_before_the_first_file(tmp_path):
     out = tmp_path / "missing" / "out"
     with pytest.raises(ValueError):

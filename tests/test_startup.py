@@ -27,14 +27,16 @@ def imported_modules(*args):
     return {row.rsplit("|", 1)[1].strip() for row in rows[1:]}, proc.stdout
 
 
-def test_start_up_imports_no_scipy_package(tmp_path):
+def test_start_up_imports_no_scipy_or_multiprocessing_package(tmp_path):
+    # multiprocessing is loaded only by the snapshot writer of simulate
     cli, _ = imported_modules("-c", "import singlimit.cli")
     run, stdout = imported_modules("-m", "singlimit", "converge", "--show-config",
                                    "--out", str(tmp_path / "conv"))
     assert "time.t_end = " in stdout
     for names in (cli, run):
         assert "singlimit.solver" in names
-        assert not {n for n in names if n == "scipy" or n.startswith("scipy.")}
+        for package in ("scipy", "multiprocessing"):
+            assert not {n for n in names if n == package or n.startswith(package + ".")}
 
 
 @pytest.mark.parametrize("bc", list(sl.BoundaryCondition))
