@@ -92,9 +92,7 @@ def _diffusivity(text: str) -> float | tuple[tuple[float, float], ...]:
         pairs.append((_float(xs), _float(vs)))
     if any(b[0] <= a[0] for a, b in zip(pairs, pairs[1:])):
         raise ValueError("profile x must increase")
-    if any(v <= 0 for _, v in pairs):
-        raise ValueError("diffusivity must be strictly positive")
-    return tuple(pairs)
+    return tuple(pairs)  # SolverConfig owns positivity, on the interpolated nodes
 
 
 # key -> (default text, choice?, parser raising ValueError); the field is the

@@ -1,14 +1,16 @@
 """On-disk result formats: CSV snapshots, manifests, sweep reports, SVG plots.
 
 All floats are serialized with 17 significant digits so files round-trip
-bit-exactly, with LF line endings; each file is written atomically (temp
-file + rename).  A command publishes its run through `staged_output`: the
-files go into a private staging directory next to the output directory as
-they are produced, and appear there only once the run has succeeded, so a
-run that fails leaves the output directory as it was.  The run's snapshots
-are formatted and written by one writer process, forked (POSIX `fork`) at
-the first snapshot, while the caller steps on; publishing waits for it, and
-a snapshot it failed to write fails the run with an OSError.
+bit-exactly, with LF line endings.  Publishing a run is the one atomic step:
+`staged_output` gives a command's run a private staging directory next to
+the output directory, the writers write each file in place into it (any
+other path is a ValueError), and the files appear in the output directory
+only once the run has succeeded.  A failed run leaves the output directory
+as it was; a killed one leaves its `.<out>.<hex>.staging` directory, never a
+partial output directory.  The run's snapshots are formatted and written by
+one writer process, forked (POSIX `fork`) at the first snapshot, while the
+caller steps on; publishing waits for it, and a snapshot it failed to write
+fails the run with an OSError.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import functools
 import os
 import shutil
 import signal
-import tempfile
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -44,17 +45,9 @@ def _fmt(value: float) -> str:
     return _FLOAT % value
 
 
-def _atomic_write(path: str | Path, text: str) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="\n") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _write_text(path: str | Path, text: str) -> None:
+    with open(path, "w", newline="\n") as handle:
+        handle.write(text)
 
 
 class _Staging:
@@ -107,9 +100,17 @@ class _Staging:
             self._dir = None
 
 
-# The staging directories of the runs in progress.  write_snapshot keeps its
-# (field, path) form, so the path it is given is what finds the run.
+# The staging directories of the runs in progress.  The writers keep their
+# (obj, path) form, so the path each is given is what finds its run.
 _LIVE: dict[Path, _Staging] = {}
+
+
+def _run_of(path: str | Path) -> _Staging:
+    """The run in progress whose staging directory holds `path`."""
+    staging = _LIVE.get(Path(path).parent)
+    if staging is None:
+        raise ValueError(f"{path} is not in the staging directory of a run in progress")
+    return staging
 
 
 class _Writer:
@@ -190,16 +191,17 @@ def _serve(conn, caller_end) -> None:
 def staged_output(out: str | Path) -> Iterator[_Staging]:
     """Publish the files of one run into the directory `out` all at once.
 
-    The block writes each file to `staging.path(name)`.  The first call
-    makes a private staging directory next to `out`, so a block that fails
-    before it touches no file.  When the block succeeds, the staging
-    directory is renamed onto `out` if `out` does not exist, one atomic
-    rename for the whole run; otherwise each file is moved into `out` with
-    os.replace, and files of `out` the run did not write stay.  When the
-    block raises, the staging directory is removed and `out` is left as it
-    was.  Snapshots go to the run's writer process (see write_snapshot):
-    publishing first waits for it and raises its first write error, before
-    any rename, and a block that raises stops and reaps it first.
+    The block writes each file in place to `staging.path(name)` through the
+    writers of this module.  The first call makes a private staging
+    directory next to `out`, so a block that fails before it touches no
+    file.  When the block succeeds, the staging directory is renamed onto
+    `out` if `out` does not exist, one atomic rename for the whole run;
+    otherwise each file is moved into `out` with os.replace, and files of
+    `out` the run did not write stay.  When the block raises, the staging
+    directory is removed and `out` is left as it was.  Snapshots go to the
+    run's writer process (see write_snapshot): publishing first waits for it
+    and raises its first write error, before any rename, and a block that
+    raises stops and reaps it first.
     """
     staging = _Staging(Path(out))
     try:
@@ -221,20 +223,16 @@ def _snapshot_template(x_bytes: bytes) -> str:
 
 def _write_snapshot_file(path: str, x_bytes: bytes, values_bytes: bytes) -> None:
     values = np.frombuffer(values_bytes).tolist()
-    _atomic_write(path, _snapshot_template(x_bytes) % tuple(values))
+    _write_text(path, _snapshot_template(x_bytes) % tuple(values))
 
 
 def write_snapshot(field: Field, path: str | Path) -> None:
     """One row per grid node, header `x,value`; the snapshot's time is
-    recorded by the caller's manifest, not in the file.  A path in the
-    staging directory of a run in progress goes to that run's writer
-    process, and the file appears when the run publishes; any other path
-    is written before this returns."""
-    staging = _LIVE.get(Path(path).parent)
-    if staging is None:
-        _write_snapshot_file(str(path), field.grid.x.tobytes(), field.values.tobytes())
-    else:
-        staging.hand_off(field, Path(path))
+    recorded by the caller's manifest, not in the file.  The path must be
+    in the staging directory of a run in progress: the snapshot goes to
+    that run's writer process, and the file appears when the run
+    publishes."""
+    _run_of(path).hand_off(field, Path(path))
 
 
 def read_snapshot(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
@@ -256,16 +254,18 @@ def read_snapshot(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_manifest(entries: Sequence[tuple[float, str]], path: str | Path) -> None:
+    _run_of(path)
     rows = ["time,filename"]
     rows.extend(f"{_fmt(t)},{name}" for t, name in entries)
-    _atomic_write(path, "\n".join(rows) + "\n")
+    _write_text(path, "\n".join(rows) + "\n")
 
 
 def write_report(report: ConvergenceReport, path: str | Path) -> None:
+    _run_of(path)
     rows = ["epsilon,err_p,err_m,speed,limit_speed"]
     for eps, ep, em, sp in zip(report.epsilons, report.err_p, report.err_m, report.speeds):
         rows.append(",".join(_fmt(v) for v in (eps, ep, em, sp, report.limit_speed)))
-    _atomic_write(path, "\n".join(rows) + "\n")
+    _write_text(path, "\n".join(rows) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +286,7 @@ def write_profiles_svg(series: Sequence[tuple[float, Field]], path: str | Path,
                        title: str) -> None:
     """One polyline per snapshot of a frequency profile, labeled with its
     time, under `title`; the frequency axis is fixed at [0, 1]."""
+    _run_of(path)
     if not series:
         raise ValueError("nothing to plot")
     grid = series[0][1].grid
@@ -335,4 +336,4 @@ def write_profiles_svg(series: Sequence[tuple[float, Field]], path: str | Path,
             f'font-size="11" fill="{color}">t = {t:g}</text>'
         )
     parts.append("</svg>")
-    _atomic_write(path, "\n".join(parts) + "\n")
+    _write_text(path, "\n".join(parts) + "\n")

@@ -54,10 +54,29 @@ def test_check_passes_on_defaults(capsys):
     assert cli_dispatch(["check"]) == 0
     assert capsys.readouterr().out == (
         "drift_slope  PASS  margin=-0.8365 at (5.625, 4.375) (bound B = 0.8365)\n"
-        "hypotenuse   PASS  margin=-2.7 at (0.0, 10.0)\n"
-        "vacuum_drift PASS  margin=0.27 at (0.0, 0.0)\n"
         "bistable     PASS  margin=0.2375 (threshold = 0.2375)\n"
     )
+
+
+TINY_EPS = "model.sigma = 0.37\n"  # 1/eps - sigma*cap cancels to about ulp(1/eps)
+
+
+def test_check_passes_at_tiny_eps(tmp_path, capsys):
+    cfg = tmp_path / "tiny_eps.cfg"
+    cfg.write_text(TINY_EPS + "model.epsilon = 1e-17\n")
+    assert cli_dispatch(["check", "--config", str(cfg)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_converge_at_tiny_eps_names_the_reaction_step_bound(tmp_path, capsys):
+    cfg = tmp_path / "tiny_eps.cfg"
+    cfg.write_text(TINY_EPS + "experiment.epsilons = 1e-17\n")
+    out_dir = tmp_path / "conv"
+    assert cli_dispatch(["converge", "--config", str(cfg), "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == (
+        "error: eps=1e-17: dt=0.005 makes the explicit reaction step unstable; "
+        "dt must stay below 2*eps/fu = 1.78571e-17\n")
+    assert not out_dir.exists()
 
 
 def test_check_fails_on_monostable_config(tmp_path, capsys):
@@ -266,15 +285,13 @@ def writer_pids(monkeypatch):
 
 
 def refuse_ni_0002(monkeypatch):
-    # the writer is forked, so it runs the patched os.replace too
-    replace = os.replace
+    # the writer is forked, so it opens its files through the patched open too
+    def failing_open(path, *args, **kwargs):
+        if Path(path).name == "ni_0002.csv":
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+        return open(path, *args, **kwargs)
 
-    def failing_replace(src, dst):
-        if Path(dst).name == "ni_0002.csv":
-            raise OSError(errno.ENOSPC, "No space left on device", str(dst))
-        replace(src, dst)
-
-    monkeypatch.setattr("singlimit.output.os.replace", failing_replace)
+    monkeypatch.setattr(singlimit.output, "open", failing_open, raising=False)
 
 
 def fail_solve_at_step_60(monkeypatch):

@@ -101,6 +101,8 @@ def test_tabulated_diffusivity():
         parse_config("diffusion.a = 0:0.1, -5:0.2\n")
     with pytest.raises(ConfigError, match="positive"):
         parse_config("diffusion.a = -15:0.1, 15:0\n")
+    # positivity is checked where the solver reads the profile: at the nodes
+    assert parse_config("diffusion.a = -20:0, 20:0.1\n").solver.diffusivity_values.min() > 0
 
 
 def test_variant_and_bc_words():
@@ -162,7 +164,7 @@ RULE_CASES = [
     ("time.t_end = 0.001", "t_end must cover at least one step"),
     ("time.output_every = 0", "output_every must be a positive integer"),
     ("diffusion.a = 0", "diffusivity must be strictly positive everywhere"),
-    ("diffusion.a = -15:0.1, 0:0, 15:0.1", "diffusivity must be strictly positive"),
+    ("diffusion.a = -15:0.1, 0:0, 15:0.1", "diffusivity must be strictly positive everywhere"),
     ("init.amplitude = 1", "amplitude must lie strictly inside (0, 1)"),
     ("init.radius = 0", "radius must be positive"),
     ("init.radius = 14.5", "bump support must sit strictly inside the domain"),

@@ -23,18 +23,18 @@ def grid():
 def test_snapshot_round_trip_is_bit_exact(grid, tmp_path):
     rng = np.random.default_rng(9)
     field = sl.Field(rng.uniform(-1, 1, grid.nx), grid)
-    path = tmp_path / "snap.csv"
-    write_snapshot(field, path)
-    x, values = read_snapshot(path)
+    with staged_output(tmp_path / "out") as staging:
+        write_snapshot(field, staging.path("snap.csv"))
+    x, values = read_snapshot(tmp_path / "out" / "snap.csv")
     assert np.array_equal(x, grid.x)
     assert np.array_equal(values, field.values)
 
 
 def test_snapshot_constant_serializes_uniformly(grid, tmp_path):
     field = sl.Field.constant(1.0, grid)
-    path = tmp_path / "snap.csv"
-    write_snapshot(field, path)
-    lines = path.read_text().splitlines()
+    with staged_output(tmp_path / "out") as staging:
+        write_snapshot(field, staging.path("snap.csv"))
+    lines = (tmp_path / "out" / "snap.csv").read_text().splitlines()
     assert lines[0] == "x,value"
     assert len(lines) == grid.nx + 1
     assert {line.split(",")[1] for line in lines[1:]} == {"1"}
@@ -42,10 +42,12 @@ def test_snapshot_constant_serializes_uniformly(grid, tmp_path):
 
 def test_snapshot_write_is_deterministic(grid, tmp_path):
     field = sl.Field(np.sin(grid.x), grid)
-    write_snapshot(field, tmp_path / "a.csv")
-    write_snapshot(field, tmp_path / "b.csv")
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-    assert b"\r" not in (tmp_path / "a.csv").read_bytes()
+    out = tmp_path / "out"
+    with staged_output(out) as staging:
+        write_snapshot(field, staging.path("a.csv"))
+        write_snapshot(field, staging.path("b.csv"))
+    assert (out / "a.csv").read_bytes() == (out / "b.csv").read_bytes()
+    assert b"\r" not in (out / "a.csv").read_bytes()
 
 
 def _reference_snapshot(x, values):
@@ -56,8 +58,9 @@ def test_snapshot_bytes_match_reference_formatter(tmp_path):
     grid = sl.Grid1D(-1.0, 2.0, 14)
     values = np.array([-0.0, 5e-324, 1 / 3, 0.1, 1e16, 1 - 2**-53, -5e-324,
                        -1 / 3, -0.1, -1e16, -(1 - 2**-53), 0.0, 2.5, -1e-300])
-    path = tmp_path / "snap.csv"
-    write_snapshot(sl.Field(values, grid), path)
+    with staged_output(tmp_path / "out") as staging:
+        write_snapshot(sl.Field(values, grid), staging.path("snap.csv"))
+    path = tmp_path / "out" / "snap.csv"
     assert path.read_bytes() == _reference_snapshot(grid.x, values).encode()
 
 
@@ -67,31 +70,17 @@ def test_snapshot_bytes_match_reference_formatter(tmp_path):
     (sl.Grid1D(-1.0, -0.0, 3), sl.Grid1D(-1.0, 0.0, 3)),  # equal grids, signed zero
 ], ids=["bounds", "nx", "signed-zero"])
 def test_snapshot_x_column_follows_its_own_grid(grids, tmp_path):
+    out = tmp_path / "out"
+    with staged_output(out) as staging:
+        for k in range(4):
+            grid = grids[k % 2]
+            write_snapshot(sl.Field(np.full(grid.nx, 0.5), grid), staging.path(f"snap_{k}.csv"))
     for k in range(4):
         grid = grids[k % 2]
-        path = tmp_path / f"snap_{k}.csv"
-        write_snapshot(sl.Field(np.full(grid.nx, 0.5), grid), path)
+        path = out / f"snap_{k}.csv"
         assert path.read_bytes() == _reference_snapshot(grid.x, [0.5] * grid.nx).encode()
         x, _ = read_snapshot(path)
         assert np.array_equal(x, grid.x)
-
-
-def test_snapshot_overwrite_leaves_no_temp_files(grid, tmp_path):
-    path = tmp_path / "snap.csv"
-    write_snapshot(sl.Field.constant(0.25, grid), path)
-    write_snapshot(sl.Field.constant(0.75, grid), path)
-    assert [p.name for p in tmp_path.iterdir()] == ["snap.csv"]
-    assert np.array_equal(read_snapshot(path)[1], np.full(grid.nx, 0.75))
-
-
-def test_failed_rename_leaves_no_temp_file(grid, tmp_path, monkeypatch):
-    def failing_replace(src, dst):
-        raise OSError("rename refused")
-
-    monkeypatch.setattr("singlimit.output.os.replace", failing_replace)
-    with pytest.raises(OSError, match="rename refused"):
-        write_snapshot(sl.Field.constant(0.25, grid), tmp_path / "snap.csv")
-    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("text", [
@@ -111,9 +100,9 @@ def test_read_snapshot_rejects_other_files(text, tmp_path):
 
 
 def test_manifest_format(tmp_path):
-    path = tmp_path / "manifest.csv"
-    write_manifest([(0.0, "p_0000.csv"), (2.5, "p_0001.csv")], path)
-    lines = path.read_text().splitlines()
+    with staged_output(tmp_path / "out") as staging:
+        write_manifest([(0.0, "p_0000.csv"), (2.5, "p_0001.csv")], staging.path("manifest.csv"))
+    lines = (tmp_path / "out" / "manifest.csv").read_text().splitlines()
     assert lines[0] == "time,filename"
     assert lines[1] == "0,p_0000.csv"
     assert lines[2] == "2.5,p_0001.csv"
@@ -127,9 +116,9 @@ def test_report_format(tmp_path):
         speeds=(math.nan,) * 4,
         limit_speed=math.nan,
     )
-    path = tmp_path / "report.csv"
-    write_report(report, path)
-    lines = path.read_text().splitlines()
+    with staged_output(tmp_path / "out") as staging:
+        write_report(report, staging.path("report.csv"))
+    lines = (tmp_path / "out" / "report.csv").read_text().splitlines()
     assert lines[0] == "epsilon,err_p,err_m,speed,limit_speed"
     assert len(lines) == 5
     eps_column = [float(line.split(",")[0]) for line in lines[1:]]
@@ -148,14 +137,39 @@ def test_report_rejects_misaligned_columns():
 
 def test_svg_plot(grid, tmp_path):
     series = [(t, sl.Field(np.exp(-(grid.x - 0.1 * t) ** 2), grid)) for t in (0.0, 5.0, 10.0)]
-    path = tmp_path / "plot.svg"
-    write_profiles_svg(series, path, title="demo")
-    text = path.read_text()
+    with staged_output(tmp_path / "out") as staging:
+        write_profiles_svg(series, staging.path("plot.svg"), title="demo")
+        with pytest.raises(ValueError, match="nothing to plot"):
+            write_profiles_svg([], staging.path("empty.svg"), title="empty")
+    text = (tmp_path / "out" / "plot.svg").read_text()
     assert text.startswith("<svg")
     assert text.count("<polyline") == 3
     assert "t = 5" in text
-    with pytest.raises(ValueError, match="nothing to plot"):
-        write_profiles_svg([], tmp_path / "empty.svg", title="empty")
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["plot.svg"]
+
+
+@pytest.mark.parametrize("writer", ["snapshot", "manifest", "report", "svg"])
+def test_writers_reject_a_path_outside_a_run_in_progress(grid, tmp_path, writer):
+    # a run is published atomically, so no writer writes where no run stages
+    field = sl.Field.constant(0.5, grid)
+    report = sl.ConvergenceReport((0.1,), (0.1,), (0.1,), (math.nan,), math.nan)
+    write = {
+        "snapshot": lambda path: write_snapshot(field, path),
+        "manifest": lambda path: write_manifest([(0.0, "p_0000.csv")], path),
+        "report": lambda path: write_report(report, path),
+        "svg": lambda path: write_profiles_svg([(0.0, field)], path, title="t"),
+    }[writer]
+    out = tmp_path / "out"
+    with staged_output(out) as staging:
+        stage = staging.path("kept").parent
+        write(staging.path("kept"))
+    for path in (tmp_path / "loose",   # no run
+                 out / "late",         # a published run
+                 stage / "late"):      # the staging directory of a finished run
+        with pytest.raises(ValueError, match="not in the staging directory of a run in progress"):
+            write(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    assert [p.name for p in out.iterdir()] == ["kept"]
 
 
 def test_staged_output_publishes_a_new_directory_in_one_rename(tmp_path):
@@ -199,8 +213,8 @@ def test_staged_output_leaves_out_as_it_was_on_failure(tmp_path, existing):
 
 
 def test_staged_snapshots_match_reference_formatter(tmp_path):
-    # snapshots into a staging directory go through the forked writer and
-    # appear at publish, with the bytes of an inline write
+    # the snapshots of one run all go through its one forked writer and
+    # appear at publish
     grid = sl.Grid1D(-1.0, 2.0, 14)
     values = [np.linspace(-1, 1, grid.nx) * k / 3 for k in range(5)]
     out = tmp_path / "out"

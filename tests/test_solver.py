@@ -699,6 +699,28 @@ def test_heat_kernel_accuracy():
     assert np.max(np.abs(pf.values - exact)) <= 2e-4
 
 
+def test_variable_diffusivity_stencil_is_second_order():
+    # the steady state of (a p_x)_x = 0 on [0, 2 pi] with p = 0 and 1 at the
+    # ends is p = F(x)/F(2 pi), F(x) = int_0^x ds/a(s); for a = 1 + b sin x,
+    # F = (2/s)(atan((tan(x/2) + b)/s) - atan(b/s)), s = sqrt(1 - b^2), plus
+    # 2 pi/s past x = pi, where tan(x/2) jumps.  One step of dt = 1e6 reaches it.
+    b, s = 0.5, math.sqrt(0.75)
+    errors = []
+    for nx in (41, 81, 161):
+        grid = sl.Grid1D(0.0, 2 * math.pi, nx)
+        x = grid.x
+        exact = (np.arctan((np.tan(x / 2) + b) / s) - math.atan(b / s)) / math.pi \
+            + np.where(x > math.pi, 1.0, 0.0)
+        config = sl.SolverConfig(grid, dt=1e6, t_end=1e6, diffusivity=tuple(1 + b * np.sin(x)),
+                                 output_every=1, bc=sl.BoundaryCondition.DIRICHLET)
+        frames = []
+        sl.run_scalar(lambda v: np.zeros_like(v), sl.Field(x / (2 * math.pi), grid), config,
+                      on_frame=frames.append)
+        errors.append(np.max(np.abs(frames[-1][1].values - exact)))
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all((orders >= 1.9) & (orders <= 2.1)), (errors, orders)
+
+
 def test_system_positivity_on_short_run(fig1_params, grid601):
     model = sl.ScaledModel(fig1_params, 0.3)
     config = sl.SolverConfig(grid601, dt=0.005, t_end=2.0, diffusivity=0.1,
