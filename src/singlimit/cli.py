@@ -83,7 +83,7 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
 
         def write(tag, k, t, fld):
             name = f"{tag}_{k:04d}.csv"
-            write_snapshot(fld, staging.path(name))
+            write_snapshot(fld, staging, name)
             return t, name
 
         def on_frame(t, p, state):
@@ -95,9 +95,9 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
                 plot.append((t, p))
 
         frequency_run(cfg.model, cfg.spec, cfg.solver, args.model, on_frame=on_frame)
-        write_manifest(p_rows + density_rows, staging.path("manifest.csv"))
+        write_manifest(p_rows + density_rows, staging, "manifest.csv")
         if args.svg:
-            write_profiles_svg(plot, staging.path("profiles.svg"),
+            write_profiles_svg(plot, staging, "profiles.svg",
                                title=f"frequency, model={args.model}")
     print(f"wrote {len(p_rows) + len(density_rows)} snapshots to {out}")
     return EXIT_OK
@@ -117,13 +117,13 @@ def _cmd_converge(args, cfg: RunConfig) -> int:
     rungs = list(zip(*plotted))  # the plotted frames per rung, the last one included
     out = Path(args.out)
     with staged_output(out) as staging:
-        write_report(report, staging.path("report.csv"))
+        write_report(report, staging, "report.csv")
         if args.svg:
             write_profiles_svg([limit_series[i] for i in plot_at],
-                               staging.path("profiles_limit.svg"), title="limit equation")
+                               staging, "profiles_limit.svg", title="limit equation")
             for eps, rung in zip(report.epsilons, rungs):
                 write_profiles_svg([(r.time, r.p) for r in rung],
-                                   staging.path(f"profiles_eps_{eps:g}.svg"),
+                                   staging, f"profiles_eps_{eps:g}.svg",
                                    title=f"system, eps = {eps:g}")
     for eps, ep, em, rung in zip(report.epsilons, report.err_p, report.err_m, rungs):
         grad = gradient_l2(rung[-1].p)

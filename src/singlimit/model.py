@@ -235,13 +235,14 @@ def _frequency(ni, total):
     return np.divide(ni, total, out=np.zeros_like(total), where=total != 0.0)
 
 
-def _kinetics(model: ScaledModel, ni, nu, epsilon=None):
+def _kinetics(model: ScaledModel, ni, nu, epsilon=None, clip=True):
     """Reaction right-hand sides without any input validation.
 
     Accepts scalars or arrays; also evaluable at slightly negative densities
     so finite-difference Jacobians can probe across the axes.  epsilon, when
     given, replaces model.epsilon; a (K,) row applies one eps per column of
     (nx, K) densities, each column computed exactly as a call with its scalar.
+    clip=False leaves the imperfect variant's logistic factor unclipped.
 
     Rounding for rounding, rate_i = (1-mu)(1-sf) fu n_i * logistic - delta du
     n_i and rate_u = fu (n_u (1 - sh p) + mu (1-sf) n_i p) * logistic - du n_u,
@@ -262,7 +263,7 @@ def _kinetics(model: ScaledModel, ni, nu, epsilon=None):
     else:
         total *= -prm.sigma
         total += 1.0 / eps
-    logistic = np.maximum(total, 0.0) if model.clipped else total
+    logistic = np.maximum(total, 0.0) if clip and model.clipped else total
     rate_i = (1.0 - mu) * (1.0 - prm.sf) * prm.fu * ni
     rate_i *= logistic
     rate_i -= prm.delta * prm.du * ni
@@ -524,24 +525,30 @@ def classify_stability(model: ScaledModel, point) -> StabilityResult:
     """Linear stability of the kinetic steady state point = (n_i, n_u).
 
     The 2x2 Jacobian is taken by central finite differences with step
-    1e-6 * max(1, |n_i|+|n_u|); stable means both eigenvalues have real part
-    below -1e-8, and eigenvalues inside the +-1e-8 band are reported as
-    unstable with the marginal flag set.  Points that do not zero the
-    kinetics (to 1e-8 relative to the density scale) are rejected.
+    1e-6 * max(1, n), n = n_i + n_u, of the kinetics without the imperfect
+    variant's clip, which a step can reach but no steady state does (their
+    logistic factor is positive).  Stable means both eigenvalues have real
+    part below -1e-8; those inside the +-1e-8 band are reported as unstable
+    with the marginal flag set.  Points whose rates exceed 1e-8 times the
+    terms they cancel, fu n (1/eps + sigma n), eps times that in the
+    alternative variant, are rejected.
     """
     ni, nu = float(point[0]), float(point[1])
-    scale = max(1.0, ni + nu)
+    n, eps, prm = ni + nu, model.epsilon, model.params
     rate_i, rate_u = _kinetics(model, ni, nu)
-    if max(abs(rate_i), abs(rate_u)) > 1e-8 * scale:
+    size = prm.fu * n * (1.0 / eps + prm.sigma * n)
+    if model.variant is Variant.ALTERNATIVE:
+        size *= eps
+    if max(abs(rate_i), abs(rate_u)) > 1e-8 * size:
         raise ValueError(
             f"({ni:g}, {nu:g}) is not an equilibrium: rates "
             f"({rate_i:.3e}, {rate_u:.3e})"
         )
-    step = 1e-6 * scale
+    step = 1e-6 * max(1.0, n)
     jac = np.empty((2, 2))
     for col, (di, du_) in enumerate(((step, 0.0), (0.0, step))):
-        fp = _kinetics(model, ni + di, nu + du_)
-        fm = _kinetics(model, ni - di, nu - du_)
+        fp = _kinetics(model, ni + di, nu + du_, clip=False)
+        fm = _kinetics(model, ni - di, nu - du_, clip=False)
         jac[0, col] = (fp[0] - fm[0]) / (2.0 * step)
         jac[1, col] = (fp[1] - fm[1]) / (2.0 * step)
     eigs = np.linalg.eigvals(jac)

@@ -3,14 +3,15 @@
 All floats are serialized with 17 significant digits so files round-trip
 bit-exactly, with LF line endings.  Publishing a run is the one atomic step:
 `staged_output` gives a command's run a private staging directory next to
-the output directory, the writers write each file in place into it (any
-other path is a ValueError), and the files appear in the output directory
-only once the run has succeeded.  A failed run leaves the output directory
-as it was; a killed one leaves its `.<out>.<hex>.staging` directory, never a
-partial output directory.  The run's snapshots are formatted and written by
-one writer process, forked (POSIX `fork`) at the first snapshot, while the
-caller steps on; publishing waits for it, and a snapshot it failed to write
-fails the run with an OSError.
+the output directory, each writer takes the run and a file name and writes
+that file in place into it (a run that has ended is a ValueError), and the
+files appear in the output directory only once the run has succeeded.  A
+failed run leaves the output directory as it was; a killed one leaves its
+`.<out>.<hex>.staging` directory, never a partial output directory.  The
+run's snapshots are formatted and written by one writer process, forked
+(POSIX `fork`) at the first snapshot, while the caller steps on; publishing
+waits for it, and a snapshot it failed to write fails the run with an
+OSError.
 """
 
 from __future__ import annotations
@@ -58,19 +59,21 @@ class _Staging:
         self.out = out
         self._dir: Path | None = None
         self._writer: _Writer | None = None
+        self._ended = False
 
     def path(self, name: str) -> Path:
-        """Where the run writes its file `name`."""
+        """Where the run writes its file `name`; a ValueError once it has ended."""
+        if self._ended:
+            raise ValueError(f"the run into {self.out} has ended; it takes no file {name!r}")
         if self._dir is None:
             self.out.parent.mkdir(parents=True, exist_ok=True)
-            stage = self.out.parent / f".{self.out.name}.{os.urandom(6).hex()}.staging"
-            stage.mkdir()
-            self._dir = stage
-            _LIVE[stage] = self
+            self._dir = self.out.parent / f".{self.out.name}.{os.urandom(6).hex()}.staging"
+            self._dir.mkdir()
         return self._dir / name
 
-    def hand_off(self, field: Field, path: Path) -> None:
-        """Have the writer process write snapshot `field` to `path`."""
+    def hand_off(self, field: Field, name: str) -> None:
+        """Have the writer process write snapshot `field` to the file `name`."""
+        path = self.path(name)
         if self._writer is None:
             self._writer = _Writer()
         self._writer.put(field, path)
@@ -87,30 +90,16 @@ class _Staging:
             self._dir.rmdir()
         else:
             os.rename(self._dir, self.out)
-        del _LIVE[self._dir]
         self._dir = None
 
     def discard(self) -> None:
+        self._ended = True
         if self._writer is not None:
             self._writer.stop()
             self._writer = None
         if self._dir is not None:
-            del _LIVE[self._dir]
             shutil.rmtree(self._dir, ignore_errors=True)
             self._dir = None
-
-
-# The staging directories of the runs in progress.  The writers keep their
-# (obj, path) form, so the path each is given is what finds its run.
-_LIVE: dict[Path, _Staging] = {}
-
-
-def _run_of(path: str | Path) -> _Staging:
-    """The run in progress whose staging directory holds `path`."""
-    staging = _LIVE.get(Path(path).parent)
-    if staging is None:
-        raise ValueError(f"{path} is not in the staging directory of a run in progress")
-    return staging
 
 
 class _Writer:
@@ -191,17 +180,19 @@ def _serve(conn, caller_end) -> None:
 def staged_output(out: str | Path) -> Iterator[_Staging]:
     """Publish the files of one run into the directory `out` all at once.
 
-    The block writes each file in place to `staging.path(name)` through the
-    writers of this module.  The first call makes a private staging
-    directory next to `out`, so a block that fails before it touches no
-    file.  When the block succeeds, the staging directory is renamed onto
-    `out` if `out` does not exist, one atomic rename for the whole run;
-    otherwise each file is moved into `out` with os.replace, and files of
-    `out` the run did not write stay.  When the block raises, the staging
-    directory is removed and `out` is left as it was.  Snapshots go to the
-    run's writer process (see write_snapshot): publishing first waits for it
-    and raises its first write error, before any rename, and a block that
-    raises stops and reaps it first.
+    The block hands the yielded run and a file name to the writers of this
+    module, which write the file in place to `run.path(name)`.  The first
+    file makes a private staging directory next to `out`, so a block that
+    fails before it touches no file.  When the block succeeds, the staging
+    directory is renamed onto `out` if `out` does not exist, one atomic
+    rename for the whole run; otherwise each file is moved into `out` with
+    os.replace, and files of `out` the run did not write stay.  When the
+    block raises, the staging directory is removed and `out` is left as it
+    was.  Snapshots go to the run's writer process (see write_snapshot):
+    publishing first waits for it and raises its first write error, before
+    any rename, and a block that raises stops and reaps it first.  Once the
+    block has ended, the run takes no more files: each writer raises
+    ValueError.
     """
     staging = _Staging(Path(out))
     try:
@@ -226,13 +217,12 @@ def _write_snapshot_file(path: str, x_bytes: bytes, values_bytes: bytes) -> None
     _write_text(path, _snapshot_template(x_bytes) % tuple(values))
 
 
-def write_snapshot(field: Field, path: str | Path) -> None:
+def write_snapshot(field: Field, run: _Staging, name: str) -> None:
     """One row per grid node, header `x,value`; the snapshot's time is
-    recorded by the caller's manifest, not in the file.  The path must be
-    in the staging directory of a run in progress: the snapshot goes to
-    that run's writer process, and the file appears when the run
-    publishes."""
-    _run_of(path).hand_off(field, Path(path))
+    recorded by the caller's manifest, not in the file.  The snapshot goes
+    to the writer process of `run`, a run in progress, and its file `name`
+    appears when the run publishes."""
+    run.hand_off(field, name)
 
 
 def read_snapshot(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
@@ -253,19 +243,17 @@ def read_snapshot(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     return data[:, 0], data[:, 1]
 
 
-def write_manifest(entries: Sequence[tuple[float, str]], path: str | Path) -> None:
-    _run_of(path)
+def write_manifest(entries: Sequence[tuple[float, str]], run: _Staging, name: str) -> None:
     rows = ["time,filename"]
-    rows.extend(f"{_fmt(t)},{name}" for t, name in entries)
-    _write_text(path, "\n".join(rows) + "\n")
+    rows.extend(f"{_fmt(t)},{snapshot}" for t, snapshot in entries)
+    _write_text(run.path(name), "\n".join(rows) + "\n")
 
 
-def write_report(report: ConvergenceReport, path: str | Path) -> None:
-    _run_of(path)
+def write_report(report: ConvergenceReport, run: _Staging, name: str) -> None:
     rows = ["epsilon,err_p,err_m,speed,limit_speed"]
     for eps, ep, em, sp in zip(report.epsilons, report.err_p, report.err_m, report.speeds):
         rows.append(",".join(_fmt(v) for v in (eps, ep, em, sp, report.limit_speed)))
-    _write_text(path, "\n".join(rows) + "\n")
+    _write_text(run.path(name), "\n".join(rows) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +270,10 @@ def _px(x, lo, hi, size, invert=False):
     return _MARGIN + frac * (size - 2 * _MARGIN)
 
 
-def write_profiles_svg(series: Sequence[tuple[float, Field]], path: str | Path,
+def write_profiles_svg(series: Sequence[tuple[float, Field]], run: _Staging, name: str,
                        title: str) -> None:
     """One polyline per snapshot of a frequency profile, labeled with its
     time, under `title`; the frequency axis is fixed at [0, 1]."""
-    _run_of(path)
     if not series:
         raise ValueError("nothing to plot")
     grid = series[0][1].grid
@@ -336,4 +323,4 @@ def write_profiles_svg(series: Sequence[tuple[float, Field]], path: str | Path,
             f'font-size="11" fill="{color}">t = {t:g}</text>'
         )
     parts.append("</svg>")
-    _write_text(path, "\n".join(parts) + "\n")
+    _write_text(run.path(name), "\n".join(parts) + "\n")

@@ -408,9 +408,9 @@ def test_simulate_writes_each_frame_before_the_next_step(tmp_path, quick_cfg, mo
         solves[0] += 1
         return solve(*args, **kwargs)
 
-    def recording_write(field, path):
-        writes.append((Path(path).name, solves[0]))
-        write(field, path)
+    def recording_write(field, run, name):
+        writes.append((name, solves[0]))
+        write(field, run, name)
 
     solve, write = singlimit.solver.solve_banded, singlimit.cli.write_snapshot
     monkeypatch.setattr(singlimit.solver, "solve_banded", counting_solve)

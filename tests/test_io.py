@@ -24,7 +24,7 @@ def test_snapshot_round_trip_is_bit_exact(grid, tmp_path):
     rng = np.random.default_rng(9)
     field = sl.Field(rng.uniform(-1, 1, grid.nx), grid)
     with staged_output(tmp_path / "out") as staging:
-        write_snapshot(field, staging.path("snap.csv"))
+        write_snapshot(field, staging, "snap.csv")
     x, values = read_snapshot(tmp_path / "out" / "snap.csv")
     assert np.array_equal(x, grid.x)
     assert np.array_equal(values, field.values)
@@ -33,7 +33,7 @@ def test_snapshot_round_trip_is_bit_exact(grid, tmp_path):
 def test_snapshot_constant_serializes_uniformly(grid, tmp_path):
     field = sl.Field.constant(1.0, grid)
     with staged_output(tmp_path / "out") as staging:
-        write_snapshot(field, staging.path("snap.csv"))
+        write_snapshot(field, staging, "snap.csv")
     lines = (tmp_path / "out" / "snap.csv").read_text().splitlines()
     assert lines[0] == "x,value"
     assert len(lines) == grid.nx + 1
@@ -44,8 +44,8 @@ def test_snapshot_write_is_deterministic(grid, tmp_path):
     field = sl.Field(np.sin(grid.x), grid)
     out = tmp_path / "out"
     with staged_output(out) as staging:
-        write_snapshot(field, staging.path("a.csv"))
-        write_snapshot(field, staging.path("b.csv"))
+        write_snapshot(field, staging, "a.csv")
+        write_snapshot(field, staging, "b.csv")
     assert (out / "a.csv").read_bytes() == (out / "b.csv").read_bytes()
     assert b"\r" not in (out / "a.csv").read_bytes()
 
@@ -59,7 +59,7 @@ def test_snapshot_bytes_match_reference_formatter(tmp_path):
     values = np.array([-0.0, 5e-324, 1 / 3, 0.1, 1e16, 1 - 2**-53, -5e-324,
                        -1 / 3, -0.1, -1e16, -(1 - 2**-53), 0.0, 2.5, -1e-300])
     with staged_output(tmp_path / "out") as staging:
-        write_snapshot(sl.Field(values, grid), staging.path("snap.csv"))
+        write_snapshot(sl.Field(values, grid), staging, "snap.csv")
     path = tmp_path / "out" / "snap.csv"
     assert path.read_bytes() == _reference_snapshot(grid.x, values).encode()
 
@@ -74,7 +74,7 @@ def test_snapshot_x_column_follows_its_own_grid(grids, tmp_path):
     with staged_output(out) as staging:
         for k in range(4):
             grid = grids[k % 2]
-            write_snapshot(sl.Field(np.full(grid.nx, 0.5), grid), staging.path(f"snap_{k}.csv"))
+            write_snapshot(sl.Field(np.full(grid.nx, 0.5), grid), staging, f"snap_{k}.csv")
     for k in range(4):
         grid = grids[k % 2]
         path = out / f"snap_{k}.csv"
@@ -101,7 +101,7 @@ def test_read_snapshot_rejects_other_files(text, tmp_path):
 
 def test_manifest_format(tmp_path):
     with staged_output(tmp_path / "out") as staging:
-        write_manifest([(0.0, "p_0000.csv"), (2.5, "p_0001.csv")], staging.path("manifest.csv"))
+        write_manifest([(0.0, "p_0000.csv"), (2.5, "p_0001.csv")], staging, "manifest.csv")
     lines = (tmp_path / "out" / "manifest.csv").read_text().splitlines()
     assert lines[0] == "time,filename"
     assert lines[1] == "0,p_0000.csv"
@@ -117,7 +117,7 @@ def test_report_format(tmp_path):
         limit_speed=math.nan,
     )
     with staged_output(tmp_path / "out") as staging:
-        write_report(report, staging.path("report.csv"))
+        write_report(report, staging, "report.csv")
     lines = (tmp_path / "out" / "report.csv").read_text().splitlines()
     assert lines[0] == "epsilon,err_p,err_m,speed,limit_speed"
     assert len(lines) == 5
@@ -138,9 +138,9 @@ def test_report_rejects_misaligned_columns():
 def test_svg_plot(grid, tmp_path):
     series = [(t, sl.Field(np.exp(-(grid.x - 0.1 * t) ** 2), grid)) for t in (0.0, 5.0, 10.0)]
     with staged_output(tmp_path / "out") as staging:
-        write_profiles_svg(series, staging.path("plot.svg"), title="demo")
+        write_profiles_svg(series, staging, "plot.svg", title="demo")
         with pytest.raises(ValueError, match="nothing to plot"):
-            write_profiles_svg([], staging.path("empty.svg"), title="empty")
+            write_profiles_svg([], staging, "empty.svg", title="empty")
     text = (tmp_path / "out" / "plot.svg").read_text()
     assert text.startswith("<svg")
     assert text.count("<polyline") == 3
@@ -149,27 +149,50 @@ def test_svg_plot(grid, tmp_path):
 
 
 @pytest.mark.parametrize("writer", ["snapshot", "manifest", "report", "svg"])
-def test_writers_reject_a_path_outside_a_run_in_progress(grid, tmp_path, writer):
-    # a run is published atomically, so no writer writes where no run stages
+def test_writers_reject_a_run_that_has_ended(grid, tmp_path, writer):
+    # a run is published atomically, so no writer writes into a run whose
+    # block has ended, whether it published or failed
     field = sl.Field.constant(0.5, grid)
     report = sl.ConvergenceReport((0.1,), (0.1,), (0.1,), (math.nan,), math.nan)
     write = {
-        "snapshot": lambda path: write_snapshot(field, path),
-        "manifest": lambda path: write_manifest([(0.0, "p_0000.csv")], path),
-        "report": lambda path: write_report(report, path),
-        "svg": lambda path: write_profiles_svg([(0.0, field)], path, title="t"),
+        "snapshot": lambda run, name: write_snapshot(field, run, name),
+        "manifest": lambda run, name: write_manifest([(0.0, "p_0000.csv")], run, name),
+        "report": lambda run, name: write_report(report, run, name),
+        "svg": lambda run, name: write_profiles_svg([(0.0, field)], run, name, title="t"),
     }[writer]
     out = tmp_path / "out"
-    with staged_output(out) as staging:
-        stage = staging.path("kept").parent
-        write(staging.path("kept"))
-    for path in (tmp_path / "loose",   # no run
-                 out / "late",         # a published run
-                 stage / "late"):      # the staging directory of a finished run
-        with pytest.raises(ValueError, match="not in the staging directory of a run in progress"):
-            write(path)
+    with staged_output(out) as published:
+        write(published, "kept")
+    with pytest.raises(RuntimeError, match="boom"):
+        with staged_output(tmp_path / "failed") as failed:
+            write(failed, "lost")
+            raise RuntimeError("boom")
+    for run in (published, failed):
+        with pytest.raises(ValueError, match="has ended"):
+            write(run, "late")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
     assert [p.name for p in out.iterdir()] == ["kept"]
+
+
+def test_two_runs_in_progress_publish_only_their_own_files(grid, tmp_path):
+    names = [f"p_{k}.csv" for k in range(3)]
+    with staged_output(tmp_path / "a") as run_a, staged_output(tmp_path / "b") as run_b:
+        for name in names:
+            write_snapshot(sl.Field.constant(0.25, grid), run_a, name)
+            write_snapshot(sl.Field.constant(0.75, grid), run_b, name)
+        write_snapshot(sl.Field.constant(0.75, grid), run_b, "b_only.csv")
+        write_manifest([(1.0, name) for name in names], run_a, "manifest.csv")
+        write_manifest([(2.0, name) for name in names], run_b, "manifest.csv")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
+    assert sorted(p.name for p in (tmp_path / "a").iterdir()) == ["manifest.csv"] + names
+    assert sorted(p.name for p in (tmp_path / "b").iterdir()) == \
+        ["b_only.csv", "manifest.csv"] + names
+    for run, value, t in (("a", 0.25, "1"), ("b", 0.75, "2")):
+        assert (tmp_path / run / "manifest.csv").read_text().splitlines()[1:] == \
+            [f"{t},{name}" for name in names]
+        for name in names:
+            x, values = read_snapshot(tmp_path / run / name)
+            assert np.array_equal(x, grid.x) and np.all(values == value)
 
 
 def test_staged_output_publishes_a_new_directory_in_one_rename(tmp_path):
@@ -220,7 +243,7 @@ def test_staged_snapshots_match_reference_formatter(tmp_path):
     out = tmp_path / "out"
     with staged_output(out) as staging:
         for k, v in enumerate(values):
-            write_snapshot(sl.Field(v, grid), staging.path(f"p_{k}.csv"))
+            write_snapshot(sl.Field(v, grid), staging, f"p_{k}.csv")
     assert sorted(p.name for p in out.iterdir()) == [f"p_{k}.csv" for k in range(5)]
     for k, v in enumerate(values):
         assert (out / f"p_{k}.csv").read_bytes() == _reference_snapshot(grid.x, v).encode()

@@ -493,6 +493,20 @@ def test_resident_total_owns_the_existence_rule(model, message):
             fn()
 
 
+@pytest.mark.parametrize("eps", [1e-6, 3e-9, 1e-9])
+@pytest.mark.parametrize("variant, mu", [(sl.Variant.PERFECT, 0.0), (sl.Variant.IMPERFECT, 0.05)],
+                         ids=["perfect", "imperfect"])
+def test_equilibria_keep_their_labels_at_small_eps(fig1_params, variant, mu, eps):
+    # the rates at a steady state are round-off of 1/eps - sigma n times fu n,
+    # and the difference steps of 1e-6 n reach past the imperfect clip
+    params = dataclasses.replace(fig1_params, mu=mu)
+    eqs = sl.equilibria(sl.ScaledModel(params, eps, variant))
+    reference = sl.equilibria(sl.ScaledModel(params, 0.1, variant))
+    assert [e.kind for e in eqs] == [e.kind for e in reference]
+    assert [e.stability for e in eqs] == [e.stability for e in reference] == \
+        [sl.Stability.STABLE, sl.Stability.STABLE, sl.Stability.UNSTABLE, sl.Stability.UNSTABLE]
+
+
 def test_classify_stability_rejects_non_equilibrium(fig1_params):
     with pytest.raises(ValueError):
         sl.classify_stability(perfect(fig1_params), (1.0, 1.0))
