@@ -111,12 +111,12 @@ def _cmd_converge(args, cfg: RunConfig) -> int:
             plotted.append(reduced)
 
     covered = cfg.solver.t_end >= cfg.speed_window[1]
-    report, limit_series = run_convergence_sweep(
-        cfg.model.params, cfg.model.variant, cfg.epsilons, cfg.spec, cfg.solver,
-        on_frame=keep, speed=(cfg.speed_window, cfg.speed_level) if covered else None)
-    rungs = list(zip(*plotted))  # the plotted frames per rung, the last one included
     out = Path(args.out)
     with staged_output(out) as staging:
+        report, limit_series = run_convergence_sweep(
+            cfg.model.params, cfg.model.variant, cfg.epsilons, cfg.spec, cfg.solver,
+            on_frame=keep, speed=(cfg.speed_window, cfg.speed_level) if covered else None)
+        rungs = list(zip(*plotted))  # the plotted frames per rung, the last one included
         write_report(report, staging, "report.csv")
         if args.svg:
             write_profiles_svg([limit_series[i] for i in plot_at],

@@ -235,14 +235,13 @@ def _frequency(ni, total):
     return np.divide(ni, total, out=np.zeros_like(total), where=total != 0.0)
 
 
-def _kinetics(model: ScaledModel, ni, nu, epsilon=None, clip=True):
+def _kinetics(model: ScaledModel, ni, nu, epsilon=None):
     """Reaction right-hand sides without any input validation.
 
-    Accepts scalars or arrays; also evaluable at slightly negative densities
-    so finite-difference Jacobians can probe across the axes.  epsilon, when
-    given, replaces model.epsilon; a (K,) row applies one eps per column of
-    (nx, K) densities, each column computed exactly as a call with its scalar.
-    clip=False leaves the imperfect variant's logistic factor unclipped.
+    Accepts scalars or arrays.  epsilon, when given, replaces model.epsilon;
+    a (K,) row applies one eps per column of (nx, K) densities, each column
+    computed exactly as a call with its scalar.  classify_stability holds
+    these rates' derivatives in closed form: edit both together.
 
     Rounding for rounding, rate_i = (1-mu)(1-sf) fu n_i * logistic - delta du
     n_i and rate_u = fu (n_u (1 - sh p) + mu (1-sf) n_i p) * logistic - du n_u,
@@ -263,7 +262,7 @@ def _kinetics(model: ScaledModel, ni, nu, epsilon=None, clip=True):
     else:
         total *= -prm.sigma
         total += 1.0 / eps
-    logistic = np.maximum(total, 0.0) if clip and model.clipped else total
+    logistic = np.maximum(total, 0.0) if model.clipped else total
     rate_i = (1.0 - mu) * (1.0 - prm.sf) * prm.fu * ni
     rate_i *= logistic
     rate_i -= prm.delta * prm.du * ni
@@ -335,9 +334,7 @@ def _frequency_range(p: np.ndarray) -> tuple[float, float]:
     [0, 1] beyond FREQUENCY_TOL."""
     low, high = p.min(), p.max()
     if not (low >= -FREQUENCY_TOL and high <= 1.0 + FREQUENCY_TOL):
-        raise ValueError(
-            f"frequency left [0, 1] by more than round-off: [{low:.6e}, {high:.6e}]"
-        )
+        raise ValueError(f"frequency left [0, 1] by more than round-off: [{low:.6e}, {high:.6e}]")
     return low, high
 
 
@@ -395,9 +392,7 @@ def drift_slope_bound(model: ScaledModel) -> float:
     require_reducible(model, "the drift slope bound")
     prm = model.params
     if prm.sf >= prm.sh:
-        raise ValueError(
-            f"drift slope bound needs sf < sh (got sf={prm.sf}, sh={prm.sh})"
-        )
+        raise ValueError(f"drift slope bound needs sf < sh (got sf={prm.sf}, sh={prm.sh})")
     a, b = _quadratic_coeffs(model)
     bound = prm.sigma * prm.fu * (1.0 - b * b / (4.0 * a))
     if bound <= 0.0:
@@ -524,33 +519,35 @@ MARGINAL_EIGENVALUE = 1e-8
 def classify_stability(model: ScaledModel, point) -> StabilityResult:
     """Linear stability of the kinetic steady state point = (n_i, n_u).
 
-    The 2x2 Jacobian is taken by central finite differences with step
-    1e-6 * max(1, n), n = n_i + n_u, of the kinetics without the imperfect
-    variant's clip, which a step can reach but no steady state does (their
-    logistic factor is positive).  Stable means both eigenvalues have real
-    part below -1e-8; those inside the +-1e-8 band are reported as unstable
+    The 2x2 Jacobian is exact: the kinetics' partial derivatives in closed
+    form, L the logistic factor (positive, so unclipped, at a steady state).
+    At the origin p = 0: the Jacobian is triangular there, and its diagonal
+    reads p only along the n_u axis, where 0 is p's limit.  Below about
+    eps = 1e-13 no linearisation from (n_i, n_u) keeps the slow eigenvalue:
+    L = 1/eps - sigma n loses its own digits.  Stable means both eigenvalues
+    have real part below -1e-8; those inside the +-1e-8 band are unstable
     with the marginal flag set.  Points whose rates exceed 1e-8 times the
     terms they cancel, fu n (1/eps + sigma n), eps times that in the
     alternative variant, are rejected.
     """
     ni, nu = float(point[0]), float(point[1])
     n, eps, prm = ni + nu, model.epsilon, model.params
+    alt = model.variant is Variant.ALTERNATIVE
     rate_i, rate_u = _kinetics(model, ni, nu)
-    size = prm.fu * n * (1.0 / eps + prm.sigma * n)
-    if model.variant is Variant.ALTERNATIVE:
-        size *= eps
+    size = prm.fu * n * (1.0 / eps + prm.sigma * n) * (eps if alt else 1.0)
     if max(abs(rate_i), abs(rate_u)) > 1e-8 * size:
-        raise ValueError(
-            f"({ni:g}, {nu:g}) is not an equilibrium: rates "
-            f"({rate_i:.3e}, {rate_u:.3e})"
-        )
-    step = 1e-6 * max(1.0, n)
-    jac = np.empty((2, 2))
-    for col, (di, du_) in enumerate(((step, 0.0), (0.0, step))):
-        fp = _kinetics(model, ni + di, nu + du_, clip=False)
-        fm = _kinetics(model, ni - di, nu - du_, clip=False)
-        jac[0, col] = (fp[0] - fm[0]) / (2.0 * step)
-        jac[1, col] = (fp[1] - fm[1]) / (2.0 * step)
+        raise ValueError(f"({ni:g}, {nu:g}) is not an equilibrium: rates "
+                         f"({rate_i:.3e}, {rate_u:.3e})")
+    slope = -prm.sigma * (eps if alt else 1.0)  # of L in n
+    logistic = (1.0 if alt else 1.0 / eps) + slope * n
+    fi, leak = (1.0 - prm.mu) * (1.0 - prm.sf) * prm.fu, prm.mu * (1.0 - prm.sf)
+    p = ni / n if n > 0.0 else 0.0
+    births_u = nu * (1.0 - prm.sh * p) + leak * ni * p  # per unit L and fu
+    dbirths_i = leak * p * (2.0 - p) - prm.sh * (1.0 - p) ** 2
+    dbirths_u = 1.0 - (prm.sh + leak) * p ** 2
+    jac = np.array([[fi * (logistic + ni * slope) - prm.delta * prm.du, fi * ni * slope],
+                    [prm.fu * (dbirths_i * logistic + births_u * slope),
+                     prm.fu * (dbirths_u * logistic + births_u * slope) - prm.du]])
     eigs = np.linalg.eigvals(jac)
     real = np.real(eigs)
     marginal = bool(np.any(np.abs(real) < MARGINAL_EIGENVALUE))

@@ -17,6 +17,7 @@ OSError.
 from __future__ import annotations
 
 import contextlib
+import errno
 import functools
 import os
 import shutil
@@ -192,8 +193,10 @@ def staged_output(out: str | Path) -> Iterator[_Staging]:
     publishing first waits for it and raises its first write error, before
     any rename, and a block that raises stops and reaps it first.  Once the
     block has ended, the run takes no more files: each writer raises
-    ValueError.
+    ValueError.  An existing `out` that is no directory fails on entry.
     """
+    if os.path.exists(out) and not os.path.isdir(out):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(out))
     staging = _Staging(Path(out))
     try:
         yield staging

@@ -334,6 +334,22 @@ def test_failed_simulate_reaps_its_writer(tmp_path, capfd, quick_cfg, monkeypatc
         os.waitpid(writer_pids[0], os.WNOHANG)
 
 
+@pytest.mark.parametrize("argv", [["converge"], ["simulate", "--model", "system"]])
+def test_out_naming_a_file_fails_before_the_run(tmp_path, capsys, monkeypatch, argv):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(singlimit.cli, "run_convergence_sweep", no_run)
+    monkeypatch.setattr(singlimit.cli, "frequency_run", no_run)
+    out_file = tmp_path / "taken"
+    out_file.write_text("not a directory\n")
+    assert cli_dispatch([*argv, "--out", str(out_file)]) == 2
+    assert capsys.readouterr().err == \
+        f"i/o error: [Errno {errno.ENOTDIR}] Not a directory: '{out_file}'\n"
+    assert out_file.read_text() == "not a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]  # no staging directory
+
+
 @pytest.mark.parametrize("argv", [
     ["converge", "--out", "conv"],
     ["wavespeed", "--model", "limit"],

@@ -497,14 +497,32 @@ def test_resident_total_owns_the_existence_rule(model, message):
 @pytest.mark.parametrize("variant, mu", [(sl.Variant.PERFECT, 0.0), (sl.Variant.IMPERFECT, 0.05)],
                          ids=["perfect", "imperfect"])
 def test_equilibria_keep_their_labels_at_small_eps(fig1_params, variant, mu, eps):
-    # the rates at a steady state are round-off of 1/eps - sigma n times fu n,
-    # and the difference steps of 1e-6 n reach past the imperfect clip
+    # the rates at a steady state are round-off of 1/eps - sigma n times fu n
     params = dataclasses.replace(fig1_params, mu=mu)
     eqs = sl.equilibria(sl.ScaledModel(params, eps, variant))
     reference = sl.equilibria(sl.ScaledModel(params, 0.1, variant))
     assert [e.kind for e in eqs] == [e.kind for e in reference]
     assert [e.stability for e in eqs] == [e.stability for e in reference] == \
         [sl.Stability.STABLE, sl.Stability.STABLE, sl.Stability.UNSTABLE, sl.Stability.UNSTABLE]
+
+
+def _slow_eigenvalues(model):
+    # each equilibrium's smallest-magnitude eigenvalue; the origin has none
+    # of order 1, both of its eigenvalues grow like 1/eps
+    return [min(sl.classify_stability(model, (e.ni, e.nu)).eigenvalues, key=abs)
+            for e in sl.equilibria(model) if e.kind is not sl.EquilibriumKind.ORIGIN]
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-10, 1e-12])
+@pytest.mark.parametrize("variant, mu", [(sl.Variant.PERFECT, 0.0), (sl.Variant.IMPERFECT, 0.05)],
+                         ids=["perfect", "imperfect"])
+def test_slow_eigenvalues_hold_at_small_eps(fig1_params, variant, mu, eps):
+    # the O(1) eigenvalue is the motion along the slow manifold, read next to
+    # a fast one of order 1/eps
+    params = dataclasses.replace(fig1_params, mu=mu)
+    got = _slow_eigenvalues(sl.ScaledModel(params, eps, variant))
+    reference = _slow_eigenvalues(sl.ScaledModel(params, 1e-6, variant))
+    assert got == pytest.approx(reference, rel=1e-3)
 
 
 def test_classify_stability_rejects_non_equilibrium(fig1_params):
@@ -520,6 +538,40 @@ def test_classify_stability_origin(fig1_params):
     expected = ((1 - 0.1) * 1.12 / 0.1 - (10 / 9) * 0.27, 1.12 / 0.1 - 0.27)
     got = sorted(e.real for e in result.eigenvalues)
     assert got == pytest.approx(sorted(expected), rel=1e-5)
+
+
+def _plain_kinetics(model, ni, nu):
+    # the kinetics as plain expressions, logistic factor unclipped; the
+    # difference steps never land on vacuum
+    prm, eps, mu = model.params, model.epsilon, model.params.mu
+    total = ni + nu
+    p = ni / total
+    if model.variant is sl.Variant.ALTERNATIVE:
+        logistic = 1.0 - eps * prm.sigma * total
+    else:
+        logistic = 1.0 / eps - prm.sigma * total
+    births_i = (1.0 - mu) * (1.0 - prm.sf) * prm.fu * ni
+    births_u = prm.fu * (nu * (1.0 - prm.sh * p) + mu * (1.0 - prm.sf) * ni * p)
+    return np.array([births_i * logistic - prm.delta * prm.du * ni,
+                     births_u * logistic - prm.du * nu])
+
+
+@pytest.mark.parametrize("variant, mu", [(sl.Variant.PERFECT, 0.0), (sl.Variant.IMPERFECT, 0.05),
+                                         (sl.Variant.ALTERNATIVE, 0.0)],
+                         ids=["perfect", "imperfect", "alternative"])
+def test_classify_stability_matches_difference_oracle(fig1_params, variant, mu):
+    # the closed-form Jacobian against central differences of the kinetics
+    # written out here, at all four equilibria at eps = 0.1
+    model = sl.ScaledModel(dataclasses.replace(fig1_params, mu=mu), 0.1, variant)
+    for eq in sl.equilibria(model):
+        step = 1e-6 * max(1.0, eq.ni + eq.nu)
+        jac = np.column_stack([
+            (_plain_kinetics(model, eq.ni + di, eq.nu + du)
+             - _plain_kinetics(model, eq.ni - di, eq.nu - du)) / (2.0 * step)
+            for di, du in ((step, 0.0), (0.0, step))])
+        got = sl.classify_stability(model, (eq.ni, eq.nu)).eigenvalues
+        assert np.sort_complex(got) == pytest.approx(np.sort_complex(np.linalg.eigvals(jac)),
+                                                     rel=1e-6), eq.kind
 
 
 # ---------------------------------------------------------------------------
