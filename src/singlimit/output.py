@@ -2,8 +2,9 @@
 
 All floats are serialized with 17 significant digits so files round-trip
 bit-exactly, with LF line endings.  Publishing a run is the one atomic step:
-`staged_output` gives a command's run a private staging directory next to
-the output directory, each writer takes the run and a file name and writes
+`staged_output` makes a command's run a private staging directory next to
+the output directory as the run starts (an output directory at or under a
+file fails first), each writer takes the run and a file name and writes
 that file in place into it (a run that has ended is a ValueError), and the
 files appear in the output directory only once the run has succeeded.  A
 failed run leaves the output directory as it was; a killed one leaves its
@@ -53,12 +54,12 @@ def _write_text(path: str | Path, text: str) -> None:
 
 
 class _Staging:
-    """The staging directory of one run, made on first use, and the process
-    that writes the run's snapshots into it, forked on first use."""
+    """One run's staging directory and the process writing its snapshots."""
 
     def __init__(self, out: Path):
         self.out = out
-        self._dir: Path | None = None
+        self._dir = out.parent / f".{out.name}.{os.urandom(6).hex()}.staging"
+        self._dir.mkdir(parents=True)
         self._writer: _Writer | None = None
         self._ended = False
 
@@ -66,41 +67,25 @@ class _Staging:
         """Where the run writes its file `name`; a ValueError once it has ended."""
         if self._ended:
             raise ValueError(f"the run into {self.out} has ended; it takes no file {name!r}")
-        if self._dir is None:
-            self.out.parent.mkdir(parents=True, exist_ok=True)
-            self._dir = self.out.parent / f".{self.out.name}.{os.urandom(6).hex()}.staging"
-            self._dir.mkdir()
         return self._dir / name
-
-    def hand_off(self, field: Field, name: str) -> None:
-        """Have the writer process write snapshot `field` to the file `name`."""
-        path = self.path(name)
-        if self._writer is None:
-            self._writer = _Writer()
-        self._writer.put(field, path)
 
     def publish(self) -> None:
         if self._writer is not None:
             writer, self._writer = self._writer, None
             writer.close()
-        if self._dir is None:
-            return
         if self.out.exists():
             for name in os.listdir(self._dir):
                 os.replace(self._dir / name, self.out / name)
             self._dir.rmdir()
         else:
             os.rename(self._dir, self.out)
-        self._dir = None
 
     def discard(self) -> None:
         self._ended = True
         if self._writer is not None:
             self._writer.stop()
             self._writer = None
-        if self._dir is not None:
-            shutil.rmtree(self._dir, ignore_errors=True)
-            self._dir = None
+        shutil.rmtree(self._dir, ignore_errors=True)
 
 
 class _Writer:
@@ -182,22 +167,25 @@ def staged_output(out: str | Path) -> Iterator[_Staging]:
     """Publish the files of one run into the directory `out` all at once.
 
     The block hands the yielded run and a file name to the writers of this
-    module, which write the file in place to `run.path(name)`.  The first
-    file makes a private staging directory next to `out`, so a block that
-    fails before it touches no file.  When the block succeeds, the staging
-    directory is renamed onto `out` if `out` does not exist, one atomic
-    rename for the whole run; otherwise each file is moved into `out` with
-    os.replace, and files of `out` the run did not write stay.  When the
-    block raises, the staging directory is removed and `out` is left as it
-    was.  Snapshots go to the run's writer process (see write_snapshot):
-    publishing first waits for it and raises its first write error, before
-    any rename, and a block that raises stops and reaps it first.  Once the
-    block has ended, the run takes no more files: each writer raises
-    ValueError.  An existing `out` that is no directory fails on entry.
+    module, which write the file in place to `run.path(name)`.  On entry,
+    the first of `out` and its ancestors that exists must be a directory,
+    else NotADirectoryError names it and the block never runs; then the
+    staging directory is made next to `out`, parents and all.  When the
+    block succeeds, it is renamed onto `out` if `out` does not exist, one
+    atomic rename for the whole run; otherwise each file is moved into `out`
+    with os.replace, and files of `out` the run did not write stay.  When
+    the block raises, the staging directory is removed and `out` is left as
+    it was, though parents of `out` made on entry stay, empty.  Snapshots go
+    to the run's writer process (see write_snapshot): publishing first waits
+    for it and raises its first write error, before any rename, and a block
+    that raises stops and reaps it first.  Once the block has ended, the run
+    takes no more files: each writer raises ValueError.
     """
-    if os.path.exists(out) and not os.path.isdir(out):
-        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(out))
-    staging = _Staging(Path(out))
+    out = Path(out)
+    found = next(p for p in (out, *out.parents) if p.exists())
+    if not found.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(found))
+    staging = _Staging(out)
     try:
         yield staging
         staging.publish()
@@ -225,7 +213,10 @@ def write_snapshot(field: Field, run: _Staging, name: str) -> None:
     recorded by the caller's manifest, not in the file.  The snapshot goes
     to the writer process of `run`, a run in progress, and its file `name`
     appears when the run publishes."""
-    run.hand_off(field, name)
+    path = run.path(name)
+    if run._writer is None:
+        run._writer = _Writer()
+    run._writer.put(field, path)
 
 
 def read_snapshot(path: str | Path) -> tuple[np.ndarray, np.ndarray]:

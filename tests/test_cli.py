@@ -335,7 +335,8 @@ def test_failed_simulate_reaps_its_writer(tmp_path, capfd, quick_cfg, monkeypatc
 
 
 @pytest.mark.parametrize("argv", [["converge"], ["simulate", "--model", "system"]])
-def test_out_naming_a_file_fails_before_the_run(tmp_path, capsys, monkeypatch, argv):
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_out_naming_a_file_fails_before_the_run(tmp_path, capsys, monkeypatch, argv, out):
     def no_run(*args, **kwargs):
         raise AssertionError("the run started")
 
@@ -343,7 +344,7 @@ def test_out_naming_a_file_fails_before_the_run(tmp_path, capsys, monkeypatch, a
     monkeypatch.setattr(singlimit.cli, "frequency_run", no_run)
     out_file = tmp_path / "taken"
     out_file.write_text("not a directory\n")
-    assert cli_dispatch([*argv, "--out", str(out_file)]) == 2
+    assert cli_dispatch([*argv, "--out", str(tmp_path / out)]) == 2
     assert capsys.readouterr().err == \
         f"i/o error: [Errno {errno.ENOTDIR}] Not a directory: '{out_file}'\n"
     assert out_file.read_text() == "not a directory\n"

@@ -253,3 +253,16 @@ def test_solver_config_construction():
     assert solver_cfg.n_steps == 400
     assert solver_cfg.output_every == 40
     assert np.all(solver_cfg.diffusivity_values == 0.1)
+
+
+def test_library_defaults_match_the_key_table():
+    # the dataclasses and the key table each keep these defaults; a change to
+    # one side alone fails here
+    cfg = sl.default_config()
+    assert sl.InitialDataSpec() == cfg.spec
+    solver = sl.SolverConfig(cfg.solver.grid, cfg.solver.dt, cfg.solver.t_end)
+    assert (solver.diffusivity, solver.output_every, solver.bc) == \
+        (cfg.solver.diffusivity, cfg.solver.output_every, cfg.solver.bc)
+    p = cfg.model.params
+    assert sl.WolbachiaParams(p.fu, p.du, p.delta, p.sf, p.sh, p.sigma).mu == p.mu
+    assert sl.ScaledModel(p, cfg.model.epsilon).variant is cfg.model.variant

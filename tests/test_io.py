@@ -249,11 +249,24 @@ def test_staged_snapshots_match_reference_formatter(tmp_path):
         assert (out / f"p_{k}.csv").read_bytes() == _reference_snapshot(grid.x, v).encode()
 
 
-def test_staged_output_touches_nothing_before_the_first_file(tmp_path):
-    out = tmp_path / "missing" / "out"
+def test_staged_output_checks_out_and_stages_on_entry(tmp_path):
+    # the first existing one of out and its ancestors must be a directory
+    taken = tmp_path / "F"
+    taken.write_text("keep\n")
+    for out in (taken / "out", taken / "a" / "out"):
+        with pytest.raises(NotADirectoryError) as info:
+            with staged_output(out):
+                raise AssertionError("the block ran")
+        assert info.value.filename == str(taken)
+    assert taken.read_text() == "keep\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["F"]
+    # the staging directory exists from entry on, and a failing block removes it
+    out = tmp_path / "d" / "out"
     with pytest.raises(ValueError):
-        with staged_output(out):
-            raise ValueError("rejected before the run")
+        with staged_output(out) as staging:
+            assert staging.path("a.txt").parent.is_dir()
+            raise ValueError("rejected before the first file")
+    assert not out.exists() and list(out.parent.glob(".*.staging")) == []
     with staged_output(out):
         pass
-    assert list(tmp_path.iterdir()) == []
+    assert list(out.iterdir()) == [] and [p.name for p in out.parent.iterdir()] == ["out"]
