@@ -96,7 +96,7 @@ def _diffusivity(text: str) -> float | tuple[tuple[float, float], ...]:
 
 
 # key -> (default text, choice?, parser raising ValueError); the field is the
-# part after the dot.  Defaults not marked as choices mirror the reference setup.
+# part after the dot.  A library field's default is read from that field.
 _KEYS: dict[str, tuple[str, bool, Callable[[str], object]]] = {
     "model.fu": ("1.12", False, _float),
     "model.du": ("0.27", False, _float),
@@ -104,20 +104,20 @@ _KEYS: dict[str, tuple[str, bool, Callable[[str], object]]] = {
     "model.sf": ("0.1", False, _float),
     "model.sh": ("0.8", False, _float),
     "model.sigma": ("1", False, _float),
-    "model.mu": ("0", False, _float),
-    "model.variant": ("perfect", False, _choice(Variant)),
+    "model.mu": (f"{WolbachiaParams.mu:g}", False, _float),
+    "model.variant": (ScaledModel.variant.value, False, _choice(Variant)),
     "model.epsilon": ("0.1", True, _float),
     "grid.xmin": ("-15", False, _float),
     "grid.xmax": ("15", False, _float),
     "grid.dx": ("0.05", False, _float),
     "time.dt": ("0.005", False, _float),
     "time.t_end": ("25", True, _float),
-    "time.output_every": ("200", True, _int),
-    "diffusion.a": ("0.1", False, _diffusivity),
-    "diffusion.bc": ("neumann", True, _choice(BoundaryCondition)),
-    "init.amplitude": ("0.4", True, _float),
-    "init.radius": ("1.6", True, _float),
-    "init.smoothing": ("0.5", True, _float),
+    "time.output_every": (f"{SolverConfig.output_every:g}", True, _int),
+    "diffusion.a": (f"{SolverConfig.diffusivity:g}", False, _diffusivity),
+    "diffusion.bc": (SolverConfig.bc.value, True, _choice(BoundaryCondition)),
+    "init.amplitude": (f"{InitialDataSpec.amplitude:g}", True, _float),
+    "init.radius": (f"{InitialDataSpec.radius:g}", True, _float),
+    "init.smoothing": (f"{InitialDataSpec.smoothing:g}", True, _float),
     "experiment.epsilons": ("0.3, 0.1, 0.05, 0.02", True, _floats),
     "experiment.speed_level": ("0.5", True, _float),
     "experiment.speed_window": ("75, 125", True, _window),
@@ -125,6 +125,7 @@ _KEYS: dict[str, tuple[str, bool, Callable[[str], object]]] = {
 # field of a FieldError -> the keys its rule reads, its own key first
 _KEYS_OF_FIELD = {key.split(".", 1)[1]: (key,) for key in _KEYS} | {
     "diffusivity": ("diffusion.a",),
+    "carrying_total": ("model.epsilon", "model.sigma"),
     "sf": ("model.sf", "model.sh"),
     "mu": ("model.mu", "model.variant"),
     "xmax": ("grid.xmax", "grid.xmin"),

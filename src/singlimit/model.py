@@ -138,6 +138,11 @@ class ScaledModel:
     def __post_init__(self):
         require(math.isfinite(self.epsilon) and self.epsilon > 0, "epsilon",
                 "epsilon must be positive and finite")
+        scale = self.params.sigma * self.epsilon  # scale > 0 guards 1/scale
+        require(scale > 0 and math.isfinite(1.0 / self.epsilon)
+                and math.isfinite(1.0 / scale), "carrying_total",
+                f"sigma = {self.params.sigma:g} and eps = {self.epsilon:g} leave 1/eps or "
+                "1/(sigma*eps) without a finite value")
         require(self.variant is Variant.IMPERFECT or self.params.mu == 0.0, "mu",
                 f"variant {self.variant.value!r} forces mu = 0")
 

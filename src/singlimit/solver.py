@@ -215,7 +215,8 @@ class SolverConfig:
 
     diffusivity is a constant or a sequence of per-node values (a config's
     tabulated profile arrives as a tuple of floats); it must stay strictly
-    positive.
+    positive.  The implicit matrix's dt/dx^2 must be finite and positive, and
+    so must each face coefficient, also doubled as on the diagonal.
     """
 
     grid: Grid1D
@@ -236,8 +237,17 @@ class SolverConfig:
                 "t_end must be an integer number of steps")
         require(float(self.output_every).is_integer() and self.output_every >= 1,
                 "output_every", "output_every must be a positive integer")
-        require(self.diffusivity_values.min() > 0.0, "diffusivity",
-                "diffusivity must be strictly positive everywhere")
+        a = self.diffusivity_values
+        require(a.min() > 0.0, "diffusivity", "diffusivity must be strictly positive everywhere")
+        # assemble_diffusion's ratio and face coefficients, in floats that
+        # overflow or underflow quietly instead of raising; a diagonal entry
+        # adds two faces
+        with np.errstate(all="ignore"):
+            r = np.float64(self.dt) / np.float64(self.grid.dx) ** 2
+            face = 0.5 * (a[:-1] + a[1:]) * r
+            require(0.0 < r < math.inf, "dx", f"dt/dx^2 = {r:g} must be finite and positive")
+            require(np.all((0.0 < face) & (2.0 * face < math.inf)), "diffusivity",
+                    "diffusivity gives face coefficients dt*a/dx^2 that are zero or overflow")
 
     @cached_property
     def diffusivity_values(self) -> np.ndarray:

@@ -223,6 +223,28 @@ def test_equilibria_serves_the_alternative_variant(tmp_path, capsys):
      "window contains fewer than two usable snapshots"),
     (["converge"], "time.t_end = 1\nexperiment.speed_window = 0, 1\n",
      "limit equation: snapshot 0 (t=0) has no 0.5-level crossing"),
+    (["converge"], "model.sigma = 1e-200\nexperiment.epsilons = 1e-200\n",
+     "sigma = 1e-200 and eps = 1e-200 leave 1/eps or 1/(sigma*eps) without a finite value"),
+    # a grid, step or diffusivity that the implicit matrix cannot hold, and a
+    # carrying total 1/(sigma*eps) that cannot be formed, fail on a key the
+    # text sets, with no traceback or warning (warnings are errors here)
+    (["converge"], "grid.xmin = -1e-200\ngrid.xmax = 1e-200\ngrid.dx = 1e-201\n"
+     "init.radius = 1e-202\ninit.smoothing = 0\n",
+     "line 3: grid.dx: dt/dx^2 = inf must be finite and positive"),
+    (["converge"], "grid.xmin = -1e300\ngrid.xmax = 1e300\ngrid.dx = 1e299\n",
+     "line 3: grid.dx: dt/dx^2 = 0 must be finite and positive"),
+    (["converge"], "diffusion.a = 1e308\n",
+     "line 1: diffusion.a: diffusivity gives face coefficients dt*a/dx^2 that are zero "
+     "or overflow"),
+    (["check"], "model.sigma = 1e-200\nmodel.epsilon = 1e-200\n",
+     "line 2: model.epsilon: sigma = 1e-200 and eps = 1e-200 leave 1/eps or "
+     "1/(sigma*eps) without a finite value"),
+    (["equilibria"], "model.epsilon = 1e-310\n",
+     "line 1: model.epsilon: sigma = 1 and eps = 1e-310 leave 1/eps or "
+     "1/(sigma*eps) without a finite value"),
+    (["equilibria"], "model.sigma = 1e-320\n",
+     "line 1: model.sigma: sigma = 9.99989e-321 and eps = 0.1 leave 1/eps or "
+     "1/(sigma*eps) without a finite value"),
 ])
 def test_rejected_run_is_validation_error(tmp_path, capsys, command, text, message):
     cfg = tmp_path / "run.cfg"

@@ -59,6 +59,19 @@ def test_scaled_model_validation(fig1_params):
     assert not perfect(fig1_params).clipped
 
 
+@pytest.mark.parametrize("sigma, eps", [
+    (1e-200, 1e-200),  # sigma*eps underflows to 0
+    (1.0, 1e-310),  # 1/eps overflows
+    (1e-320, 0.1),  # 1/(sigma*eps) overflows
+    (10.0, 1e-309),  # 1/eps overflows, 1/(sigma*eps) does not
+])
+def test_scaled_model_rejects_a_carrying_total_it_cannot_form(sigma, eps):
+    params = sl.WolbachiaParams(fu=1.12, du=0.27, delta=10 / 9, sf=0.1, sh=0.8, sigma=sigma)
+    with pytest.raises(sl.FieldError) as info:
+        sl.ScaledModel(params, eps)
+    assert info.value.field == "carrying_total"
+
+
 # ---------------------------------------------------------------------------
 # reaction rates
 

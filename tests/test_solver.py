@@ -109,6 +109,19 @@ def test_solver_config_validation():
             sl.SolverConfig(grid, dt=0.1, t_end=1.0, output_every=cadence)
 
 
+@pytest.mark.parametrize("half_width, dx, diffusivity, field", [
+    (1e-200, 1e-201, 0.1, "dx"),  # dx^2 underflows to 0
+    (1e300, 1e299, 0.1, "dx"),  # dx^2 overflows
+    (15.0, 0.05, 1e308, "diffusivity"),  # the sum of two nodes overflows
+    (15.0, 0.05, 6e307, "diffusivity"),  # a diagonal entry, two faces, overflows
+])
+def test_solver_config_rejects_a_matrix_it_cannot_assemble(half_width, dx, diffusivity, field):
+    grid = sl.Grid1D.from_spacing(-half_width, half_width, dx)
+    with pytest.raises(sl.FieldError) as info:
+        sl.SolverConfig(grid, dt=0.005, t_end=1.0, diffusivity=diffusivity)
+    assert info.value.field == field
+
+
 # ---------------------------------------------------------------------------
 # assembly
 
