@@ -126,6 +126,7 @@ _KEYS: dict[str, tuple[str, bool, Callable[[str], object]]] = {
 _KEYS_OF_FIELD = {key.split(".", 1)[1]: (key,) for key in _KEYS} | {
     "diffusivity": ("diffusion.a",),
     "carrying_total": ("model.epsilon", "model.sigma"),
+    "rates": ("model.fu", "model.epsilon", "model.sigma", "model.du"),
     "sf": ("model.sf", "model.sh"),
     "mu": ("model.mu", "model.variant"),
     "xmax": ("grid.xmax", "grid.xmin"),

@@ -96,6 +96,7 @@ class InitialDataSpec:
         require(self.radius + self.smoothing < min(-grid.xmin, grid.xmax), "radius",
                 "bump support must sit strictly inside the domain")
 
+    @np.errstate(over="ignore")  # a subnormal smoothing's ramp overflows to -inf, clipped to 0
     def profile(self, x: np.ndarray) -> np.ndarray:
         r = np.abs(x)
         if self.smoothing == 0.0:

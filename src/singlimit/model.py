@@ -143,6 +143,14 @@ class ScaledModel:
                 and math.isfinite(1.0 / scale), "carrying_total",
                 f"sigma = {self.params.sigma:g} and eps = {self.epsilon:g} leave 1/eps or "
                 "1/(sigma*eps) without a finite value")
+        # the kinetics form fu*n for densities up to the carrying total, and
+        # the slow manifold scales as du/(sigma*fu)
+        prm = self.params
+        sigma_fu = prm.sigma * prm.fu  # sigma_fu > 0 guards du/sigma_fu
+        require(math.isfinite(prm.fu * self.carrying_total) and sigma_fu > 0
+                and math.isfinite(prm.du / sigma_fu), "rates",
+                f"fu = {prm.fu:g}, du = {prm.du:g}, sigma = {prm.sigma:g} and eps = "
+                f"{self.epsilon:g} leave fu*carrying_total or du/(sigma*fu) without a finite value")
         require(self.variant is Variant.IMPERFECT or self.params.mu == 0.0, "mu",
                 f"variant {self.variant.value!r} forces mu = 0")
 

@@ -216,7 +216,9 @@ class SolverConfig:
     diffusivity is a constant or a sequence of per-node values (a config's
     tabulated profile arrives as a tuple of floats); it must stay strictly
     positive.  The implicit matrix's dt/dx^2 must be finite and positive, and
-    so must each face coefficient, also doubled as on the diagonal.
+    so must each face coefficient, also doubled as on the diagonal.  A face
+    must also stay below 1/ulp(1) = 2^52: from there on the diagonal 1 + 2*face
+    rounds its identity part away, leaving the Laplacian (singular under Neumann).
     """
 
     grid: Grid1D
@@ -248,6 +250,9 @@ class SolverConfig:
             require(0.0 < r < math.inf, "dx", f"dt/dx^2 = {r:g} must be finite and positive")
             require(np.all((0.0 < face) & (2.0 * face < math.inf)), "diffusivity",
                     "diffusivity gives face coefficients dt*a/dx^2 that are zero or overflow")
+        require(face.max() < 2.0 ** 52, "diffusivity",
+                f"diffusivity gives a face coefficient dt*a/dx^2 = {face.max():.3g}, not below "
+                "1/ulp(1) = 2^52, where I - dt*L rounds its identity part away")
 
     @cached_property
     def diffusivity_values(self) -> np.ndarray:
@@ -372,33 +377,35 @@ def _settle_frequency(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _integrate(config: SolverConfig, values: np.ndarray,
-               explicit_step: Callable[[np.ndarray], np.ndarray],
-               settle: Callable[[np.ndarray], np.ndarray]):
-    """The time loop shared by every run: yields (step, values) at step 0,
-    every output_every steps and the final step.
-
-    values holds one column per field, (nx,) or (nx, k); explicit_step maps
-    them to the right-hand side u + dt*reaction(u) as a fresh array, which
-    the solve overwrites with the new values.  The matrix is factored once
-    and all columns share the one solve per step.  A ValueError from
-    explicit_step or settle (a rejected state) becomes a SolverError
-    carrying its step, and the rung label of a _RungError.
-    """
+def _diffusion(config: SolverConfig) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The diffusion half of every step, factored once per run: diffuse(rhs,
+    values) pins the Dirichlet ends of rhs to the pre-step values, then solves
+    in place with solve_banded, looked up at call time as a traced layer."""
     factors = _factor(config)
+    if config.bc is BoundaryCondition.NEUMANN:
+        return lambda rhs, values: solve_banded(factors, rhs)
+
+    def pinned(rhs, values):
+        rhs[[0, -1]] = values[[0, -1]]
+        return solve_banded(factors, rhs)
+    return pinned
+
+
+def _integrate(config: SolverConfig, values: np.ndarray,
+               step: Callable[[np.ndarray], np.ndarray]):
+    """The clock of every run: yields (n, values) at n = 0, every output_every
+    steps and the last, with step mapping one step's values to the next's.  A
+    ValueError from step (a rejected state) becomes a SolverError carrying n,
+    and the rung label of a _RungError."""
     last = config.n_steps
-    pin = config.bc is BoundaryCondition.DIRICHLET
     yield 0, values
-    for step in range(1, last + 1):
+    for n in range(1, last + 1):
         try:
-            rhs = explicit_step(values)
-            if pin:
-                rhs[[0, -1]] = values[[0, -1]]
-            values = settle(solve_banded(factors, rhs))
+            values = step(values)
         except ValueError as exc:
-            raise SolverError(str(exc), step, getattr(exc, "rung", None)) from exc
-        if step % config.output_every == 0 or step == last:
-            yield step, values
+            raise SolverError(str(exc), n, getattr(exc, "rung", None)) from exc
+        if n % config.output_every == 0 or n == last:
+            yield n, values
 
 
 def check_reaction_step(model: ScaledModel, dt: float) -> None:
@@ -455,23 +462,22 @@ def run_system(models: Sequence[ScaledModel], states: Sequence[PopulationState],
         raise ValueError("rungs must share one parameter set and variant")
     for model in models:
         check_reaction_step(model, config.dt)
-    grid, dt, k = config.grid, config.dt, len(models)
+    grid, dt, k, diffuse = config.grid, config.dt, len(models), _diffusion(config)
     rungs = [f"eps={model.epsilon:g}" for model in models]
     eps_row = np.array([model.epsilon for model in models])
 
-    def explicit_step(values):
+    def step(values):  # react, diffuse, settle
         rate_i, rate_u = reaction_rates(first, values[:, :k], values[:, k:], eps_row)
         rhs = np.empty_like(values)
         np.multiply(dt, rate_i, out=rhs[:, :k])
         np.multiply(dt, rate_u, out=rhs[:, k:])
         rhs += values
-        return rhs
+        return _settle_density(diffuse(rhs, values), rungs)
 
     block = np.array([s.ni.values for s in states] + [s.nu.values for s in states]).T
-    for step, v in _integrate(config, block, explicit_step,
-                              lambda values: _settle_density(values, rungs)):
+    for n, v in _integrate(config, block, step):
         on_frame([PopulationState(Field(v[:, j], grid), Field(v[:, k + j], grid),
-                                  t0 + step * dt) for j in range(k)])
+                                  t0 + n * dt) for j in range(k)])
 
 
 def run_scalar(reaction: Callable[[np.ndarray], np.ndarray], p0: Field,
@@ -486,11 +492,10 @@ def run_scalar(reaction: Callable[[np.ndarray], np.ndarray], p0: Field,
     """
     if p0.grid != config.grid:
         raise ValueError("initial field lives on a different grid")
-    dt = config.dt
-    for step, v in _integrate(config, _settle_frequency(p0.values),
-                              lambda values: values + dt * reaction(values),
-                              _settle_frequency):
-        on_frame((step * dt, Field(v, config.grid)))
+    dt, diffuse = config.dt, _diffusion(config)
+    for n, v in _integrate(config, _settle_frequency(p0.values),  # react, diffuse, settle
+                           lambda u: _settle_frequency(diffuse(u + dt * reaction(u), u))):
+        on_frame((n * dt, Field(v, config.grid)))
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,21 @@ def test_equilibria_serves_the_alternative_variant(tmp_path, capsys):
     (["equilibria"], "model.sigma = 1e-320\n",
      "line 1: model.sigma: sigma = 9.99989e-321 and eps = 0.1 leave 1/eps or "
      "1/(sigma*eps) without a finite value"),
+    (["converge"], "diffusion.a = 4e307\n",
+     "line 1: diffusion.a: diffusivity gives a face coefficient dt*a/dx^2 = 8e+307, not "
+     "below 1/ulp(1) = 2^52, where I - dt*L rounds its identity part away"),
+    (["converge"], "diffusion.a = 1e300\n",
+     "line 1: diffusion.a: diffusivity gives a face coefficient dt*a/dx^2 = 2e+300, not "
+     "below 1/ulp(1) = 2^52, where I - dt*L rounds its identity part away"),
+    (["equilibria"], "model.fu = 1.7e308\n",
+     "line 1: model.fu: fu = 1.7e+308, du = 0.27, sigma = 1 and eps = 0.1 leave "
+     "fu*carrying_total or du/(sigma*fu) without a finite value"),
+    (["equilibria"], "model.fu = 1e-320\n",
+     "line 1: model.fu: fu = 9.99989e-321, du = 0.27, sigma = 1 and eps = 0.1 leave "
+     "fu*carrying_total or du/(sigma*fu) without a finite value"),
+    # a subnormal smoothing's ramp overflows, without a warning, to a plateau
+    (["wavespeed"], "init.smoothing = 1e-320\ntime.t_end = 1\n"
+     "experiment.speed_window = 0.5, 1\n", "snapshot 1 (t=1) has no 0.5-level crossing"),
 ])
 def test_rejected_run_is_validation_error(tmp_path, capsys, command, text, message):
     cfg = tmp_path / "run.cfg"

@@ -114,6 +114,10 @@ def test_solver_config_validation():
     (1e300, 1e299, 0.1, "dx"),  # dx^2 overflows
     (15.0, 0.05, 1e308, "diffusivity"),  # the sum of two nodes overflows
     (15.0, 0.05, 6e307, "diffusivity"),  # a diagonal entry, two faces, overflows
+    # finite faces from 2^52 up round the identity part of the diagonal away
+    (15.0, 0.05, 4e307, "diffusivity"),
+    (15.0, 0.05, 1e300, "diffusivity"),
+    (15.0, 0.05, 1e16, "diffusivity"),
 ])
 def test_solver_config_rejects_a_matrix_it_cannot_assemble(half_width, dx, diffusivity, field):
     grid = sl.Grid1D.from_spacing(-half_width, half_width, dx)
