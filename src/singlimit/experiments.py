@@ -179,10 +179,13 @@ class FrontTrack:
     between adjacent nodes as the frame settles.  add raises when a frame in
     the window has no crossing or one within 2*dx of a boundary, naming the
     frame by its index among all frames added.  The constructor owns the
-    rule on the level: FieldError("speed_level", ...) unless it lies in (0, 1)."""
+    rules FieldError("speed_level", ...) unless 0 < level < 1, then
+    FieldError("speed_window", ...) unless 0 <= window[0] < window[1]."""
 
     def __init__(self, window: tuple[float, float], level: float):
         require(0.0 < level < 1.0, "speed_level", "speed_level must lie in (0, 1)")
+        require(0.0 <= window[0] < window[1], "speed_window",
+                "speed_window must be an increasing pair of times")
         self.window, self.level = window, level
         self.points: list[tuple[float, float]] = []  # (t, crossing position)
         self._frames = 0

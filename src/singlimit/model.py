@@ -527,6 +527,13 @@ def equilibria(model: ScaledModel) -> list[Equilibrium]:
 
 
 MARGINAL_EIGENVALUE = 1e-8
+# An eigenvalue of the 2x2 Jacobian carries a rounding error of order
+# ulp(1)*max|lambda|, so a slow one is read only when |Re lambda| stays this
+# many times above that.  At the coexistence saddle (eps = 0.1) the ratio is
+# 28.8 at fu = 1e12 (lambda 0.0527 against 0.0523), 2.99 at 1e13 (0.0547),
+# 0.68 at 1e14 (0.125) and 0.55 at 1e15, where the sign is wrong; it is 229 or
+# more at every state down to eps = 1e-12.  16 keeps 1e12, rejects 1e13.
+RESOLVED_EIGENVALUE_ULPS = 16
 
 
 def classify_stability(model: ScaledModel, point) -> StabilityResult:
@@ -541,7 +548,9 @@ def classify_stability(model: ScaledModel, point) -> StabilityResult:
     have real part below -1e-8; those inside the +-1e-8 band are unstable
     with the marginal flag set.  Points whose rates exceed 1e-8 times the
     terms they cancel, fu n (1/eps + sigma n), eps times that in the
-    alternative variant, are rejected.
+    alternative variant, are rejected, and so are points whose smallest
+    |Re lambda| is below RESOLVED_EIGENVALUE_ULPS*ulp(1)*max|lambda|, where
+    rounding decides its sign.
     """
     ni, nu = float(point[0]), float(point[1])
     n, eps, prm = ni + nu, model.epsilon, model.params
@@ -563,6 +572,11 @@ def classify_stability(model: ScaledModel, point) -> StabilityResult:
                      prm.fu * (dbirths_u * logistic + births_u * slope) - prm.du]])
     eigs = np.linalg.eigvals(jac)
     real = np.real(eigs)
+    floor = RESOLVED_EIGENVALUE_ULPS * np.spacing(1.0) * np.max(np.abs(eigs))
+    if np.min(np.abs(real)) < floor:
+        raise ValueError(f"({ni:g}, {nu:g}): an eigenvalue's real part lies below "
+                         f"{RESOLVED_EIGENVALUE_ULPS} ulp(1)*max|eigenvalue| = {floor:.3g}, "
+                         "where rounding decides its sign")
     marginal = bool(np.any(np.abs(real) < MARGINAL_EIGENVALUE))
     stable = bool(np.all(real < -MARGINAL_EIGENVALUE))
     label = Stability.STABLE if stable else Stability.UNSTABLE

@@ -213,18 +213,18 @@ class BoundaryCondition(Enum):
 class SolverConfig:
     """Grid, time step, diffusivity profile, output cadence and boundary.
 
-    diffusivity is a constant or a sequence of per-node values (a config's
-    tabulated profile arrives as a tuple of floats); it must stay strictly
-    positive.  The implicit matrix's dt/dx^2 must be finite and positive, and
-    so must each face coefficient, also doubled as on the diagonal.  A face
-    must also stay below 1/ulp(1) = 2^52: from there on the diagonal 1 + 2*face
-    rounds its identity part away, leaving the Laplacian (singular under Neumann).
+    diffusivity is a constant or (x, value) knots with x increasing, linear
+    between knots and constant beyond the ends; at the nodes it must stay
+    strictly positive.  The implicit matrix's dt/dx^2 must be finite and
+    positive, and so must each face coefficient, also doubled as on the
+    diagonal.  A face must also stay below 1/ulp(1) = 2^52: from there on the
+    diagonal 1 + 2*face rounds its identity part away (singular Laplacian).
     """
 
     grid: Grid1D
     dt: float
     t_end: float
-    diffusivity: float | Sequence[float] = 0.1
+    diffusivity: float | tuple[tuple[float, float], ...] = 0.1
     output_every: int = 200
     bc: BoundaryCondition = BoundaryCondition.NEUMANN
 
@@ -256,14 +256,11 @@ class SolverConfig:
 
     @cached_property
     def diffusivity_values(self) -> np.ndarray:
-        if np.ndim(self.diffusivity) == 0:
-            a = np.full(self.grid.nx, float(self.diffusivity))
-        else:
-            a = np.asarray(self.diffusivity, dtype=float)
-        require(a.shape == (self.grid.nx,), "diffusivity",
-                "diffusivity profile does not match the grid")
-        require(np.all(np.isfinite(a)), "diffusivity", "diffusivity contains non-finite values")
-        return a
+        knots = np.asarray(self.diffusivity, dtype=float)
+        if knots.ndim == 0:
+            return np.full(self.grid.nx, float(knots))
+        require(np.all(np.diff(knots[:, 0]) > 0.0), "diffusivity", "profile x must increase")
+        return np.interp(self.grid.x, knots[:, 0], knots[:, 1])
 
     @property
     def n_steps(self) -> int:

@@ -203,7 +203,7 @@ def test_criterion_4_solver_verification():
     for k in range(100):
         dt = rng.uniform(1e-3, 0.1)
         config = sl.SolverConfig(grid, dt=dt, t_end=dt, bc=bcs[k % 2],
-                                 diffusivity=rng.uniform(0.05, 2.0, grid.nx))
+                                 diffusivity=tuple(zip(grid.x, rng.uniform(0.05, 2.0, grid.nx))))
         lower, diag, upper = sl.assemble_diffusion(config)
         rhs = rng.uniform(-1, 1, grid.nx)
         want = np.linalg.solve(np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1), rhs)

@@ -260,6 +260,13 @@ def test_equilibria_serves_the_alternative_variant(tmp_path, capsys):
     # a subnormal smoothing's ramp overflows, without a warning, to a plateau
     (["wavespeed"], "init.smoothing = 1e-320\ntime.t_end = 1\n"
      "experiment.speed_window = 0.5, 1\n", "snapshot 1 (t=1) has no 0.5-level crossing"),
+    # from fu = 1e13 on the extinction state's slow eigenvalue is lost to
+    # rounding next to its fast one, about -10*fu
+    *[(["equilibria"], f"model.fu = {fu}\n",
+       f"(0, 10): an eigenvalue's real part lies below 16 ulp(1)*max|eigenvalue| = {floor}, "
+       "where rounding decides its sign")
+      for fu, floor in (("1e14", "3.55"), ("1e15", "35.5"), ("1e16", "355"),
+                        ("1e307", "3.55e+293"))],
 ])
 def test_rejected_run_is_validation_error(tmp_path, capsys, command, text, message):
     cfg = tmp_path / "run.cfg"

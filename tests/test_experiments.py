@@ -153,17 +153,17 @@ def test_track_front_drops_pairs_at_the_level(grid601):
     # from its last node
     values = np.zeros(grid601.nx)
     values[:280], values[280:321] = 1.0, 0.5
-    track = front_track([(0.0, sl.Field(values, grid601))], (0.0, 0.0), 0.5)
+    track = front_track([(0.0, sl.Field(values, grid601))], (0.0, 1.0), 0.5)
     _, positions = np.array(track.points).T
     assert positions.tolist() == [grid601.x[320]] == [1.0]
     flat = [(0.0, sl.Field.constant(0.5, grid601))]
     with pytest.raises(ValueError, match="has no 0.5-level crossing"):
-        front_track(flat, (0.0, 0.0), 0.5)
+        front_track(flat, (0.0, 1.0), 0.5)
     # a tiny level: the products of the two differences would underflow to 0
     # on the flat stretch at 2e-200 right of the crossing
     values = np.zeros(grid601.nx)
     values[:300], values[340:] = 1.0, 2e-200
-    track = front_track([(0.0, sl.Field(values, grid601))], (0.0, 0.0), 1e-200)
+    track = front_track([(0.0, sl.Field(values, grid601))], (0.0, 1.0), 1e-200)
     _, positions = np.array(track.points).T
     assert positions == pytest.approx([grid601.x[339] + 0.5 * grid601.dx], abs=1e-12)
 
@@ -174,6 +174,9 @@ def test_track_front_positions(grid601):
     assert np.allclose(positions, 0.5 * times, atol=1e-6)
     with pytest.raises(ValueError, match=r"speed_level must lie in \(0, 1\)"):
         front_track(series, (0.0, 10.0), 1.0)
+    with pytest.raises(sl.FieldError, match="speed_window must be an increasing pair") as info:
+        sl.FrontTrack((10.0, 5.0), 0.5)
+    assert info.value.field == "speed_window"
 
 
 # ---------------------------------------------------------------------------

@@ -538,6 +538,27 @@ def test_slow_eigenvalues_hold_at_small_eps(fig1_params, variant, mu, eps):
     assert got == pytest.approx(reference, rel=1e-3)
 
 
+@pytest.mark.parametrize("fu", [1e12, 1e14, 1e15, 1e16, 1e307])
+def test_classify_stability_rejects_a_slow_eigenvalue_lost_to_rounding(fig1_params, fu):
+    # the coexistence saddle's slow eigenvalue, +0.0523 at fu = 1.12, sits next
+    # to a fast one of about -8.3*fu; at 1e12 it still reads +0.0527, at 1e15
+    # it came out negative and the saddle was labelled stable
+    prm = dataclasses.replace(fig1_params, fu=fu)
+    model = perfect(prm)
+    theta = sl.invasion_threshold(model)
+    n = model.carrying_total - prm.delta * prm.du / (prm.sigma * fu * (1.0 - prm.sf))
+    saddle = (theta * n, (1.0 - theta) * n)
+    if fu < 1e13:
+        assert [e.stability for e in sl.equilibria(model)] == \
+            [sl.Stability.STABLE, sl.Stability.STABLE, sl.Stability.UNSTABLE, sl.Stability.UNSTABLE]
+        slow = max(e.real for e in sl.classify_stability(model, saddle).eigenvalues)
+        assert slow == pytest.approx(0.0523, rel=0.02)
+    else:
+        for fn in (lambda: sl.equilibria(model), lambda: sl.classify_stability(model, saddle)):
+            with pytest.raises(ValueError, match="where rounding decides its sign$"):
+                fn()
+
+
 def test_classify_stability_rejects_non_equilibrium(fig1_params):
     with pytest.raises(ValueError):
         sl.classify_stability(perfect(fig1_params), (1.0, 1.0))

@@ -126,6 +126,22 @@ def test_solver_config_rejects_a_matrix_it_cannot_assemble(half_width, dx, diffu
     assert info.value.field == field
 
 
+def test_diffusivity_knots():
+    grid = small_grid(nx=11, span=1.0)
+    for knots in (((0.5, 0.1), (0.2, 0.2)), ((0.5, 0.1), (0.5, 0.2)), ((math.nan, 0.1),) * 2):
+        with pytest.raises(sl.FieldError, match="^profile x must increase$") as info:
+            sl.SolverConfig(grid, dt=0.01, t_end=1.0, diffusivity=knots)
+        assert info.value.field == "diffusivity"
+    # linear between the knots, constant beyond the end ones
+    config = sl.SolverConfig(grid, dt=0.01, t_end=1.0, diffusivity=((0.2, 0.1), (0.6, 0.3)))
+    assert config.diffusivity_values == pytest.approx(
+        [0.1, 0.1, 0.1, 0.15, 0.2, 0.25, 0.3, 0.3, 0.3, 0.3, 0.3], abs=1e-15)
+    # knots at every node give the per-node profile, bit for bit
+    a = np.random.default_rng(5).uniform(0.05, 2.0, grid.nx)
+    config = sl.SolverConfig(grid, dt=0.01, t_end=1.0, diffusivity=tuple(zip(grid.x, a)))
+    assert np.array_equal(config.diffusivity_values, a)
+
+
 # ---------------------------------------------------------------------------
 # assembly
 
@@ -160,7 +176,7 @@ def test_assemble_dirichlet_boundary_rows():
     # couplings to the pinned values, which _factor folds into the rhs
     grid = small_grid(nx=11, span=1.0)
     a = 0.2 + 0.1 * grid.x
-    config = sl.SolverConfig(grid, dt=0.01, t_end=1.0, diffusivity=a,
+    config = sl.SolverConfig(grid, dt=0.01, t_end=1.0, diffusivity=tuple(zip(grid.x, a)),
                              bc=sl.BoundaryCondition.DIRICHLET)
     lower, diag, upper = sl.assemble_diffusion(config)
     r = 0.01 / 0.1 ** 2
@@ -173,7 +189,7 @@ def test_assemble_dirichlet_boundary_rows():
 def test_constants_invariant_under_neumann_solve():
     grid = small_grid(nx=41, span=2.0)
     config = sl.SolverConfig(grid, dt=0.02, t_end=1.0,
-                             diffusivity=0.1 + 0.05 * np.cos(grid.x))
+                             diffusivity=tuple(zip(grid.x, 0.1 + 0.05 * np.cos(grid.x))))
     c = 3.7
     out = lapack_solve(_factor(config), np.full(grid.nx, c))
     assert np.max(np.abs(out - c)) < 1e-13
@@ -187,7 +203,7 @@ def test_identity_solve():
     # Dirichlet rows 0 and nx-1 are identity rows: the solve hands their
     # rhs back bit for bit, whatever the interior holds
     grid = small_grid(nx=21, span=1.0)
-    config = sl.SolverConfig(grid, dt=0.01, t_end=1.0, diffusivity=0.3 + grid.x,
+    config = sl.SolverConfig(grid, dt=0.01, t_end=1.0, diffusivity=tuple(zip(grid.x, 0.3 + grid.x)),
                              bc=sl.BoundaryCondition.DIRICHLET)
     rhs = np.random.default_rng(3).uniform(-1, 1, (grid.nx, 2))
     got = lapack_solve(_factor(config), rhs.copy())
@@ -215,7 +231,7 @@ def test_random_dominant_against_dense_lu():
     for k in range(20):
         dt = rng.uniform(1e-3, 0.1)
         config = sl.SolverConfig(grid, dt=dt, t_end=dt, bc=bcs[k % 2],
-                                 diffusivity=rng.uniform(0.05, 2.0, grid.nx))
+                                 diffusivity=tuple(zip(grid.x, rng.uniform(0.05, 2.0, grid.nx))))
         lower, diag, upper = sl.assemble_diffusion(config)
         off = np.zeros(grid.nx)
         off[:-1] += np.abs(upper)
@@ -242,7 +258,7 @@ def test_prefactored_solve_equals_scipy_banded(grid601, bc, columns):
     # Dirichlet rows' couplings folded into its rhs; the general banded solve
     # of the assembled matrix agrees to round-off
     config = sl.SolverConfig(grid601, dt=0.005, t_end=1.0, bc=bc,
-                             diffusivity=0.1 + 0.05 * np.cos(grid601.x))
+                             diffusivity=tuple(zip(grid601.x, 0.1 + 0.05 * np.cos(grid601.x))))
     rng = np.random.default_rng(columns)
     rhs = rng.uniform(0.0, 10.0, (grid601.nx, columns))
     if columns == 1:
@@ -728,7 +744,8 @@ def test_variable_diffusivity_stencil_is_second_order():
         x = grid.x
         exact = (np.arctan((np.tan(x / 2) + b) / s) - math.atan(b / s)) / math.pi \
             + np.where(x > math.pi, 1.0, 0.0)
-        config = sl.SolverConfig(grid, dt=1e6, t_end=1e6, diffusivity=tuple(1 + b * np.sin(x)),
+        config = sl.SolverConfig(grid, dt=1e6, t_end=1e6,
+                                 diffusivity=tuple(zip(x, 1 + b * np.sin(x))),
                                  output_every=1, bc=sl.BoundaryCondition.DIRICHLET)
         frames = []
         sl.run_scalar(lambda v: np.zeros_like(v), sl.Field(x / (2 * math.pi), grid), config,

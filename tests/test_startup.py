@@ -44,7 +44,7 @@ def test_loaded_routines_are_scipy_linalg_bits(grid601, bc, monkeypatch):
     # the same assembly factored and solved by the loaded routines and by
     # scipy.linalg.lapack's: every factor and solution bit agrees
     config = sl.SolverConfig(grid601, dt=0.005, t_end=1.0, bc=bc,
-                             diffusivity=0.1 + 0.05 * np.cos(grid601.x))
+                             diffusivity=tuple(zip(grid601.x, 0.1 + 0.05 * np.cos(grid601.x))))
     block = np.random.default_rng(8).uniform(0.0, 10.0, (grid601.nx, 8))
 
     def factor_and_solve():
