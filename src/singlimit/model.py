@@ -338,14 +338,19 @@ def _quadratic_coeffs(model: ScaledModel) -> tuple[float, float]:
 
 
 def _denominator(model: ScaledModel, p):
+    """Q(p) in Horner form (a p - b) p + 1, built in place on one temporary."""
     a, b = _quadratic_coeffs(model)
-    return a * p * p - b * p + 1.0
+    q = p * a
+    q -= b
+    q *= p
+    q += 1.0
+    return q
 
 
 def _frequency_range(p: np.ndarray) -> tuple[float, float]:
-    """(min, max) of the float array p; rejects NaN and excursions outside
-    [0, 1] beyond FREQUENCY_TOL."""
-    low, high = p.min(), p.max()
+    """(min, max) of the float array p, by ufunc reductions that propagate
+    NaN; rejects NaN and excursions outside [0, 1] beyond FREQUENCY_TOL."""
+    low, high = np.minimum.reduce(p, axis=None), np.maximum.reduce(p, axis=None)
     if not (low >= -FREQUENCY_TOL and high <= 1.0 + FREQUENCY_TOL):
         raise ValueError(f"frequency left [0, 1] by more than round-off: [{low:.6e}, {high:.6e}]")
     return low, high
@@ -434,13 +439,21 @@ def limit_reaction(model: ScaledModel, p):
     prm = model.params
     den = _denominator(model, p)
     if prm.mu == 0.0:
+        # (1-p) p / Q first, so that Q's buffer can take p - theta (a float p
+        # leaves scalars, which have no buffer)
+        value = 1.0 - p
+        value *= p
+        value /= den
         theta = _theta_formula(model)
-        value = prm.delta * prm.du * prm.sh * p * (1.0 - p) * (p - theta) / den
+        value *= np.subtract(p, theta, out=den) if p.ndim else p - theta
+        value *= prm.delta * prm.du * prm.sh
     else:
-        value = prm.du * p * (
-            (1.0 - prm.mu) * (1.0 - prm.sf) * ((prm.delta - 1.0) * p + 1.0) / den
-            - prm.delta
-        )
+        births = prm.du * (1.0 - prm.mu) * (1.0 - prm.sf)
+        value = p * (births * (prm.delta - 1.0))
+        value += births
+        value /= den
+        value -= prm.du * prm.delta
+        value *= p
     return float(value) if value.ndim == 0 else value
 
 

@@ -490,8 +490,14 @@ def run_scalar(reaction: Callable[[np.ndarray], np.ndarray], p0: Field,
     if p0.grid != config.grid:
         raise ValueError("initial field lives on a different grid")
     dt, diffuse = config.dt, _diffusion(config)
-    for n, v in _integrate(config, _settle_frequency(p0.values),  # react, diffuse, settle
-                           lambda u: _settle_frequency(diffuse(u + dt * reaction(u), u))):
+
+    def step(values):  # react, diffuse, settle
+        # one allocation; reaction's result, which may alias values, stays unwritten
+        rhs = reaction(values) * dt
+        rhs += values
+        return _settle_frequency(diffuse(rhs, values))
+
+    for n, v in _integrate(config, _settle_frequency(p0.values), step):
         on_frame((n * dt, Field(v, config.grid)))
 
 

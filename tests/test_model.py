@@ -290,9 +290,55 @@ def test_drift_slope_bound_sampled_oracle(leak):
 
 
 def test_limit_reaction_endpoints(fig1_params):
+    # float in, float out; the threshold the model reports is a rest state too
     model = perfect(fig1_params)
-    assert sl.limit_reaction(model, 0.0) == 0.0
-    assert sl.limit_reaction(model, 1.0) == 0.0
+    for p in (0.0, sl.invasion_threshold(model), 1.0):
+        value = sl.limit_reaction(model, p)
+        assert type(value) is float and value == 0.0
+
+
+def _reference_reduced(model, n, p):
+    # Q, the drift, the slow manifold and the limit reaction written as the
+    # plain expressions of the module docstring and limit_reaction's
+    prm, mu = model.params, model.params.mu
+    leak = mu * (1.0 - prm.sf)
+    q = (prm.sh + leak) * p * p - (prm.sf + prm.sh + leak) * p + 1.0
+    vacuum = prm.du * ((prm.delta - 1.0) * p + 1.0)
+    if mu == 0.0:
+        theta = (prm.sf + prm.delta - 1.0) / (prm.delta * prm.sh)
+        r = prm.delta * prm.du * prm.sh * (1.0 - p) * p * (p - theta) / q
+    else:
+        r = prm.du * p * ((1.0 - mu) * (1.0 - prm.sf) * ((prm.delta - 1.0) * p + 1.0) / q
+                          - prm.delta)
+    return -prm.sigma * prm.fu * n * q + vacuum, vacuum / (prm.sigma * prm.fu * q), r
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.05])
+def test_reduced_objects_match_closed_forms_and_keep_inputs(fig1_params, fig2_params, mu):
+    # 2001 nodes of [0, 1], the rest states and round-off excursions: within
+    # rtol 1e-14 of the plain expressions, exact zeros at the rest states the
+    # factors hold, inputs bit-unchanged.  The leaked-births form (mu > 0) and
+    # the drift subtract terms of size du*delta*p and sigma*fu*n, so near
+    # their roots only an absolute error of a few ulp of those terms is left
+    prm = dataclasses.replace(fig2_params, mu=mu) if mu else fig1_params
+    model = sl.ScaledModel(prm, 0.1, sl.Variant.IMPERFECT if mu else sl.Variant.PERFECT)
+    theta = sl.invasion_threshold(model)
+    p = np.concatenate([np.linspace(0.0, 1.0, 2001),
+                        [0.0, theta, 1.0, 5e-13, -5e-13, 1.0 - 5e-13, 1.0 + 5e-13]])
+    n = np.random.default_rng(11).uniform(-1.0, 3.0, p.size)
+    before = p.tobytes() + n.tobytes()
+    drift, h, r = _reference_reduced(model, n, p)
+
+    def close(got, want, terms=0.0):
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want) + 1e-15 * terms)
+
+    got = sl.limit_reaction(model, p)
+    close(got, r, prm.du * prm.delta * np.abs(p) if mu else 0.0)
+    close(sl.slow_manifold(model, p), h)
+    close(sl.reduced_drift(model, n, p), drift, prm.sigma * prm.fu * np.abs(n) + prm.du * prm.delta)
+    rest = [0.0] if mu else [0.0, theta, 1.0]
+    assert np.all(got[np.isin(p, rest)] == 0.0)
+    assert p.tobytes() + n.tobytes() == before
 
 
 def test_limit_reaction_midpoint(fig1_params):

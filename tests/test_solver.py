@@ -418,11 +418,12 @@ def test_run_system_rejects_malformed_rungs(fig1_params, grid601, monkeypatch, c
 
 def test_one_kinetics_call_one_solve_per_step(fig1_params, grid601, monkeypatch):
     # the whole stack costs one reaction_rates call and one solve per step,
-    # and the matrix is factored once per run, however many rungs it holds
-    counts = {"reaction_rates": 0, "solve_banded": 0, "dpttrf": 0}
+    # and the matrix is factored once per run, however many rungs it holds;
+    # a scalar step costs one limit_reaction call and one solve
+    counts = {"reaction_rates": 0, "limit_reaction": 0, "solve_banded": 0, "dpttrf": 0}
 
-    def counting(name):
-        real = getattr(sl.solver, name)
+    def counting(module, name):
+        real = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
@@ -430,16 +431,43 @@ def test_one_kinetics_call_one_solve_per_step(fig1_params, grid601, monkeypatch)
         return wrapper
 
     for name in counts:
-        monkeypatch.setattr(sl.solver, name, counting(name))
+        module = sl.model if name == "limit_reaction" else sl.solver
+        monkeypatch.setattr(module, name, counting(module, name))
     config = sl.SolverConfig(grid601, dt=0.005, t_end=0.1, diffusivity=0.1, output_every=7)
     models = [sl.ScaledModel(fig1_params, eps) for eps in (0.3, 0.1, 0.05)]
     states = [sl.make_initial_data(m, sl.InitialDataSpec(), grid601)[0] for m in models]
     sl.run_system(models, states, config, on_frame=lambda frame: None)
-    assert counts == {"reaction_rates": 20, "solve_banded": 20, "dpttrf": 1}
+    assert counts == {"reaction_rates": 20, "limit_reaction": 0, "solve_banded": 20, "dpttrf": 1}
     counts.update(dict.fromkeys(counts, 0))
-    sl.run_scalar(lambda v: sl.limit_reaction(models[0], v),
+    sl.run_scalar(lambda v: sl.model.limit_reaction(models[0], v),
                   sl.Field.constant(0.5, grid601), config, on_frame=lambda frame: None)
-    assert counts == {"reaction_rates": 0, "solve_banded": 20, "dpttrf": 1}
+    assert counts == {"reaction_rates": 0, "limit_reaction": 20, "solve_banded": 20, "dpttrf": 1}
+
+
+@pytest.mark.parametrize("bc", list(sl.BoundaryCondition))
+@pytest.mark.parametrize("reaction", [lambda v: v, lambda v: v[::-1]], ids=["itself", "view"])
+def test_scalar_step_leaves_the_reaction_result_unwritten(grid601, bc, reaction):
+    # a reaction may hand back its argument or a view of it, which at step 1
+    # is p0.values itself: every frame matches u + dt*r(u), pinned, solved
+    # and clipped, bit for bit, and p0 keeps its values
+    config = sl.SolverConfig(grid601, dt=0.005, t_end=0.05, diffusivity=0.1,
+                             output_every=1, bc=bc)
+    p0 = sl.Field(0.5 + 0.3 * np.tanh(grid601.x), grid601)
+    before = p0.values.copy()
+    frames = []
+    sl.run_scalar(reaction, p0, config, on_frame=frames.append)
+    factors, u = _factor(config), before.copy()
+    want = [u]
+    for _ in range(config.n_steps):
+        star = u + config.dt * reaction(u)
+        if bc is sl.BoundaryCondition.DIRICHLET:
+            star[[0, -1]] = u[[0, -1]]
+        u = np.clip(lapack_solve(factors, star), 0.0, 1.0)
+        want.append(u)
+    assert len(frames) == len(want) == 11
+    for (_, field), values in zip(frames, want):
+        assert np.array_equal(field.values, values)
+    assert np.array_equal(p0.values, before)
 
 
 def test_scalar_rest_states_exact(fig1_params, grid601):
