@@ -239,8 +239,8 @@ def run_convergence_sweep(params: WolbachiaParams, variant: Variant,
     tabulate errors per eps.
 
     The variant must be perfect or imperfect, and the eps ladder strictly
-    decreasing and admissible: below the cap where the slow manifold stays
-    under the carrying total, with a clean assumption audit.  Each frame's
+    decreasing and admissible: a clean assumption audit, and below the cap
+    where the slow manifold stays under the carrying total.  Each frame's
     K reduced rungs go to on_frame; the sweep keeps two norms per rung frame
     and, with speed = (window, level), its front crossing.  Returns (report, limit_series).
     """
@@ -248,16 +248,16 @@ def run_convergence_sweep(params: WolbachiaParams, variant: Variant,
     require_eps_ladder(epsilons)
     models = [ScaledModel(params, eps, variant) for eps in epsilons]
     require_reducible(models[0], "the convergence sweep")
-    # carrying_total = 1/(sigma*eps) > max h keeps the slow manifold below
-    # the carrying total; the ladder decreases and no audit verdict depends
-    # on eps, so the first rung admits them all
-    eps_cap = 1.0 / (params.sigma * slow_manifold_max(models[0]))
-    if epsilons[0] >= eps_cap:
-        raise ValueError(f"eps={epsilons[0]:g} is outside the admissible range (< {eps_cap:.4g})")
+    # no audit verdict depends on eps and the ladder decreases, so the first
+    # rung admits them all; the audit, which keeps min Q > 0, goes first
     report = check_assumptions(models[0])
     if not report.passed:
         failed = ", ".join(c.name for c in report.checks if not c.passed)
         raise ValueError(f"eps={epsilons[0]:g}: assumption audit failed ({failed})")
+    # the cap 1/(sigma*max h) keeps the slow manifold below the carrying total
+    eps_cap = 1.0 / (params.sigma * slow_manifold_max(models[0]))
+    if epsilons[0] >= eps_cap:
+        raise ValueError(f"eps={epsilons[0]:g} is outside the admissible range (< {eps_cap:.4g})")
     # 2*eps/fu shrinks with eps: the last rung admits the step before either run
     check_reaction_step(models[-1], config.dt)
 

@@ -14,9 +14,9 @@ solves with the factors (dpttrs), every field of the run as one column of a
 single Fortran-ordered right-hand side, which dpttrs overwrites with the
 solution.  A system run of K rungs keeps its densities as one (nx, 2K) block
 [n_i of every rung | n_u of every rung], and each step writes u* into a
-fresh block of that layout.  Under Dirichlet boundaries the couplings of the
-two pinned rows are folded into the right-hand side first, which leaves a
-symmetric positive-definite matrix.
+fresh block of that layout.  _diffusion owns that half of the step: it
+factors, and under Dirichlet boundaries pins the two boundary rows and folds
+their couplings into the right-hand side, which keeps the matrix symmetric.
 
 dpttrf and dpttrs are the f2py wrappers of scipy's `linalg/_flapack`
 extension, loaded from that file without running `scipy.linalg`'s package
@@ -281,8 +281,8 @@ def assemble_diffusion(config: SolverConfig) -> tuple[np.ndarray, np.ndarray, np
     Neumann boundaries the ghost faces carry zero flux, so a boundary row is
     1 + r*a_face on the diagonal with a single off-diagonal -r*a_face,
     r = dt/dx^2; row sums of L vanish and constants are invariant.  Under
-    Dirichlet boundaries the first and last rows are identity rows and the
-    stepper pins their rhs to the pre-step boundary values.
+    Dirichlet boundaries the first and last rows are identity rows and
+    _diffusion pins their rhs to the pre-step boundary values.
     """
     a = config.diffusivity_values
     nx = config.grid.nx
@@ -303,45 +303,18 @@ def assemble_diffusion(config: SolverConfig) -> tuple[np.ndarray, np.ndarray, np
     return lower, diag, upper
 
 
-def _factor(config: SolverConfig) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """LDL^T factors (d, e) of the assembled I - dt*L, as LAPACK's dpttrf
-    returns them, and the couplings (c0, c1) of rows 1 and nx-2 to the
-    boundary values.
-
-    The Neumann assembly is symmetric and its couplings are 0.  Under
-    Dirichlet boundaries rows 0 and nx-1 are identity rows, so x there equals
-    the rhs; moving their couplings into the rhs of rows 1 and nx-2 leaves a
-    symmetric positive-definite matrix with the same solution.
-    """
-    lower, diag, upper = assemble_diffusion(config)
-    c0 = c1 = 0.0
-    if config.bc is BoundaryCondition.DIRICHLET:
-        c0, c1 = -lower[0], -upper[-1]
-        upper[-1] = 0.0
-    d, e, info = dpttrf(diag, upper)
-    if info != 0:
-        raise SolverError(f"implicit diffusion matrix could not be factored (dpttrf info {info})")
-    return d, e, c0, c1
-
-
-def solve_banded(factors: tuple[np.ndarray, np.ndarray, float, float],
-                 rhs: np.ndarray) -> np.ndarray:
-    """The per-step solve layer: x with (I - dt*L) x = rhs for the assembled
-    matrix, by LAPACK's dpttrs on the factors from _factor, for (nx,) or
-    (nx, k) rhs.  rhs is overwritten: by the boundary fold under Dirichlet
-    boundaries, and with x when it is Fortran-ordered."""
-    d, e, c0, c1 = factors
-    if c0 or c1:
-        # zero under Neumann; skipping the fold there keeps a -0.0 rhs entry
-        rhs[1] += c0 * rhs[0]
-        rhs[-2] += c1 * rhs[-1]
+def solve_banded(factors: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    """The per-step solve layer: x with L D L^T x = rhs for the dpttrf
+    factors (d, e), by LAPACK's dpttrs, for (nx,) or (nx, k) rhs; x
+    overwrites a Fortran-ordered rhs."""
+    d, e = factors
     return dpttrs(d, e, rhs, overwrite_b=1)[0]
 
 
 _DENSITY_NAMES = ("infected density", "uninfected density")
 
 
-def _settle_density(values: np.ndarray, rungs: Sequence[str | None] = (None,)) -> np.ndarray:
+def _settle_density(values: np.ndarray, rungs: Sequence[str | None]) -> np.ndarray:
     """Reject non-finite densities and negatives beyond NEGATIVE_TOL; clamp
     round-off negatives to zero in place.
 
@@ -375,16 +348,31 @@ def _settle_frequency(values: np.ndarray) -> np.ndarray:
 
 
 def _diffusion(config: SolverConfig) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The diffusion half of every step, factored once per run: diffuse(rhs,
-    values) pins the Dirichlet ends of rhs to the pre-step values, then solves
-    in place with solve_banded, looked up at call time as a traced layer."""
-    factors = _factor(config)
-    if config.bc is BoundaryCondition.NEUMANN:
-        return lambda rhs, values: solve_banded(factors, rhs)
+    """The diffusion half of every step, factored once per run by dpttrf:
+    diffuse(rhs, values) solves (I - dt*L) x = rhs in place by solve_banded,
+    looked up at call time as a traced layer.
+
+    Under Dirichlet boundaries rows 0 and nx-1 are identity rows: diffuse
+    pins their rhs to the pre-step values and folds the couplings c0, c1 of
+    rows 1 and nx-2 to those values into the rhs, which leaves a symmetric
+    positive-definite matrix with the same solution.
+    """
+    lower, diag, upper = assemble_diffusion(config)
+    dirichlet = config.bc is BoundaryCondition.DIRICHLET
+    if dirichlet:
+        c0, c1 = -lower[0], -upper[-1]
+        upper[-1] = 0.0
+    d, e, info = dpttrf(diag, upper)
+    if info != 0:
+        raise SolverError(f"implicit diffusion matrix could not be factored (dpttrf info {info})")
+    if not dirichlet:
+        return lambda rhs, values: solve_banded((d, e), rhs)
 
     def pinned(rhs, values):
         rhs[[0, -1]] = values[[0, -1]]
-        return solve_banded(factors, rhs)
+        rhs[1] += c0 * rhs[0]
+        rhs[-2] += c1 * rhs[-1]
+        return solve_banded((d, e), rhs)
     return pinned
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import singlimit as sl
-from singlimit.solver import _factor, solve_banded
+from singlimit.solver import _diffusion
 from streams import front_track, rung_series, sweep_series
 
 WINDOW = (75.0, 125.0)
@@ -196,7 +196,7 @@ def test_criterion_4_solver_verification():
 
     # the LDL^T solve that runs, against dense LU of the assembled matrix;
     # under Dirichlet boundaries dense LU keeps the identity rows that
-    # _factor folds away
+    # _diffusion pins to the rhs itself here and folds away
     rng = np.random.default_rng(1234)
     grid = sl.Grid1D(0.0, 1.0, 50)
     bcs = list(sl.BoundaryCondition)
@@ -207,7 +207,7 @@ def test_criterion_4_solver_verification():
         lower, diag, upper = sl.assemble_diffusion(config)
         rhs = rng.uniform(-1, 1, grid.nx)
         want = np.linalg.solve(np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1), rhs)
-        got = solve_banded(_factor(config), rhs)
+        got = _diffusion(config)(rhs.copy(), rhs)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     report(4, f"heat-kernel max error {reference:.2e} <= 2e-4, observed orders "
               f"{order_a:.2f}/{order_b:.2f} >= 1.9, the running LDL^T solve matches "

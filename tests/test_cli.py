@@ -86,6 +86,17 @@ def test_check_fails_on_monostable_config(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_check_fails_on_the_rounding_edge_of_sf_below_sh(tmp_path, capsys):
+    # sf < sh passes validation, but 1 + sf rounds to 2 = 2*sh: the drift
+    # slope bound rounds to 0 and the audit reports it
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text("model.sf = 0.9999999999999999\nmodel.sh = 1\n")
+    assert cli_dispatch(["check", "--config", str(cfg)]) == 3
+    out = capsys.readouterr().out
+    assert "drift_slope  FAIL" in out
+    assert "drift slope bound is not positive" in out
+
+
 def test_validation_error_exit_code(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("model.sh = 1.2\n")
@@ -267,6 +278,10 @@ def test_equilibria_serves_the_alternative_variant(tmp_path, capsys):
        "where rounding decides its sign")
       for fu, floor in (("1e14", "3.55"), ("1e15", "35.5"), ("1e16", "355"),
                         ("1e307", "3.55e+293"))],
+    # sf < sh, but 1 + sf rounds to 2: the audit fails before the eps cap,
+    # which would divide by the minimum of Q, rounded to 0
+    (["converge"], "model.sf = 0.9999999999999999\nmodel.sh = 1\n",
+     "eps=0.3: assumption audit failed (drift_slope, bistable)"),
 ])
 def test_rejected_run_is_validation_error(tmp_path, capsys, command, text, message):
     cfg = tmp_path / "run.cfg"

@@ -276,6 +276,20 @@ def test_drift_slope_bound_degenerate():
         sl.drift_slope_bound(sl.ScaledModel(params, 0.1))
 
 
+def test_drift_slope_bound_not_positive_at_the_rounding_edge():
+    # sf < sh holds, but 1 + sf rounds to 2 = 2*sh, so the minimum of Q
+    # rounds to 0 and the audit reports the slope as failed
+    params = sl.WolbachiaParams(fu=1.12, du=0.27, delta=10 / 9, sf=0.9999999999999999,
+                                sh=1.0, sigma=1.0)
+    model = sl.ScaledModel(params, 0.1)
+    with pytest.raises(ValueError, match="^drift slope bound is not positive"):
+        sl.drift_slope_bound(model)
+    report = sl.check_assumptions(model)
+    assert not report.passed
+    assert not report["drift_slope"].passed
+    assert "not positive" in report["drift_slope"].note
+
+
 @pytest.mark.parametrize("leak", [0.0, 0.04])
 def test_drift_slope_bound_sampled_oracle(leak):
     params = sl.WolbachiaParams(fu=1.12, du=0.27, delta=10 / 9, sf=0.1, sh=0.8,
@@ -452,6 +466,17 @@ def test_equilibria_figure_values(fig1_params):
     labels = [e.stability for e in eqs]
     assert labels == [sl.Stability.STABLE, sl.Stability.STABLE,
                       sl.Stability.UNSTABLE, sl.Stability.UNSTABLE]
+
+
+@pytest.mark.parametrize("ni, nu, kind, reason", [
+    (-1e-300, 1.0, sl.EquilibriumKind.EXTINCTION, "densities must be non-negative"),
+    (1.0, -0.5, sl.EquilibriumKind.INVASION, "densities must be non-negative"),
+    (0.0, 1e-300, sl.EquilibriumKind.ORIGIN, r"must sit at \(0, 0\)"),
+    (2.0, 0.0, sl.EquilibriumKind.ORIGIN, r"must sit at \(0, 0\)"),
+])
+def test_equilibrium_rejects_negative_densities_and_a_displaced_origin(ni, nu, kind, reason):
+    with pytest.raises(ValueError, match=reason):
+        sl.Equilibrium(ni, nu, kind, sl.Stability.STABLE)
 
 
 def test_equilibria_zero_kinetics(fig1_params):

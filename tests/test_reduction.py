@@ -99,6 +99,15 @@ def test_error_norms_constant_difference(fig1_params, grid601):
     assert sl.l2_spacetime(norms, 2.0) == pytest.approx(math.sqrt(60), abs=1e-10)
 
 
+def test_reduced_fields_reject_fields_on_different_grids(fig1_params, grid601):
+    reduced = sl.to_reduced(sl.ScaledModel(fig1_params, 0.1), uniform_state(grid601, 1.0, 1.0))
+    elsewhere = sl.Field.constant(0.5, sl.Grid1D(0.0, 1.0, 11))
+    for fields in ((elsewhere, reduced.p, reduced.m), (reduced.n, elsewhere, reduced.m),
+                   (reduced.n, reduced.p, elsewhere)):
+        with pytest.raises(ValueError, match="reduced fields must share one grid"):
+            sl.ReducedFields(*fields, reduced.time)
+
+
 def test_error_norms_reject_mismatch(fig1_params, grid601):
     model = sl.ScaledModel(fig1_params, 0.1)
     reduced = sl.to_reduced(model, uniform_state(grid601, 1.0, 1.0, 1.0))

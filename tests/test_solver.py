@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import solve_banded, solveh_banded
 
 import singlimit as sl
-from singlimit.solver import _DENSITY_NAMES, _factor, _settle_density, solve_banded as lapack_solve
+from singlimit.solver import _DENSITY_NAMES, _diffusion, _settle_density
 from streams import rung_series
 
 
@@ -173,7 +173,7 @@ def test_assemble_neumann_boundary_row():
 
 def test_assemble_dirichlet_boundary_rows():
     # rows 0 and nx-1 are identity rows; rows 1 and nx-2 keep their
-    # couplings to the pinned values, which _factor folds into the rhs
+    # couplings to the pinned values, which _diffusion folds into the rhs
     grid = small_grid(nx=11, span=1.0)
     a = 0.2 + 0.1 * grid.x
     config = sl.SolverConfig(grid, dt=0.01, t_end=1.0, diffusivity=tuple(zip(grid.x, a)),
@@ -191,7 +191,7 @@ def test_constants_invariant_under_neumann_solve():
     config = sl.SolverConfig(grid, dt=0.02, t_end=1.0,
                              diffusivity=tuple(zip(grid.x, 0.1 + 0.05 * np.cos(grid.x))))
     c = 3.7
-    out = lapack_solve(_factor(config), np.full(grid.nx, c))
+    out = _diffusion(config)(np.full(grid.nx, c), None)
     assert np.max(np.abs(out - c)) < 1e-13
 
 
@@ -200,14 +200,14 @@ def test_constants_invariant_under_neumann_solve():
 
 
 def test_identity_solve():
-    # Dirichlet rows 0 and nx-1 are identity rows: the solve hands their
-    # rhs back bit for bit, whatever the interior holds
+    # Dirichlet rows 0 and nx-1 are identity rows: the step pins them to the
+    # pre-step values and hands those back bit for bit, whatever rhs holds
     grid = small_grid(nx=21, span=1.0)
     config = sl.SolverConfig(grid, dt=0.01, t_end=1.0, diffusivity=tuple(zip(grid.x, 0.3 + grid.x)),
                              bc=sl.BoundaryCondition.DIRICHLET)
-    rhs = np.random.default_rng(3).uniform(-1, 1, (grid.nx, 2))
-    got = lapack_solve(_factor(config), rhs.copy())
-    assert np.array_equal(got[[0, -1]], rhs[[0, -1]])
+    rhs, values = np.random.default_rng(3).uniform(-1, 1, (2, grid.nx, 2))
+    got = _diffusion(config)(rhs.copy(), values)
+    assert np.array_equal(got[[0, -1]], values[[0, -1]])
 
 
 def test_three_by_three_example():
@@ -218,13 +218,14 @@ def test_three_by_three_example():
     lower, diag, upper = sl.assemble_diffusion(config)
     assert np.array_equal(diag, [2.0, 3.0, 2.0])
     assert np.array_equal(lower, [-1.0, -1.0]) and np.array_equal(upper, [-1.0, -1.0])
-    got = lapack_solve(_factor(config), np.array([1.0, 0.0, 1.0]))
+    got = _diffusion(config)(np.array([1.0, 0.0, 1.0]), None)
     assert np.allclose(got, [0.75, 0.5, 0.75], rtol=0.0, atol=1e-15)
 
 
 def test_random_dominant_against_dense_lu():
     # the LDL^T solve of a multi-column rhs, the block run_system steps,
-    # against dense LU of the assembled (unfolded) matrix
+    # against dense LU of the assembled (unfolded) matrix; the step pins the
+    # Dirichlet rows to the rhs itself
     rng = np.random.default_rng(42)
     grid = small_grid(nx=50, span=1.0)
     bcs = list(sl.BoundaryCondition)
@@ -239,7 +240,7 @@ def test_random_dominant_against_dense_lu():
         assert np.all(np.abs(diag) > off)
         rhs = rng.uniform(-1, 1, (grid.nx, 3))
         want = np.linalg.solve(np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1), rhs)
-        got = lapack_solve(_factor(config), np.array(rhs, order="F"))
+        got = _diffusion(config)(np.array(rhs, order="F"), rhs)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -250,13 +251,28 @@ def band_array(config):
     return ab
 
 
+def symmetric_band(config):
+    """The assembled system as the (2, nx) upper band of scipy's
+    solveh_banded, and the couplings (c0, c1) of rows 1 and nx-2 to rows 0
+    and nx-1.  Under Dirichlet boundaries those are identity rows and the
+    band leaves the couplings out: a solve first adds c0*rhs[0] to rhs[1]
+    and c1*rhs[-1] to rhs[-2]."""
+    lower, diag, upper = sl.assemble_diffusion(config)
+    ab = np.zeros((2, config.grid.nx))
+    ab[0, 1:], ab[1] = upper, diag
+    if config.bc is sl.BoundaryCondition.DIRICHLET:
+        ab[0, -1] = 0.0
+    return ab, -lower[0], -upper[-1]
+
+
 @pytest.mark.parametrize("bc", list(sl.BoundaryCondition))
 @pytest.mark.parametrize("columns", [1, 2, 8])
 def test_prefactored_solve_equals_scipy_banded(grid601, bc, columns):
     # factoring once and solving per step changes no bit of any step: the
     # oracle is LAPACK's ptsv (pttrf + pttrs) on the symmetric band, with the
     # Dirichlet rows' couplings folded into its rhs; the general banded solve
-    # of the assembled matrix agrees to round-off
+    # of the assembled matrix agrees to round-off.  The step pins the
+    # Dirichlet rows to the rhs itself.
     config = sl.SolverConfig(grid601, dt=0.005, t_end=1.0, bc=bc,
                              diffusivity=tuple(zip(grid601.x, 0.1 + 0.05 * np.cos(grid601.x))))
     rng = np.random.default_rng(columns)
@@ -271,13 +287,13 @@ def test_prefactored_solve_equals_scipy_banded(grid601, bc, columns):
         ab[2, 0] = ab[0, -1] = 0.0
     assert np.array_equal(ab[0, 1:], ab[2, :-1])
     want = solveh_banded(ab[:2], folded)
-    factors = _factor(config)
-    got = sl.solver.solve_banded(factors, rhs.copy())
+    diffuse = _diffusion(config)
+    got = diffuse(rhs.copy(), rhs)
     assert got.shape == rhs.shape
     assert np.array_equal(got, want)
     # a Fortran-ordered rhs, the block run_system steps, is solved in place
     block = np.array(rhs, order="F")
-    solved = sl.solver.solve_banded(factors, block)
+    solved = diffuse(block, rhs)
     assert np.shares_memory(solved, block)
     assert np.array_equal(solved, want)
     general = solve_banded((1, 1), band_array(config), rhs)
@@ -291,7 +307,7 @@ def test_singular_factorisation_is_solver_error(grid601, monkeypatch):
     monkeypatch.setattr("singlimit.solver.dpttrf", singular)
     config = sl.SolverConfig(grid601, dt=0.005, t_end=1.0)
     with pytest.raises(sl.SolverError, match="dpttrf info 3"):
-        _factor(config)
+        _diffusion(config)
 
 
 def test_zero_pivot_is_hard_error(grid601, monkeypatch):
@@ -306,7 +322,7 @@ def test_zero_pivot_is_hard_error(grid601, monkeypatch):
     monkeypatch.setattr("singlimit.solver.assemble_diffusion", zero_pivot)
     config = sl.SolverConfig(grid601, dt=0.005, t_end=1.0)
     with pytest.raises(sl.SolverError, match="dpttrf info 1"):
-        _factor(config)
+        _diffusion(config)
 
 
 # ---------------------------------------------------------------------------
@@ -449,20 +465,23 @@ def test_one_kinetics_call_one_solve_per_step(fig1_params, grid601, monkeypatch)
 def test_scalar_step_leaves_the_reaction_result_unwritten(grid601, bc, reaction):
     # a reaction may hand back its argument or a view of it, which at step 1
     # is p0.values itself: every frame matches u + dt*r(u), pinned, solved
-    # and clipped, bit for bit, and p0 keeps its values
+    # and clipped, bit for bit, and p0 keeps its values; the reference
+    # folds the Dirichlet couplings and solves with scipy's ptsv
     config = sl.SolverConfig(grid601, dt=0.005, t_end=0.05, diffusivity=0.1,
                              output_every=1, bc=bc)
     p0 = sl.Field(0.5 + 0.3 * np.tanh(grid601.x), grid601)
     before = p0.values.copy()
     frames = []
     sl.run_scalar(reaction, p0, config, on_frame=frames.append)
-    factors, u = _factor(config), before.copy()
+    (ab, c0, c1), u = symmetric_band(config), before.copy()
     want = [u]
     for _ in range(config.n_steps):
         star = u + config.dt * reaction(u)
         if bc is sl.BoundaryCondition.DIRICHLET:
             star[[0, -1]] = u[[0, -1]]
-        u = np.clip(lapack_solve(factors, star), 0.0, 1.0)
+            star[1] += c0 * star[0]
+            star[-2] += c1 * star[-1]
+        u = np.clip(solveh_banded(ab, star), 0.0, 1.0)
         want.append(u)
     assert len(frames) == len(want) == 11
     for (_, field), values in zip(frames, want):
@@ -525,12 +544,12 @@ def test_scalar_step_rejects_out_of_range_input(grid601):
 
 def test_settle_density_clamps_or_raises():
     # columns are (n_i, n_u); a rejection names the offending density
-    cleaned = _settle_density(np.array([[-5e-13, 0.2], [0.2, 0.3]]))
+    cleaned = _settle_density(np.array([[-5e-13, 0.2], [0.2, 0.3]]), (None,))
     assert np.array_equal(cleaned, np.array([[0.0, 0.2], [0.2, 0.3]]))
     with pytest.raises(ValueError, match="^uninfected density fell"):
-        _settle_density(np.array([[0.2, -1e-11], [0.2, 0.3]]))
+        _settle_density(np.array([[0.2, -1e-11], [0.2, 0.3]]), (None,))
     with pytest.raises(ValueError, match="^infected density became non-finite"):
-        _settle_density(np.array([[np.nan, 0.2], [0.2, 0.3]]))
+        _settle_density(np.array([[np.nan, 0.2], [0.2, 0.3]]), (None,))
 
 
 @pytest.mark.parametrize("column", range(4))
@@ -590,9 +609,9 @@ def _reference_kinetics(model, ni, nu):
 
 def _reference_run(model, state, config):
     # one rung stepped as u* = u + dt*rate with an interleaved (n_i, n_u)
-    # pair, the pinned rows copied under Dirichlet boundaries, the banded
-    # solve and a np.where clamp of negatives
-    factors = _factor(config)
+    # pair, the pinned rows copied and their couplings folded under Dirichlet
+    # boundaries, scipy's ptsv solve and a np.where clamp of negatives
+    ab, c0, c1 = symmetric_band(config)
     values = np.column_stack([state.ni.values, state.nu.values])
     frames = [values]
     for _ in range(config.n_steps):
@@ -600,7 +619,9 @@ def _reference_run(model, state, config):
         star = values + config.dt * rate
         if config.bc is sl.BoundaryCondition.DIRICHLET:
             star[[0, -1]] = values[[0, -1]]
-        values = lapack_solve(factors, star)
+            star[1] += c0 * star[0]
+            star[-2] += c1 * star[-1]
+        values = solveh_banded(ab, star)
         assert values.min() >= -sl.model.NEGATIVE_TOL
         values = np.where(values < 0.0, 0.0, values)
         frames.append(values)

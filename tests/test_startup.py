@@ -47,13 +47,21 @@ def test_loaded_routines_are_scipy_linalg_bits(grid601, bc, monkeypatch):
                              diffusivity=tuple(zip(grid601.x, 0.1 + 0.05 * np.cos(grid601.x))))
     block = np.random.default_rng(8).uniform(0.0, 10.0, (grid601.nx, 8))
 
-    def factor_and_solve():
-        factors = solver._factor(config)
-        return factors[:2], solver.solve_banded(factors, np.array(block, order="F"))
+    def factor_and_solve(dpttrf, dpttrs):
+        # the factors (d, e) that dpttrf hands the step, and its solution
+        factors = []
 
-    (d, e), x = factor_and_solve()
-    monkeypatch.setattr(solver, "dpttrf", lapack.dpttrf)
-    monkeypatch.setattr(solver, "dpttrs", lapack.dpttrs)
-    (want_d, want_e), want_x = factor_and_solve()
-    for got, want in ((d, want_d), (e, want_e), (x, want_x)):
-        assert got.tobytes() == want.tobytes()
+        def recording(*args):
+            factors.append(dpttrf(*args))
+            return factors[-1]
+
+        monkeypatch.setattr(solver, "dpttrf", recording)
+        monkeypatch.setattr(solver, "dpttrs", dpttrs)
+        x = solver._diffusion(config)(np.array(block, order="F"), block)
+        (d, e, _), = factors
+        return d, e, x
+
+    got = factor_and_solve(solver.dpttrf, solver.dpttrs)
+    want = factor_and_solve(lapack.dpttrf, lapack.dpttrs)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
