@@ -29,9 +29,7 @@ MAX_PLOT_CURVES = 6
 
 def _plot_indices(n: int) -> list[int]:
     """Indices of at most MAX_PLOT_CURVES evenly spaced frames out of n,
-    endpoints kept."""
-    if n <= MAX_PLOT_CURVES:
-        return list(range(n))
+    endpoints kept: every frame when n <= MAX_PLOT_CURVES."""
     return sorted({round(k * (n - 1) / (MAX_PLOT_CURVES - 1)) for k in range(MAX_PLOT_CURVES)})
 
 

@@ -30,6 +30,7 @@ from .model import (
     Variant,
     WolbachiaParams,
     check_assumptions,
+    drift_slope_bound,
     limit_reaction,
     require,
     require_reducible,
@@ -96,11 +97,9 @@ class InitialDataSpec:
         require(self.radius + self.smoothing < min(-grid.xmin, grid.xmax), "radius",
                 "bump support must sit strictly inside the domain")
 
-    @np.errstate(over="ignore")  # a subnormal smoothing's ramp overflows to -inf, clipped to 0
+    @np.errstate(all="ignore")  # smoothing 0 or subnormal: the ramp's +-inf clips to 1 or 0
     def profile(self, x: np.ndarray) -> np.ndarray:
         r = np.abs(x)
-        if self.smoothing == 0.0:
-            return np.where(r <= self.radius, self.amplitude, 0.0)
         ramp = 1.0 - (r - self.radius) / self.smoothing
         return self.amplitude * np.clip(np.where(r <= self.radius, 1.0, ramp), 0.0, 1.0)
 
@@ -153,15 +152,17 @@ def frequency_run(model: ScaledModel, spec: InitialDataSpec, config: SolverConfi
 
     equation "system" runs the two-population system and reduces every frame;
     "limit" runs the scalar limit equation, which the alternative variant
-    does not have.  Each frame goes to on_frame(time, p, state) as soon as it
-    settles, with p the frequency Field and state the system's raw state, or
-    None for the limit equation; the run keeps none of them.
+    does not have and which divides by Q(p), so drift_slope_bound must be
+    positive.  Each frame goes to on_frame(time, p, state) as soon as it settles,
+    with p the frequency Field and state the system's raw state, or None for
+    the limit equation; the run keeps none of them.
     """
     if equation not in ("system", "limit"):
         raise ValueError(f"equation must be 'system' or 'limit', got {equation!r}")
     state0, p_init = make_initial_data(model, spec, config.grid)
     if equation == "limit":
         require_reducible(model, "the limit equation")
+        drift_slope_bound(model)
         run_scalar(lambda v: limit_reaction(model, v), p_init, config,
                    on_frame=lambda frame: on_frame(*frame, None))
     else:

@@ -102,9 +102,9 @@ class WolbachiaParams:
     sigma  competition/resource parameter, > 0
     mu     maternal transmission leakage, in [0, 1)
 
-    The theory additionally needs sf < sh; that ordering is enforced by the
-    config layer and audited by check_assumptions, so records violating it
-    can still be constructed for diagnostic probing.
+    The theory additionally needs sf < sh: the config layer enforces it and
+    drift_slope_bound, which the audit and every limit-equation run call,
+    rejects its breach, so such records can still be built for probing.
     """
 
     fu: float

@@ -214,11 +214,8 @@ class SolverConfig:
     """Grid, time step, diffusivity profile, output cadence and boundary.
 
     diffusivity is a constant or (x, value) knots with x increasing, linear
-    between knots and constant beyond the ends; at the nodes it must stay
-    strictly positive.  The implicit matrix's dt/dx^2 must be finite and
-    positive, and so must each face coefficient, also doubled as on the
-    diagonal.  A face must also stay below 1/ulp(1) = 2^52: from there on the
-    diagonal 1 + 2*face rounds its identity part away (singular Laplacian).
+    between knots and constant beyond the ends.  The constructor checks the
+    clock, then assemble_diffusion(self) checks the diffusivity and matrix.
     """
 
     grid: Grid1D
@@ -232,27 +229,14 @@ class SolverConfig:
         require(math.isfinite(self.dt) and self.dt > 0, "dt", "dt must be positive")
         require(self.t_end >= self.dt, "t_end", "t_end must cover at least one step")
         require(math.isfinite(self.t_end / self.dt), "dt", "t_end/dt is not a finite step count")
-        steps = round(self.t_end / self.dt)
+        steps = self.n_steps
         require(steps <= MAX_STEPS, "dt",
                 f"t_end/dt = {steps} steps exceed the limit of {MAX_STEPS}")
         require(abs(steps * self.dt - self.t_end) <= 1e-9 * max(1.0, self.t_end), "dt",
                 "t_end must be an integer number of steps")
         require(float(self.output_every).is_integer() and self.output_every >= 1,
                 "output_every", "output_every must be a positive integer")
-        a = self.diffusivity_values
-        require(a.min() > 0.0, "diffusivity", "diffusivity must be strictly positive everywhere")
-        # assemble_diffusion's ratio and face coefficients, in floats that
-        # overflow or underflow quietly instead of raising; a diagonal entry
-        # adds two faces
-        with np.errstate(all="ignore"):
-            r = np.float64(self.dt) / np.float64(self.grid.dx) ** 2
-            face = 0.5 * (a[:-1] + a[1:]) * r
-            require(0.0 < r < math.inf, "dx", f"dt/dx^2 = {r:g} must be finite and positive")
-            require(np.all((0.0 < face) & (2.0 * face < math.inf)), "diffusivity",
-                    "diffusivity gives face coefficients dt*a/dx^2 that are zero or overflow")
-        require(face.max() < 2.0 ** 52, "diffusivity",
-                f"diffusivity gives a face coefficient dt*a/dx^2 = {face.max():.3g}, not below "
-                "1/ulp(1) = 2^52, where I - dt*L rounds its identity part away")
+        assemble_diffusion(self)
 
     @cached_property
     def diffusivity_values(self) -> np.ndarray:
@@ -283,15 +267,28 @@ def assemble_diffusion(config: SolverConfig) -> tuple[np.ndarray, np.ndarray, np
     r = dt/dx^2; row sums of L vanish and constants are invariant.  Under
     Dirichlet boundaries the first and last rows are identity rows and
     _diffusion pins their rhs to the pre-step boundary values.
+
+    It owns the rules on these numbers, computed in float64s that overflow
+    or underflow quietly: the diffusivity is positive at every node, r and
+    each face, also doubled as on the diagonal, are finite and positive,
+    and a face stays below 1/ulp(1) = 2^52, from where the diagonal rounds
+    its identity part away.  SolverConfig calls it to apply them.
     """
     a = config.diffusivity_values
-    nx = config.grid.nx
-    r = config.dt / config.grid.dx ** 2
-    face = 0.5 * (a[:-1] + a[1:]) * r  # nx-1 faces
+    require(a.min() > 0.0, "diffusivity", "diffusivity must be strictly positive everywhere")
+    with np.errstate(all="ignore"):
+        r = np.float64(config.dt) / np.float64(config.grid.dx) ** 2
+        face = 0.5 * (a[:-1] + a[1:]) * r  # nx-1 faces
+        require(0.0 < r < math.inf, "dx", f"dt/dx^2 = {r:g} must be finite and positive")
+        require(np.all((0.0 < face) & (2.0 * face < math.inf)), "diffusivity",
+                "diffusivity gives face coefficients dt*a/dx^2 that are zero or overflow")
+    require(face.max() < 2.0 ** 52, "diffusivity",
+            f"diffusivity gives a face coefficient dt*a/dx^2 = {face.max():.3g}, not below "
+            "1/ulp(1) = 2^52, where I - dt*L rounds its identity part away")
 
     lower = -face
     upper = -face
-    diag = np.ones(nx)
+    diag = np.ones(config.grid.nx)
     diag[:-1] += face
     diag[1:] += face
 

@@ -86,6 +86,14 @@ def test_check_fails_on_monostable_config(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_simulate_limit_runs_a_monostable_config(tmp_path, capsys):
+    # the limit equation needs Q > 0, not the bistability that the audit checks
+    cfg = tmp_path / "mono.cfg"
+    cfg.write_text("model.delta = 5\ntime.t_end = 0.5\n")
+    assert cli_dispatch(["simulate", "--model", "limit", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 0
+
+
 def test_check_fails_on_the_rounding_edge_of_sf_below_sh(tmp_path, capsys):
     # sf < sh passes validation, but 1 + sf rounds to 2 = 2*sh: the drift
     # slope bound rounds to 0 and the audit reports it
@@ -282,6 +290,12 @@ def test_equilibria_serves_the_alternative_variant(tmp_path, capsys):
     # which would divide by the minimum of Q, rounded to 0
     (["converge"], "model.sf = 0.9999999999999999\nmodel.sh = 1\n",
      "eps=0.3: assumption audit failed (drift_slope, bistable)"),
+    # the limit equation divides by that Q and checks the drift slope bound first
+    (["simulate", "--model", "limit"], "model.sf = 0.9999999999999999\nmodel.sh = 1\n",
+     "drift slope bound is not positive for these parameters"),
+    (["wavespeed", "--model", "limit"], "model.sf = 0.9999999999999999\nmodel.sh = 1\n"
+     "time.t_end = 1\nexperiment.speed_window = 0.5, 1\n",
+     "drift slope bound is not positive for these parameters"),
 ])
 def test_rejected_run_is_validation_error(tmp_path, capsys, command, text, message):
     cfg = tmp_path / "run.cfg"
@@ -540,6 +554,12 @@ def test_simulate_thins_plot_to_six_curves(tmp_path, quick_cfg):
     svg = (out_dir / "profiles.svg").read_text()
     assert svg.count("<polyline") == 6
     assert ">t = 0<" in svg and ">t = 2<" in svg
+
+
+@pytest.mark.parametrize("n, indices", [*[(n, list(range(n))) for n in range(1, 7)],
+                                         (21, [0, 4, 8, 12, 16, 20])])
+def test_plot_indices_keep_every_frame_up_to_six_and_the_endpoints(n, indices):
+    assert singlimit.cli._plot_indices(n) == indices
 
 
 def test_simulate_system_writes_densities(tmp_path, quick_cfg):
