@@ -4,14 +4,15 @@ Every key has a default; an empty file reproduces the reference traveling-
 wave setup.  Values are floats (a ratio like 10/9 is accepted and stored as
 the parsed double), integers, enum words, or comma-separated lists.  Unknown
 keys, duplicate keys and rule violations are rejected with the offending
-line number and key.  A rule on one value is owned by the constructor of its
-domain object (SolverConfig's for the diffusivity knots, FrontTrack's for the
-speed level and window) or by the experiments check of the eps ladder, whose
-FieldError names the field, reported here as its key.  parse_config checks
-each value's syntax, builds the domain objects once, then checks sf < sh (its
-one own rule), the ladder, the speed level and the speed window; the first
-error follows that order.  The RunConfig it returns holds the model, solver
-configuration and initial bump it built, and the sweep's settings.
+line number and key.  A rule is owned by the constructor of its domain object
+(SolverConfig's for the diffusivity knots, FrontTrack's for the speed level
+and window) or by the experiments check of the eps ladder; its FieldError
+names the fields it reads, its own first, each reported here as the key it
+ends (diffusion.a for diffusivity).  parse_config checks each value's syntax,
+builds the domain objects once, then checks sf < sh (its one own rule), the
+ladder, the speed level and the speed window; the first error follows that
+order.  The RunConfig it returns holds the model, solver configuration and
+initial bump it built, and the sweep's settings.
 """
 
 from __future__ import annotations
@@ -119,19 +120,8 @@ _KEYS: dict[str, tuple[str, bool, Callable[[str], object]]] = {
     "experiment.speed_level": ("0.5", True, _float),
     "experiment.speed_window": ("75, 125", True, _window),
 }
-# field of a FieldError -> the keys its rule reads, its own key first
-_KEYS_OF_FIELD = {key.split(".", 1)[1]: (key,) for key in _KEYS} | {
-    "diffusivity": ("diffusion.a",),
-    "carrying_total": ("model.epsilon", "model.sigma"),
-    "rates": ("model.fu", "model.epsilon", "model.sigma", "model.du"),
-    "sf": ("model.sf", "model.sh"),
-    "mu": ("model.mu", "model.variant"),
-    "xmax": ("grid.xmax", "grid.xmin"),
-    "dx": ("grid.dx", "grid.xmin", "grid.xmax"),
-    "dt": ("time.dt", "time.t_end"),
-    "t_end": ("time.t_end", "time.dt"),
-    "radius": ("init.radius", "init.smoothing", "grid.xmin", "grid.xmax"),
-}
+# a FieldError's field is its key's part after the dot; diffusion.a's is diffusivity
+_KEY_OF = {key.split(".", 1)[1]: key for key in _KEYS} | {"diffusivity": "diffusion.a"}
 
 
 @dataclass(frozen=True)
@@ -192,11 +182,11 @@ def parse_config(text: str) -> RunConfig:
         solver = SolverConfig(grid, v["dt"], v["t_end"], v["a"], v["output_every"], v["bc"])
         spec = InitialDataSpec(v["amplitude"], v["radius"], v["smoothing"])
         spec.check_inside(grid)
-        require(params.sf < params.sh, "sf", f"requires sf < sh (sh = {params.sh:g})")
+        require(params.sf < params.sh, ("sf", "sh"), f"requires sf < sh (sh = {params.sh:g})")
         require_eps_ladder(v["epsilons"])
         FrontTrack(v["speed_window"], v["speed_level"])  # owns the speed rules
     except FieldError as exc:
-        keys = _KEYS_OF_FIELD[exc.field]
+        keys = [_KEY_OF[name] for name in exc.fields]
         key = next((key for key in keys if key in lines), keys[0])
         where = f"line {lines[key]}: " if key in lines else ""
         raise ConfigError(f"{where}{key}: {exc}") from None

@@ -94,7 +94,8 @@ class InitialDataSpec:
 
     def check_inside(self, grid: Grid1D) -> None:
         """Reject a bump whose support reaches the domain boundary."""
-        require(self.radius + self.smoothing < min(-grid.xmin, grid.xmax), "radius",
+        require(self.radius + self.smoothing < min(-grid.xmin, grid.xmax),
+                ("radius", "smoothing", "xmin", "xmax"),
                 "bump support must sit strictly inside the domain")
 
     @np.errstate(all="ignore")  # smoothing 0 or subnormal: the ramp's +-inf clips to 1 or 0
@@ -276,7 +277,11 @@ def run_convergence_sweep(params: WolbachiaParams, variant: Variant,
         follow(0, "add", t, p)
 
     limit_series = []
-    frequency_run(models[0], spec, config, "limit", on_frame=reference)
+    try:
+        frequency_run(models[0], spec, config, "limit", on_frame=reference)
+    except SolverError as exc:  # name the series, as a failing rung does
+        exc.args = (f"{labels[0]}: {exc}",)
+        raise
     limit_speed = follow(0, "speed")
     norms = [[] for _ in models]  # (t, |p - p0|, |m|) per rung frame
 

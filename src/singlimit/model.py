@@ -77,17 +77,17 @@ class BistabilityError(ValueError):
 
 
 class FieldError(ValueError):
-    """A constructor argument broke its rule; field names the argument."""
+    """A constructor argument broke its rule; fields names what the rule reads, its own first."""
 
-    def __init__(self, field: str, message: str):
+    def __init__(self, fields: str | tuple[str, ...], message: str):
         super().__init__(message)
-        self.field = field
+        self.fields = (fields,) if isinstance(fields, str) else fields
 
 
-def require(ok: bool, field: str, message: str) -> None:
-    """Raise FieldError(field, message) unless ok."""
+def require(ok: bool, fields: str | tuple[str, ...], message: str) -> None:
+    """Raise FieldError(fields, message) unless ok; fields is one name or a tuple of them."""
     if not ok:
-        raise FieldError(field, message)
+        raise FieldError(fields, message)
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ class ScaledModel:
                 "epsilon must be positive and finite")
         scale = self.params.sigma * self.epsilon  # scale > 0 guards 1/scale
         require(scale > 0 and math.isfinite(1.0 / self.epsilon)
-                and math.isfinite(1.0 / scale), "carrying_total",
+                and math.isfinite(1.0 / scale), ("epsilon", "sigma"),
                 f"sigma = {self.params.sigma:g} and eps = {self.epsilon:g} leave 1/eps or "
                 "1/(sigma*eps) without a finite value")
         # the kinetics form fu*n for densities up to the carrying total, and
@@ -148,10 +148,10 @@ class ScaledModel:
         prm = self.params
         sigma_fu = prm.sigma * prm.fu  # sigma_fu > 0 guards du/sigma_fu
         require(math.isfinite(prm.fu * self.carrying_total) and sigma_fu > 0
-                and math.isfinite(prm.du / sigma_fu), "rates",
+                and math.isfinite(prm.du / sigma_fu), ("fu", "epsilon", "sigma", "du"),
                 f"fu = {prm.fu:g}, du = {prm.du:g}, sigma = {prm.sigma:g} and eps = "
                 f"{self.epsilon:g} leave fu*carrying_total or du/(sigma*fu) without a finite value")
-        require(self.variant is Variant.IMPERFECT or self.params.mu == 0.0, "mu",
+        require(self.variant is Variant.IMPERFECT or self.params.mu == 0.0, ("mu", "variant"),
                 f"variant {self.variant.value!r} forces mu = 0")
 
     @property

@@ -134,7 +134,7 @@ class Grid1D:
     def _check_bounds(xmin: float, xmax: float) -> None:
         require(math.isfinite(xmin), "xmin", "xmin must be finite")
         require(math.isfinite(xmax), "xmax", "xmax must be finite")
-        require(xmax > xmin, "xmax", "xmax must exceed xmin")
+        require(xmax > xmin, ("xmax", "xmin"), "xmax must exceed xmin")
 
     @property
     def dx(self) -> float:
@@ -150,16 +150,17 @@ class Grid1D:
         A rejected node count is reported for dx, which sets it."""
         cls._check_bounds(xmin, xmax)
         require(dx > 0, "dx", "dx must be positive")
+        spacing = ("dx", "xmin", "xmax")
         intervals = (xmax - xmin) / dx
-        require(math.isfinite(intervals), "dx",
+        require(math.isfinite(intervals), spacing,
                 f"dx={dx} gives no finite interval count on [{xmin}, {xmax}]")
         n = round(intervals)
-        require(abs(intervals - n) <= 1e-9 * max(1.0, intervals), "dx",
+        require(abs(intervals - n) <= 1e-9 * max(1.0, intervals), spacing,
                 f"dx={dx} does not tile [{xmin}, {xmax}] evenly")
         try:
             return cls(xmin, xmax, n + 1)
         except FieldError as exc:
-            raise FieldError("dx", str(exc)) from None
+            raise FieldError(spacing, str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -227,12 +228,13 @@ class SolverConfig:
 
     def __post_init__(self):
         require(math.isfinite(self.dt) and self.dt > 0, "dt", "dt must be positive")
-        require(self.t_end >= self.dt, "t_end", "t_end must cover at least one step")
-        require(math.isfinite(self.t_end / self.dt), "dt", "t_end/dt is not a finite step count")
+        require(self.t_end >= self.dt, ("t_end", "dt"), "t_end must cover at least one step")
+        clock = ("dt", "t_end")
+        require(math.isfinite(self.t_end / self.dt), clock, "t_end/dt is not a finite step count")
         steps = self.n_steps
-        require(steps <= MAX_STEPS, "dt",
+        require(steps <= MAX_STEPS, clock,
                 f"t_end/dt = {steps} steps exceed the limit of {MAX_STEPS}")
-        require(abs(steps * self.dt - self.t_end) <= 1e-9 * max(1.0, self.t_end), "dt",
+        require(abs(steps * self.dt - self.t_end) <= 1e-9 * max(1.0, self.t_end), clock,
                 "t_end must be an integer number of steps")
         require(float(self.output_every).is_integer() and self.output_every >= 1,
                 "output_every", "output_every must be a positive integer")
@@ -279,7 +281,7 @@ def assemble_diffusion(config: SolverConfig) -> tuple[np.ndarray, np.ndarray, np
     with np.errstate(all="ignore"):
         r = np.float64(config.dt) / np.float64(config.grid.dx) ** 2
         face = 0.5 * (a[:-1] + a[1:]) * r  # nx-1 faces
-        require(0.0 < r < math.inf, "dx", f"dt/dx^2 = {r:g} must be finite and positive")
+        require(0.0 < r < math.inf, ("dx", "dt"), f"dt/dx^2 = {r:g} must be finite and positive")
         require(np.all((0.0 < face) & (2.0 * face < math.inf)), "diffusivity",
                 "diffusivity gives face coefficients dt*a/dx^2 that are zero or overflow")
     require(face.max() < 2.0 ** 52, "diffusivity",

@@ -198,6 +198,15 @@ def test_rule_cases_cover_every_key_with_a_rule():
     ("grid.xmin = 20", "grid.xmin: xmax must exceed xmin"),
     ("model.sh = 0.05", "model.sh: requires sf < sh (sh = 0.05)"),
     ("grid.xmax = 2", "grid.xmax: bump support must sit strictly inside the domain"),
+    ("time.dt = 30", "time.dt: t_end must cover at least one step"),
+    ("grid.xmin = -15.01", "grid.xmin: dx=0.05 does not tile [-15.01, 15.0] evenly"),
+    # dt/dx^2 reads dx and dt; the text sets only dt, and t_end to cover it
+    ("time.dt = 1e306\ntime.t_end = 1e306", "time.dt: dt/dx^2 = inf must be finite and positive"),
+    ("grid.xmin = -1e308",
+     "grid.xmin: dx=0.05 gives no finite interval count on [-1e+308, 15.0]"),
+    ("init.smoothing = 20", "init.smoothing: bump support must sit strictly inside the domain"),
+    ("model.sigma = 1e-320", "model.sigma: sigma = 9.99989e-321 and eps = 0.1 leave 1/eps "
+     "or 1/(sigma*eps) without a finite value"),
 ])
 def test_cross_key_rule_names_a_key_the_text_sets(text, message):
     with pytest.raises(ConfigError) as info:

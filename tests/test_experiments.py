@@ -176,7 +176,7 @@ def test_track_front_positions(grid601):
         front_track(series, (0.0, 10.0), 1.0)
     with pytest.raises(sl.FieldError, match="speed_window must be an increasing pair") as info:
         sl.FrontTrack((10.0, 5.0), 0.5)
-    assert info.value.field == "speed_window"
+    assert info.value.fields[0] == "speed_window"
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +370,19 @@ def test_sweep_tags_solver_failures_with_eps(fig1_params, coarse_grid, monkeypat
         sweep_series(fig1_params, sl.Variant.PERFECT, [0.3, 0.1],
                                  sl.InitialDataSpec(), quick_config(coarse_grid))
     assert "eps=0.3" not in str(info.value)
+    assert info.value.step == 7
+
+
+def test_sweep_tags_a_limit_run_failure_with_its_series():
+    # du = 400: the system's bound dt < 2*eps/fu admits dt = 0.0034 at eps = 0.00195,
+    # and the limit equation's explicit step leaves [0, 1] at step 7
+    cfg = sl.parse_config("model.du = 400\nmodel.epsilon = 0.00195\n"
+                          "experiment.epsilons = 0.00195, 0.00192\n"
+                          "time.dt = 0.0034\ntime.t_end = 3.4\ntime.output_every = 10\n")
+    with pytest.raises(sl.SolverError, match=r"^limit equation: step 7: frequency left \[0, 1\] "
+                       r"by more than round-off: \[3\.878749e-242, 1\.000045e\+00\]$") as info:
+        sl.run_convergence_sweep(cfg.model.params, cfg.model.variant, cfg.epsilons, cfg.spec,
+                                 cfg.solver, on_frame=lambda frame: None)
     assert info.value.step == 7
 
 

@@ -38,7 +38,7 @@ def test_params_reject_bad_ranges():
     # each rejection names its field
     with pytest.raises(sl.FieldError, match="^du must be finite$") as info:
         sl.WolbachiaParams(**{**good, "du": float("inf")})
-    assert info.value.field == "du"
+    assert info.value.fields[0] == "du"
 
 
 def test_params_allow_ordering_violation_for_diagnostics():
@@ -69,7 +69,7 @@ def test_scaled_model_rejects_a_carrying_total_it_cannot_form(sigma, eps):
     params = sl.WolbachiaParams(fu=1.12, du=0.27, delta=10 / 9, sf=0.1, sh=0.8, sigma=sigma)
     with pytest.raises(sl.FieldError) as info:
         sl.ScaledModel(params, eps)
-    assert info.value.field == "carrying_total"
+    assert info.value.fields == ("epsilon", "sigma")
 
 
 # ---------------------------------------------------------------------------

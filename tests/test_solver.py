@@ -41,7 +41,7 @@ def test_grid_rejects_uneven_spacing():
     # reversed bounds are reported as such, before dx is asked to tile them
     with pytest.raises(sl.FieldError, match="^xmax must exceed xmin$") as info:
         sl.Grid1D.from_spacing(0.0, -1.0, 0.1)
-    assert info.value.field == "xmax"
+    assert info.value.fields[0] == "xmax"
 
 
 def test_subnormal_steps_raise_value_error():
@@ -69,7 +69,7 @@ def test_config_caps_step_count():
     assert sl.SolverConfig(grid, dt=1.0, t_end=float(cap)).n_steps == cap
     with pytest.raises(sl.FieldError, match="10000001 steps exceed the limit") as info:
         sl.SolverConfig(grid, dt=1.0, t_end=float(cap + 1))
-    assert info.value.field == "dt"
+    assert info.value.fields[0] == "dt"
     with pytest.raises(sl.FieldError, match="25000000000000 steps exceed the limit"):
         sl.SolverConfig(grid, dt=1e-12, t_end=25.0)
 
@@ -123,7 +123,7 @@ def test_solver_config_rejects_a_matrix_it_cannot_assemble(half_width, dx, diffu
     grid = sl.Grid1D.from_spacing(-half_width, half_width, dx)
     with pytest.raises(sl.FieldError) as info:
         sl.SolverConfig(grid, dt=0.005, t_end=1.0, diffusivity=diffusivity)
-    assert info.value.field == field
+    assert info.value.fields[0] == field
 
 
 def test_diffusivity_knots():
@@ -131,7 +131,7 @@ def test_diffusivity_knots():
     for knots in (((0.5, 0.1), (0.2, 0.2)), ((0.5, 0.1), (0.5, 0.2)), ((math.nan, 0.1),) * 2):
         with pytest.raises(sl.FieldError, match="^profile x must increase$") as info:
             sl.SolverConfig(grid, dt=0.01, t_end=1.0, diffusivity=knots)
-        assert info.value.field == "diffusivity"
+        assert info.value.fields[0] == "diffusivity"
     # linear between the knots, constant beyond the end ones
     config = sl.SolverConfig(grid, dt=0.01, t_end=1.0, diffusivity=((0.2, 0.1), (0.6, 0.3)))
     assert config.diffusivity_values == pytest.approx(
