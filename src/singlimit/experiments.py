@@ -38,7 +38,8 @@ from .model import (
 )
 from .reduction import ReducedFields, error_norms, to_reduced
 from .solver import (Field, Grid1D, PopulationState, SolverConfig, SolverError,
-                     check_reaction_step, l2_spacetime, run_scalar, run_system)
+                     check_limit_step, check_reaction_step, l2_spacetime, run_scalar,
+                     run_system)
 
 __all__ = [
     "InitialDataSpec",
@@ -153,10 +154,11 @@ def frequency_run(model: ScaledModel, spec: InitialDataSpec, config: SolverConfi
 
     equation "system" runs the two-population system and reduces every frame;
     "limit" runs the scalar limit equation, which the alternative variant
-    does not have and which divides by Q(p), so drift_slope_bound must be
-    positive.  Each frame goes to on_frame(time, p, state) as soon as it settles,
-    with p the frequency Field and state the system's raw state, or None for
-    the limit equation; the run keeps none of them.
+    does not have, which divides by Q(p), so drift_slope_bound must be
+    positive, and whose explicit step check_limit_step bounds.  Each frame
+    goes to on_frame(time, p, state) as soon as it settles, with p the
+    frequency Field and state the system's raw state, or None for the limit
+    equation; the run keeps none of them.
     """
     if equation not in ("system", "limit"):
         raise ValueError(f"equation must be 'system' or 'limit', got {equation!r}")
@@ -164,6 +166,7 @@ def frequency_run(model: ScaledModel, spec: InitialDataSpec, config: SolverConfi
     if equation == "limit":
         require_reducible(model, "the limit equation")
         drift_slope_bound(model)
+        check_limit_step(model, config.dt)
         run_scalar(lambda v: limit_reaction(model, v), p_init, config,
                    on_frame=lambda frame: on_frame(*frame, None))
     else:
@@ -260,8 +263,10 @@ def run_convergence_sweep(params: WolbachiaParams, variant: Variant,
     eps_cap = 1.0 / (params.sigma * slow_manifold_max(models[0]))
     if epsilons[0] >= eps_cap:
         raise ValueError(f"eps={epsilons[0]:g} is outside the admissible range (< {eps_cap:.4g})")
-    # 2*eps/fu shrinks with eps: the last rung admits the step before either run
+    # 2*eps/fu shrinks with eps, so the last rung admits the system's step;
+    # both equations' steps are admitted before either run seeds its data
     check_reaction_step(models[-1], config.dt)
+    check_limit_step(models[0], config.dt)
 
     labels = ["limit equation", *(f"eps={eps:g}" for eps in epsilons)]
     tracks = [FrontTrack(*speed) if speed else None for _ in labels]

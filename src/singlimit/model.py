@@ -248,6 +248,21 @@ def _frequency(ni, total):
     return np.divide(ni, total, out=np.zeros_like(total), where=total != 0.0)
 
 
+_DENSITY_NAMES = ("infected density", "uninfected density")
+
+
+def _density_range(n: np.ndarray, name: str) -> tuple[float, float]:
+    """(min, max) of the float array n, by ufunc reductions that propagate
+    NaN; rejects the density called name when non-finite or below
+    -NEGATIVE_TOL."""
+    low, high = np.minimum.reduce(n, axis=None), np.maximum.reduce(n, axis=None)
+    if not (-math.inf < low and high < math.inf):
+        raise ValueError(f"{name} became non-finite")
+    if low < -NEGATIVE_TOL:
+        raise ValueError(f"{name} fell to {low:.3e}, beyond round-off")
+    return low, high
+
+
 def _kinetics(model: ScaledModel, ni, nu, epsilon=None):
     """Reaction right-hand sides without any input validation.
 
@@ -295,20 +310,16 @@ def reaction_rates(model: ScaledModel, ni, nu, epsilon=None):
     """Reaction terms (no diffusion) of the selected variant.
 
     Vectorized over matching array arguments.  Densities below -1e-12 or
-    non-finite inputs are rejected; (0, 0) maps to (0, 0), there is no
-    spontaneous generation.  epsilon, when given, overrides model.epsilon
-    and must be positive and finite; a (K,) row evaluates K scalings of one
-    parameter set at once, column k of (nx, K) densities at epsilon[k].
+    non-finite inputs are rejected by _density_range; (0, 0) maps to (0, 0),
+    there is no spontaneous generation.  epsilon, when given, overrides
+    model.epsilon and must be positive and finite; a (K,) row evaluates K
+    scalings of one parameter set at once, column k of (nx, K) densities at
+    epsilon[k].
     """
     ni = np.asarray(ni, dtype=float)
     nu = np.asarray(nu, dtype=float)
-    # min and max propagate NaN, so these four reductions see every
-    # non-finite entry without an isfinite pass over the inputs
-    bounds = (ni.min(), ni.max(), nu.min(), nu.max())
-    if not all(map(math.isfinite, bounds)):
-        raise ValueError("non-finite density")
-    if min(bounds) < -NEGATIVE_TOL:
-        raise ValueError("negative density")
+    _density_range(ni, _DENSITY_NAMES[0])
+    _density_range(nu, _DENSITY_NAMES[1])
     if epsilon is not None:
         epsilon = np.asarray(epsilon, dtype=float)
         if not (epsilon.min() > 0.0 and math.isfinite(epsilon.max())):
@@ -455,6 +466,26 @@ def limit_reaction(model: ScaledModel, p):
         value -= prm.du * prm.delta
         value *= p
     return float(value) if value.ndim == 0 else value
+
+
+def _limit_slope_max(model: ScaledModel) -> float:
+    """max over [0, 1] of -r', r = limit_reaction, in closed form.
+
+    r = R/Q with R(p) = du p (k ((delta-1)p + 1) - delta Q(p)), k =
+    (1-mu)(1-sf), the leaked-births form, which also holds at mu = 0.  So
+    -r' = N/Q^2 with N = R Q' - R' Q, read at p = 0, p = 1 and at the roots
+    of its derivative's numerator N' Q - 2 N Q'; a complex root's real part,
+    clipped to [0, 1], is one more point of [0, 1] and cannot raise the max.
+    Needs Q > 0 on [0, 1], which drift_slope_bound checks.
+    """
+    prm = model.params
+    a, b = _quadratic_coeffs(model)
+    q = np.poly1d([a, -b, 1.0])
+    k = (1.0 - prm.mu) * (1.0 - prm.sf)
+    r = np.poly1d([prm.du, 0.0]) * (np.poly1d([k * (prm.delta - 1.0), k]) - prm.delta * q)
+    n = r * q.deriv() - r.deriv() * q
+    p = np.clip(np.append((n.deriv() * q - 2.0 * n * q.deriv()).roots.real, [0.0, 1.0]), 0.0, 1.0)
+    return float(np.max(n(p) / q(p) ** 2))
 
 
 def _bistable_roots(model: ScaledModel) -> tuple[float, float]:

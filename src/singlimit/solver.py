@@ -43,8 +43,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import (NEGATIVE_TOL, FieldError, ScaledModel, Variant, _frequency_range,
-                    reaction_rates, require)
+from .model import (_DENSITY_NAMES, FieldError, ScaledModel, Variant, _density_range,
+                    _frequency_range, _limit_slope_max, reaction_rates, require)
 
 __all__ = [
     "Grid1D",
@@ -196,9 +196,8 @@ class PopulationState:
     def __post_init__(self):
         if self.ni.grid != self.nu.grid:
             raise ValueError("population fields must share one grid")
-        low = min(self.ni.values.min(), self.nu.values.min())
-        if low < -NEGATIVE_TOL:
-            raise ValueError(f"negative density {low:.3e} beyond round-off")
+        _density_range(self.ni.values, _DENSITY_NAMES[0])
+        _density_range(self.nu.values, _DENSITY_NAMES[1])
 
     @property
     def grid(self) -> Grid1D:
@@ -310,29 +309,26 @@ def solve_banded(factors: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.
     return dpttrs(d, e, rhs, overwrite_b=1)[0]
 
 
-_DENSITY_NAMES = ("infected density", "uninfected density")
-
-
 def _settle_density(values: np.ndarray, rungs: Sequence[str | None]) -> np.ndarray:
-    """Reject non-finite densities and negatives beyond NEGATIVE_TOL; clamp
-    round-off negatives to zero in place.
+    """Reject densities that _density_range rejects; clamp round-off
+    negatives to zero in place.
 
     values is the (nx, 2K) block [n_i of every rung | n_u of every rung] for
     the K labels in rungs: column c holds density c // K of rung c % K.  One
-    min carries NaN and -inf, one max carries +inf; only a rejection goes
-    back over the columns to name the density and the rung, in rung order.
+    _density_range call checks the whole block; only a rejection goes back
+    over the columns to name the density and the rung, in rung order.
     """
-    low = values.min()
-    if not (low >= -NEGATIVE_TOL and values.max() < math.inf):
-        lows, finite = values.min(axis=0), np.isfinite(values).all(axis=0)
+    try:
+        low, _ = _density_range(values, "density")
+    except ValueError:
         k = len(rungs)
         for j, rung in enumerate(rungs):
             for column in (j, j + k):
-                name = _DENSITY_NAMES[column // k]
-                if not finite[column]:
-                    raise _RungError(rung, f"{name} became non-finite")
-                if lows[column] < -NEGATIVE_TOL:
-                    raise _RungError(rung, f"{name} fell to {lows[column]:.3e}, beyond round-off")
+                try:
+                    _density_range(values[:, column], _DENSITY_NAMES[column // k])
+                except ValueError as exc:
+                    raise _RungError(rung, str(exc)) from None
+        raise
     if low < 0.0:
         np.copyto(values, 0.0, where=values < 0.0)
     return values
@@ -413,6 +409,24 @@ def check_reaction_step(model: ScaledModel, dt: float) -> None:
         raise ValueError(
             f"eps={model.epsilon:g}: dt={dt:g} makes the explicit reaction step unstable; "
             f"dt must stay below {bound} = {dt_max:.6g}"
+        )
+
+
+def check_limit_step(model: ScaledModel, dt: float) -> None:
+    """Reject a time step at which the limit equation's explicit step can
+    leave [0, 1].
+
+    With r = limit_reaction, r(0) = 0 and r(1) <= 0, the step p + dt*r(p)
+    maps [0, 1] into itself when it is non-decreasing there, that is when
+    dt*max(-r') < 1; the implicit diffusion solve, non-negative with rows
+    summing to 1, then keeps [0, 1] too.  Needs Q > 0 on [0, 1]
+    (drift_slope_bound).
+    """
+    slope = _limit_slope_max(model)
+    if dt * slope >= 1.0:
+        raise ValueError(
+            f"dt={dt:g} makes the limit equation's explicit step leave [0, 1]; "
+            f"dt must stay below 1/max(-r') = {1.0 / slope:.6g}"
         )
 
 

@@ -373,17 +373,60 @@ def test_sweep_tags_solver_failures_with_eps(fig1_params, coarse_grid, monkeypat
     assert info.value.step == 7
 
 
-def test_sweep_tags_a_limit_run_failure_with_its_series():
-    # du = 400: the system's bound dt < 2*eps/fu admits dt = 0.0034 at eps = 0.00195,
-    # and the limit equation's explicit step leaves [0, 1] at step 7
-    cfg = sl.parse_config("model.du = 400\nmodel.epsilon = 0.00195\n"
-                          "experiment.epsilons = 0.00195, 0.00192\n"
-                          "time.dt = 0.0034\ntime.t_end = 3.4\ntime.output_every = 10\n")
+def test_sweep_tags_a_limit_run_failure_with_its_series(fig1_params, coarse_grid, monkeypatch):
+    # the limit reaction turns NaN from its 7th evaluation, i.e. at step 7,
+    # and the frequency settle rejects it
+    real = sl.experiments.limit_reaction
+    calls = []
+
+    def failing_reaction(model, p):
+        calls.append(1)
+        return real(model, p) * (np.nan if len(calls) >= 7 else 1.0)
+
+    monkeypatch.setattr("singlimit.experiments.limit_reaction", failing_reaction)
     with pytest.raises(sl.SolverError, match=r"^limit equation: step 7: frequency left \[0, 1\] "
-                       r"by more than round-off: \[3\.878749e-242, 1\.000045e\+00\]$") as info:
-        sl.run_convergence_sweep(cfg.model.params, cfg.model.variant, cfg.epsilons, cfg.spec,
-                                 cfg.solver, on_frame=lambda frame: None)
+                       r"by more than round-off: \[nan, nan\]$") as info:
+        sl.run_convergence_sweep(fig1_params, sl.Variant.PERFECT, [0.3, 0.1],
+                                 sl.InitialDataSpec(), quick_config(coarse_grid),
+                                 on_frame=lambda frame: None)
     assert info.value.step == 7
+
+
+DU_400 = "model.du = 400\nmodel.epsilon = 0.0025\n"
+
+
+def test_limit_step_bound_is_sharp(monkeypatch):
+    # du = 400: max(-r') = 301.23 at p = 1 bounds dt below 0.0033197
+    frames = []
+
+    def run(clock):
+        cfg = sl.parse_config(DU_400 + clock)
+        sl.frequency_run(cfg.model, cfg.spec, cfg.solver, "limit",
+                         on_frame=lambda t, p, _: frames.append(p.values))
+
+    with pytest.raises(ValueError, match=r"^dt=0\.00332 makes the limit equation's explicit "
+                       r"step leave \[0, 1\]; dt must stay below 1/max\(-r'\) = 0\.00331967$"):
+        run("time.dt = 0.00332\ntime.t_end = 0.0332\n")
+    assert frames == []
+    run("time.dt = 0.0033\ntime.t_end = 3.3\n")  # 1000 steps
+    assert len(frames) == 6
+    # unchecked, the rejected step leaves [0, 1] at step 8
+    monkeypatch.setattr("singlimit.experiments.check_limit_step", lambda model, dt: None)
+    with pytest.raises(sl.SolverError, match=r"^step 8: frequency left \[0, 1\]") as info:
+        run("time.dt = 0.00332\ntime.t_end = 0.0332\n")
+    assert info.value.step == 8
+
+
+@pytest.mark.parametrize("text, bound", [
+    ("", "4.91803"),
+    ("model.variant = imperfect\nmodel.mu = 0.05\n", "4.49607"),
+])
+def test_reference_limit_step_is_admitted(text, bound):
+    # the reference dt = 0.005 sits far below 1/max(-r'), with or without leakage
+    cfg = sl.parse_config(text)
+    sl.solver.check_limit_step(cfg.model, cfg.solver.dt)
+    with pytest.raises(ValueError, match=rf"^dt=5 makes .* below 1/max\(-r'\) = {bound}$"):
+        sl.solver.check_limit_step(cfg.model, 5.0)
 
 
 def test_sweep_returns_series(fig1_params, coarse_grid):

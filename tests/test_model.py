@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import singlimit as sl
-from singlimit.model import _bistable_roots, _kinetics
+from singlimit.model import _bistable_roots, _kinetics, _limit_slope_max
 
 # interior roots of the leaked-transmission limit reaction at
 # (sf, mu) = (0, 0.04), frozen from an independent pre-build bisection
@@ -301,6 +301,17 @@ def test_drift_slope_bound_sampled_oracle(leak):
     step = 1e-7
     slope = (sl.reduced_drift(model, 1.0 + step, p) - sl.reduced_drift(model, 1.0, p)) / step
     assert np.min(-slope) >= bound - 1e-10
+
+
+@pytest.mark.parametrize("du, leak", [(0.27, 0.0), (0.27, 0.05), (400.0, 0.0)])
+def test_limit_slope_max_sampled_oracle(du, leak):
+    params = sl.WolbachiaParams(fu=1.12, du=du, delta=10 / 9, sf=0.1, sh=0.8,
+                                sigma=1.0, mu=leak)
+    variant = sl.Variant.IMPERFECT if leak else sl.Variant.PERFECT
+    model = sl.ScaledModel(params, 0.0025, variant)
+    p = np.linspace(0.0, 1.0, 100001)
+    sampled = np.max(-np.gradient(sl.limit_reaction(model, p), p))
+    assert sampled <= _limit_slope_max(model) <= sampled * (1.0 + 1e-4)
 
 
 def test_limit_reaction_endpoints(fig1_params):

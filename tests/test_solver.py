@@ -92,6 +92,26 @@ def test_population_state_validation():
         sl.PopulationState(zero, sl.Field(np.zeros(other.nx), other))
 
 
+@pytest.mark.parametrize("check", ["reaction_rates", "PopulationState"])
+@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize("bad, reason", [
+    (np.nan, "became non-finite"),
+    (np.inf, "became non-finite"),
+    (-np.inf, "became non-finite"),
+    (-1e-11, "fell to -1.000e-11, beyond round-off"),
+])
+def test_density_rule_names_the_rejected_density(fig1_params, check, column, bad, reason):
+    grid = small_grid()
+    fields = [sl.Field.constant(0.5, grid), sl.Field.constant(0.5, grid)]
+    fields[column].values[2] = bad  # Field checks its values only at construction
+    with pytest.raises(ValueError) as info:
+        if check == "reaction_rates":
+            sl.reaction_rates(sl.ScaledModel(fig1_params, 0.1), *(f.values for f in fields))
+        else:
+            sl.PopulationState(*fields)
+    assert str(info.value) == f"{_DENSITY_NAMES[column]} {reason}"
+
+
 def test_solver_config_validation():
     grid = small_grid()
     with pytest.raises(ValueError):
